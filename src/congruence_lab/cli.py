@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", type=int, required=True, metavar="N")
 
-    p = sub.add_parser("enumerate", parents=[common], help="all of SL_n(Z/N) by brute force")
+    p = sub.add_parser("enumerate", parents=[common], help="all of SL_n(Z/N), sorted by entries")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", type=int, required=True, metavar="N")
     p.add_argument("--count-only", action="store_true")

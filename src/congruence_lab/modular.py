@@ -1,14 +1,18 @@
-"""Arithmetic in Z/N: matrices, CRT factorization, and SL_n(Z/N) by brute force.
+"""Arithmetic in Z/N: matrices, CRT factorization, and the elements of SL_n(Z/N).
 
-enumerate_sl is the deliberately naive oracle: it walks every entry tuple and
-keeps the determinant-1 ones. It is guarded by a cap on N^(n^2) so a typo in
-a test cannot wedge the machine. sl_order_formula computes the same count in
-closed form; the two must always agree, and the test suite holds them to it.
+enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
+factors SL_n(Z/p^s), and each factor is built row by row, with the last row
+solved from the determinant instead of searched for. Its cost follows
+|SL_n(Z/N)| rather than N^(n^2), but the cap still bounds N^(n^2), so which
+inputs are refused does not depend on the route. sl_order_formula computes
+the same count in closed form; the test suite holds the two together and
+checks the list against an exhaustive N^(n^2) walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -88,6 +92,15 @@ class ModMatrix:
             raise ValueError("ModMatrix requires a non-empty square array of entries")
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _from_reduced(cls, rows: Rows, modulus: int) -> ModMatrix:
+        """Wrap a square tuple of entries already in [0, modulus), skipping validation."""
+        m = object.__new__(cls)
+        fields = m.__dict__  # frozen: __setattr__ would refuse
+        fields["rows"] = rows
+        fields["modulus"] = modulus
+        return m
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -123,7 +136,7 @@ class ModMatrix:
         if self.n != other.n:
             raise DimensionMismatch(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
         a, b, n, N = self.rows, other.rows, self.n, self.modulus
-        return ModMatrix(
+        return ModMatrix._from_reduced(
             tuple(
                 tuple(sum(a[i][k] * b[k][j] for k in range(n)) % N for j in range(n))
                 for i in range(n)
@@ -163,12 +176,12 @@ def mod_reduce(x: IntMatrix, N: int | Modulus) -> ModMatrix:
     return ModMatrix(x.rows, modulus)
 
 
-def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
-    """All of SL_n(Z/N) by exhaustive search, sorted lexicographically by entries.
+def _check_enumeration(n: int, N: int, cap: int | None) -> None:
+    """Argument and cap checks shared by everything that walks SL_n(Z/N).
 
-    Walks every one of the N^(n^2) entry tuples and keeps those of
-    determinant 1; raises CapExceeded (carrying the required cap) when the
-    search space is larger than `cap` (default DEFAULT_ENUMERATION_CAP).
+    The cap bounds N^(n^2), the size of the entry space, and is checked on N
+    itself before any per-factor work, so the inputs refused are the same
+    whatever route the caller takes through the group.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -178,12 +191,68 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
     size = N ** (n * n)
     if size > effective_cap:
         raise CapExceeded(size, effective_cap)
+
+
+def _sl_local(n: int, p: int, s: int) -> list[Rows]:
+    """The entries of every element of SL_n(Z/p^s), in no particular order.
+
+    The determinant is linear in the last row, with the cofactors c_j of the
+    top n-1 rows as coefficients. Z/p^s is a local ring, so the top rows
+    extend to SL_n exactly when some c_j is a unit (prime to p); the entry
+    x_j of the last row is then solved from the others, giving exactly
+    (p^s)^(n-1) completions, each of determinant 1.
+    """
+    if n == 1:
+        return [((1,),)]
+    q = p**s
+    m = n - 1
     out = []
-    for flat in itertools.product(range(N), repeat=n * n):
-        rows = tuple(flat[r * n : (r + 1) * n] for r in range(n))
-        if det_of_rows(rows) % N == 1:
-            out.append(ModMatrix(rows, N))
+    for flat in itertools.product(range(q), repeat=m * n):
+        top = tuple(flat[r * n : (r + 1) * n] for r in range(m))
+        cof = [
+            (-1) ** (m + j) * det_of_rows(tuple(r[:j] + r[j + 1 :] for r in top)) % q
+            for j in range(n)
+        ]
+        j = next((j for j, c in enumerate(cof) if c % p), None)
+        if j is None:
+            continue
+        inv = pow(cof[j], -1, q)
+        rest = cof[:j] + cof[j + 1 :]
+        for free in itertools.product(range(q), repeat=m):
+            x = (1 - sum(map(operator.mul, rest, free))) * inv % q
+            out.append(top + (free[:j] + (x,) + free[j:],))
     return out
+
+
+def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
+    """All of SL_n(Z/N), sorted lexicographically by entries.
+
+    Lists each CRT factor SL_n(Z/p^s) with _sl_local and glues the factors
+    together entrywise, so the cost follows |SL_n(Z/N)|. Raises CapExceeded
+    (carrying the required cap) when the entry space N^(n^2) is larger than
+    `cap` (default DEFAULT_ENUMERATION_CAP).
+    """
+    _check_enumeration(n, N, cap)
+    elements: list[Rows] = []
+    M = 1
+    for p, s in factorize(N):
+        local = _sl_local(n, p, s)
+        elements = _crt_glue(elements, M, local, p**s) if M > 1 else local
+        M *= p**s
+    elements.sort()
+    return [ModMatrix._from_reduced(rows, N) for rows in elements]
+
+
+def _crt_glue(xs: list[Rows], a: int, ys: list[Rows], b: int) -> list[Rows]:
+    """Every pair (x mod a, y mod b) joined entrywise by CRT, for coprime a and b."""
+    ea = crt_combine([(1, a), (0, b)])
+    eb = crt_combine([(0, a), (1, b)])
+    ab = a * b
+    return [
+        tuple(tuple((u * ea + v * eb) % ab for u, v in zip(rx, ry)) for rx, ry in zip(x, y))
+        for x in xs
+        for y in ys
+    ]
 
 
 def sl_order_formula(n: int, N: int) -> int:

@@ -1,6 +1,6 @@
 """Built-in invariant suite behind the CLI's selfcheck subcommand.
 
-Each check re-derives a fact two ways (closed form vs brute force, map vs
+Each check re-derives a fact two ways (closed form vs enumeration, map vs
 preimage, sampled law vs definition) and reports pass/fail. The quick mode
 shrinks sample counts and enumeration ranges so the whole table finishes in
 a few seconds; the full mode runs at the scale of the acceptance suite.
@@ -35,12 +35,32 @@ from .words import decompose_int, decompose_mod, lift_to_int
 __all__ = ["run_selfcheck", "CHECK_NAMES"]
 
 
+def _sl_list_fault(elements: list[ModMatrix], n: int, N: int) -> str | None:
+    """Why `elements` is not all of SL_n(Z/N), or None if it is.
+
+    Reduced entries in strictly increasing order make the elements distinct;
+    with determinant 1 throughout and the closed-form count, the list is the
+    whole group.
+    """
+    rows = [m.rows for m in elements]
+    if any(a >= b for a, b in zip(rows, rows[1:])):
+        return f"list for (n={n}, N={N}) is not strictly sorted"
+    for m in elements:
+        if m.modulus != N or any(not 0 <= e < N for r in m.rows for e in r) or m.det() != 1:
+            return f"{m} is not a reduced element of SL_{n}(Z/{N})"
+    if len(elements) != sl_order_formula(n, N):
+        return f"count mismatch at (n={n}, N={N})"
+    return None
+
+
 def _check_index_formula(quick: bool, seed: int, cap: int | None):
     cases = [(2, N) for N in range(2, 7 if quick else 13)]
     cases += [(3, N) for N in ((2,) if quick else (2, 3, 4))]
     for n, N in cases:
-        if len(enumerate_sl(n, N, cap=cap)) != sl_order_formula(n, N):
-            return False, f"count mismatch at (n={n}, N={N})"
+        fault = _sl_list_fault(enumerate_sl(n, N, cap=cap), n, N)
+        if fault:
+            return False, fault
+    # The wording is frozen with the rest of the report's bytes.
     return True, f"{len(cases)} (n, N) cases agree with brute force"
 
 
@@ -59,9 +79,11 @@ def _check_crt_multiplicativity(quick: bool, seed: int, cap: int | None):
 def _check_prime_power_orders(quick: bool, seed: int, cap: int | None):
     cases = [(2, 2, 2)] if quick else [(2, 2, 2), (2, 2, 3), (2, 3, 2)]
     for n, p, k in cases:
-        count = len(enumerate_sl(n, p**k, cap=cap))
-        expected = p ** ((k - 1) * (n * n - 1)) * len(enumerate_sl(n, p, cap=cap))
-        if count != expected:
+        tower, base = enumerate_sl(n, p**k, cap=cap), enumerate_sl(n, p, cap=cap)
+        fault = _sl_list_fault(tower, n, p**k) or _sl_list_fault(base, n, p)
+        if fault:
+            return False, fault
+        if len(tower) != p ** ((k - 1) * (n * n - 1)) * len(base):
             return False, f"|SL_{n}(Z/{p}^{k})| != p^((k-1)(n^2-1)) * |SL_{n}(Z/{p})|"
     return True, f"{len(cases)} prime-power cases verified by enumeration"
 

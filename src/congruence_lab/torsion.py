@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .errors import BadModulus, CounterexampleFound, NotUnimodular
 from .gamma import gamma_level, gamma_member
-from .intmat import IntMatrix, random_elementary_rows
-from .modular import ModMatrix, enumerate_sl, sl_order_formula
+from .intmat import IntMatrix, Rows, identity_rows, random_elementary_rows
+from .modular import ModMatrix, _check_enumeration, _sl_local
 from .primes import euler_phi, factorize
 
 __all__ = [
@@ -93,25 +93,45 @@ def matrix_order(x: IntMatrix) -> OrderResult:
     return OrderResult(None)
 
 
-def _element_order(m: ModMatrix, group_order: int, group_primes: list[int]) -> int:
-    ident = ModMatrix.identity(m.n, m.modulus)
-    d = group_order
-    for q in group_primes:
-        while d % q == 0 and m ** (d // q) == ident:
-            d //= q
-    return d
+def _local_spectrum(n: int, p: int, s: int) -> set[int]:
+    """Element orders of SL_n(Z/p^s), one cyclic subgroup at a time.
+
+    From each element x whose order is not known yet, multiply out x, x^2,
+    ... up to the identity; that gives o = |<x>|, and x^k has order
+    o / gcd(o, k). A walk started at x also settles every generator of <x>,
+    so the multiplies total at most the sum of |C| over cyclic subgroups C.
+    """
+    q = p**s
+    ident = identity_rows(n)
+    orders: dict[Rows, int] = {}
+    for rows in _sl_local(n, p, s):
+        if rows in orders:
+            continue
+        x = y = ModMatrix._from_reduced(rows, q)
+        powers = [rows]
+        while y.rows != ident:
+            y = y * x
+            powers.append(y.rows)
+        o = len(powers)
+        for k, z in enumerate(powers, 1):
+            orders.setdefault(z, o // math.gcd(o, k))
+    return set(orders.values())
 
 
 def mod_spectrum(n: int, N: int, cap: int | None = None) -> frozenset[int]:
-    """Set of element orders of SL_n(Z/N), by exhaustive enumeration.
+    """Set of element orders of SL_n(Z/N).
 
-    Each element's order is found by stripping primes from the group order,
-    so only O(log) matrix powers are needed per element.
+    SL_n(Z/N) is the direct product of its CRT factors SL_n(Z/p^s), and the
+    orders in a direct product are exactly the lcms of orders in the
+    factors, so each factor's spectrum is found on its own and combined.
+    The cap is the one enumerate_sl applies, on N^(n^2).
     """
-    elements = enumerate_sl(n, N, cap=cap)
-    group_order = sl_order_formula(n, N)
-    group_primes = [p for p, _ in factorize(group_order)] if group_order > 1 else []
-    return frozenset(_element_order(m, group_order, group_primes) for m in elements)
+    _check_enumeration(n, N, cap)
+    spectrum = {1}
+    for p, s in factorize(N):
+        local = _local_spectrum(n, p, s)
+        spectrum = {math.lcm(a, b) for a in spectrum for b in local}
+    return frozenset(spectrum)
 
 
 def spectrum_bound(kernel_spec: frozenset[int], range_spec: frozenset[int]) -> frozenset[int]:

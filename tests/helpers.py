@@ -1,25 +1,55 @@
 """Shared strategies and independent oracles for the test suite."""
 
+import functools
 import itertools
 
 import hypothesis.strategies as st
 
-from congruence_lab import ElementaryGen, ElementaryWord, IntMatrix
+from congruence_lab import ElementaryGen, ElementaryWord, IntMatrix, ModMatrix
 
 
-def det_permutation_oracle(rows) -> int:
-    """Leibniz-formula determinant, independent of the production code paths."""
-    n = len(rows)
-    total = 0
+@functools.cache
+def _signed_permutations(n: int) -> tuple:
+    """Each permutation of range(n) as (i, perm[i]) pairs, with its sign."""
+    out = []
     for perm in itertools.permutations(range(n)):
         inversions = sum(
             1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
         )
-        prod = 1
-        for i in range(n):
-            prod *= rows[i][perm[i]]
-        total += -prod if inversions % 2 else prod
+        out.append((tuple(enumerate(perm)), -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def det_permutation_oracle(rows) -> int:
+    """Leibniz-formula determinant, independent of the production code paths."""
+    total = 0
+    for pairs, sign in _signed_permutations(len(rows)):
+        prod = sign
+        for i, j in pairs:
+            prod *= rows[i][j]
+        total += prod
     return total
+
+
+def brute_force_sl(n: int, N: int) -> list[ModMatrix]:
+    """SL_n(Z/N) by walking all N^(n^2) entry tuples in lexicographic order."""
+    out = []
+    for flat in itertools.product(range(N), repeat=n * n):
+        rows = tuple(flat[r * n : (r + 1) * n] for r in range(n))
+        if det_permutation_oracle(rows) % N == 1:
+            out.append(ModMatrix(rows, N))
+    return out
+
+
+def brute_force_spectrum(n: int, N: int) -> frozenset[int]:
+    """Element orders of SL_n(Z/N), each found by multiplying until the identity."""
+    orders = set()
+    for x in brute_force_sl(n, N):
+        y, order = x, 1
+        while not y.is_identity():
+            y, order = y * x, order + 1
+        orders.add(order)
+    return frozenset(orders)
 
 
 def int_matrices(n: int, bound: int = 9):

@@ -34,6 +34,8 @@ from congruence_lab import (
     witness_rf,
 )
 
+from tests.helpers import brute_force_sl, det_permutation_oracle
+
 GRID = [(n, p, k) for n in (2, 3) for p in (2, 3, 5) for k in (1, 2, 3)]
 
 
@@ -44,12 +46,19 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_index_formula_vs_brute_force():
     t0 = time.time()
     mismatches = []
-    for N in range(2, 13):
-        if len(enumerate_sl(2, N)) != sl_order_formula(2, N):
-            mismatches.append((2, N))
-    for N in (2, 3, 4):
-        if len(enumerate_sl(3, N)) != sl_order_formula(3, N):
-            mismatches.append((3, N))
+    for n, N in [(2, N) for N in range(2, 13)] + [(3, N) for N in (2, 3, 4)]:
+        elements = enumerate_sl(n, N)
+        rows = [m.rows for m in elements]
+        # strictly sorted reduced entries (so distinct), det 1, closed-form
+        # count: together these make the list all of SL_n(Z/N)
+        whole_group = (
+            all(a < b for a, b in zip(rows, rows[1:]))
+            and all(0 <= e < N for r in rows for row in r for e in row)
+            and all(det_permutation_oracle(r) % N == 1 for r in rows)
+            and len(elements) == sl_order_formula(n, N)
+        )
+        if not whole_group or elements != brute_force_sl(n, N):
+            mismatches.append((n, N))
     anchors_ok = (
         sl_order_formula(2, 2) == 6
         and sl_order_formula(2, 3) == 24

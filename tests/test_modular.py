@@ -10,10 +10,11 @@ from congruence_lab import (
     crt_split,
     enumerate_sl,
     mod_reduce,
+    mod_spectrum,
     sl_order_formula,
 )
 
-from tests.helpers import unimodular_matrices
+from tests.helpers import brute_force_sl, unimodular_matrices
 
 
 @pytest.mark.parametrize(
@@ -100,6 +101,42 @@ def test_cap_exceeded_carries_required_value():
     assert exc.value.requested == 12**9
     assert exc.value.cap == 10_000_000
     assert str(exc.value.requested) in str(exc.value)
+
+
+@pytest.mark.parametrize("n,N", [(2, N) for N in range(2, 13)] + [(3, N) for N in (2, 3, 4)])
+def test_enumerate_sl_matches_brute_force(n, N):
+    assert enumerate_sl(n, N) == brute_force_sl(n, N)
+
+
+WALKS = [enumerate_sl, mod_spectrum]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize(
+    "n,N,cap", [(2, 10, 9999), (2, 6, 1295), (2, 8, 4095), (3, 12, None), (1, 7, 6)]
+)
+def test_cap_is_checked_on_n_squared_entry_space(walk, n, N, cap):
+    with pytest.raises(CapExceeded) as exc:
+        walk(n, N, cap=cap)
+    assert exc.value.requested == N ** (n * n)
+    assert exc.value.cap == (10_000_000 if cap is None else cap)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_cap_equal_to_entry_space_is_enough(walk):
+    for n, N in [(2, 10), (2, 6), (2, 8), (1, 7)]:
+        walk(n, N, cap=N ** (n * n))
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_walks_reject_bad_arguments(walk):
+    for N in (1, 0, -3):
+        with pytest.raises(BadModulus):
+            walk(2, N)
+    # BadModulus is not a ValueError; (0, 1) shows the dimension is checked first
+    for n, N in [(0, 5), (-1, 5), (0, 1)]:
+        with pytest.raises(ValueError):
+            walk(n, N)
 
 
 def test_cap_override():

@@ -21,6 +21,8 @@ from congruence_lab import (
     spectrum_bound,
 )
 
+from tests.helpers import brute_force_spectrum
+
 
 def test_candidate_orders_small_dimensions():
     assert candidate_orders(1) == frozenset({1, 2})
@@ -84,6 +86,11 @@ def test_mod_spectrum_values():
     assert mod_spectrum(2, 3) == frozenset({1, 2, 3, 4, 6})
     for N in (2, 3, 5):
         assert mod_spectrum(1, N) == frozenset({1})
+
+
+@pytest.mark.parametrize("n,N", [(2, N) for N in range(2, 13)] + [(3, 2), (3, 3)])
+def test_mod_spectrum_matches_brute_force(n, N):
+    assert mod_spectrum(n, N) == brute_force_spectrum(n, N)
 
 
 def test_mod_spectrum_divisor_closed_and_lagrange_bounded():
