@@ -22,19 +22,16 @@ from .errors import (
     ParseError,
 )
 from .gamma import (
-    gamma_index,
     gamma_level,
     gamma_member,
     sample_gamma,
     successive_quotient_order,
 )
-from .intmat import IntMatrix, MatrixUnit, sample_sl
+from .intmat import IntMatrix, sample_sl
 from .modular import (
     DEFAULT_ENUMERATION_CAP,
     ModMatrix,
-    Modulus,
     crt_combine,
-    crt_split,
     enumerate_sl,
     mod_reduce,
     sl_order_formula,
@@ -85,9 +82,7 @@ __all__ = [
     "ElementaryWord",
     "IdentityInput",
     "IntMatrix",
-    "MatrixUnit",
     "ModMatrix",
-    "Modulus",
     "NotInGamma",
     "NotPrime",
     "NotPrimePower",
@@ -99,12 +94,10 @@ __all__ = [
     "TracelessMatrix",
     "candidate_orders",
     "crt_combine",
-    "crt_split",
     "decompose_int",
     "decompose_local",
     "decompose_mod",
     "enumerate_sl",
-    "gamma_index",
     "gamma_level",
     "gamma_member",
     "lift_to_int",

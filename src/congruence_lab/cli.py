@@ -1,7 +1,9 @@
 """Command-line front end. One JSON document per invocation on stdout.
 
 Exit codes: 0 success, 2 domain error (one machine-parsable "Name: reason"
-line on stderr), 1 internal failure. --plain switches to human-readable
+line on stderr), 1 internal failure. A reader that closes stdout early
+(`| head -1`) is not a failure: the rest of the output is dropped silently
+and the command's own code is returned. --plain switches to human-readable
 output. The enumeration cap may be overridden by --cap or the
 CONGRUENCE_LAB_CAP environment variable; the flag wins.
 """
@@ -14,9 +16,9 @@ import os
 import sys
 
 from .errors import CongruenceLabError, CounterexampleFound, ParseError
-from .gamma import gamma_index, gamma_level, gamma_member
+from .gamma import gamma_level, gamma_member
 from .intmat import IntMatrix
-from .modular import ModMatrix, enumerate_sl
+from .modular import ModMatrix, enumerate_sl, sl_order_formula
 from .selfcheck import run_selfcheck
 from .torsion import matrix_order, mod_spectrum
 from .witnesses import phi_k, witness_p, witness_rf
@@ -132,7 +134,7 @@ def _dispatch(args) -> tuple[int, object, str]:
         return 0, {"member": ok}, "yes" if ok else "no"
 
     if cmd == "index":
-        value = gamma_index(args.n, args.mod)
+        value = sl_order_formula(args.n, args.mod)
         return 0, value, str(value)
 
     if cmd == "enumerate":
@@ -186,8 +188,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
+    except SystemExit as e:  # --help, or a usage error
+        return _emit(None, e.code if isinstance(e.code, int) else 2)
     try:
         code, payload, plain = _dispatch(args)
     except CongruenceLabError as e:
@@ -199,7 +201,21 @@ def run(argv: list[str] | None = None) -> int:
     except Exception as e:  # pragma: no cover - internal failure guard
         print(f"InternalError: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    print(plain if args.plain else json.dumps(payload))
+    return _emit(plain if args.plain else json.dumps(payload), code)
+
+
+def _emit(text: str | None, code: int) -> int:
+    """Print text, if any, and flush; a reader that has gone away is not an error."""
+    try:
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # fail again (the pattern of the `signal` module's documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -12,13 +12,11 @@ import random
 
 from .errors import BadModulus, NotPrime, NotUnimodular
 from .intmat import IntMatrix, random_elementary_rows
-from .modular import sl_order_formula
 from .primes import is_prime
 
 __all__ = [
     "gamma_member",
     "gamma_level",
-    "gamma_index",
     "successive_quotient_order",
     "sample_gamma",
 ]
@@ -51,15 +49,10 @@ def gamma_level(x: IntMatrix) -> int:
     return g
 
 
-def gamma_index(n: int, N: int) -> int:
-    """Index of Gamma(N) in SL_n(Z), which equals |SL_n(Z/N)|."""
-    return sl_order_formula(n, N)
-
-
 def successive_quotient_order(n: int, p: int, k: int = 1) -> int:
     """Order of Gamma(p^k)/Gamma(p^(k+1)): always p^(n^2 - 1), independent of k.
 
-    Cross-checkable as gamma_index(n, p^(k+1)) // gamma_index(n, p^k).
+    Cross-checkable as the ratio of sl_order_formula at p^(k+1) and at p^k.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")

@@ -1,4 +1,10 @@
-"""Exact arithmetic for square integer matrices.
+"""Exact arithmetic for square matrices over Z and over Z/N.
+
+SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
+meaning Z (the convention of ElementaryWord). It alone validates rows and
+holds the product, power, det, trace, identity test and text. IntMatrix
+(here), ModMatrix (modular.py) and TracelessMatrix (witnesses.py) are thin
+subclasses that add only what differs between the rings.
 
 Entries are plain Python ints, so products, determinants, and inverses are
 computed without overflow or rounding. Matrices are immutable and hashable;
@@ -13,11 +19,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add, mul
 
-from .errors import DimensionMismatch, NotUnimodular, ParseError
+from .errors import BadModulus, DimensionMismatch, NotUnimodular, ParseError
 
-__all__ = ["IntMatrix", "MatrixUnit", "sample_sl", "SAMPLE_COEFF_BOUND"]
+__all__ = ["IntMatrix", "sample_sl", "SAMPLE_COEFF_BOUND"]
 
 # Default bound on |a| for randomly generated elementary matrices 1 + a*e_ij.
 SAMPLE_COEFF_BOUND = 5
@@ -29,6 +36,10 @@ Rows = tuple[tuple[int, ...], ...]
 
 def identity_rows(n: int) -> Rows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _reduce(rows: Rows, N: int | None) -> Rows:
+    return rows if N is None else tuple(tuple(e % N for e in r) for r in rows)
 
 
 def parse_entries(text: str) -> Rows:
@@ -97,39 +108,115 @@ def det_of_rows(rows: Rows) -> int:
 
 
 @dataclass(frozen=True)
-class MatrixUnit:
-    """The matrix unit e_ij: a single 1 in row i, column j (1-based) of an n x n matrix."""
+class SquareMatrix:
+    """Immutable square matrix over Z (modulus None) or over Z/N, N >= 2.
 
-    i: int
-    j: int
-    n: int
+    The one implementation behind IntMatrix, ModMatrix and TracelessMatrix,
+    which keep only what differs. Over Z/N the entries are kept reduced into
+    [0, N). The public constructor validates and reduces its input; results
+    built here are already in that form and go through _wrap unchecked.
+    Slots, not a per-instance dict: the enumerations build millions of these.
+    """
 
-    def __post_init__(self):
-        if not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise ValueError(f"matrix unit ({self.i},{self.j}) out of range for n={self.n}")
-
-    def matrix(self) -> IntMatrix:
-        rows = [[0] * self.n for _ in range(self.n)]
-        rows[self.i - 1][self.j - 1] = 1
-        return IntMatrix(rows)
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable square matrix over Z."""
-
+    __slots__ = ("rows", "modulus")
     rows: Rows
+    modulus: int | None
 
     def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in r) for r in self.rows)
+        N = self.modulus
+        if N is not None and N < 2:
+            raise BadModulus(f"modulus must be >= 2, got {N}")
+        rows = _reduce(tuple(tuple(map(int, r)) for r in self.rows), N)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("IntMatrix requires a non-empty square array of entries")
+            raise ValueError(f"{type(self).__name__} requires a non-empty square array of entries")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _wrap(cls, rows: Rows, modulus: int | None = None):
+        """Wrap a square tuple of tuples whose entries are already reduced."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "modulus", modulus)
+        return m
+
+    def __reduce__(self):
+        # Default unpickling and copying set slots by setattr, which frozen refuses.
+        return self._wrap, (self.rows, self.modulus)
+
+    @staticmethod
+    def _product(a: Rows, b: Rows, N: int | None) -> Rows:
+        cols = tuple(zip(*b))
+        if N is None:
+            return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
+        return tuple(tuple(sum(map(mul, r, c)) % N for c in cols) for r in a)
 
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    def _require_peer(self, other: SquareMatrix, verb: str, joiner: str) -> None:
+        if self.modulus != other.modulus:
+            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
+        if len(self.rows) != len(other.rows):
+            raise DimensionMismatch(
+                f"cannot {verb} {self.n}x{self.n} {joiner} {other.n}x{other.n}"
+            )
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_peer(other, "multiply", "by")
+        return self._wrap(self._product(self.rows, other.rows, self.modulus), self.modulus)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_peer(other, "add", "and")
+        rows = tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows))
+        return self._wrap(_reduce(rows, self.modulus), self.modulus)
+
+    def __pow__(self, e: int):
+        """Square-and-multiply; negative exponents are refused here."""
+        if e < 0:
+            raise ValueError(f"negative powers of {type(self).__name__} are not supported")
+        N = self.modulus
+        result, base = identity_rows(self.n), self.rows
+        while e:
+            if e & 1:
+                result = self._product(result, base, N)
+            if e > 1:
+                base = self._product(base, base, N)
+            e >>= 1
+        return self._wrap(result, N)
+
+    def det(self) -> int:
+        d = det_of_rows(self.rows)
+        return d if self.modulus is None else d % self.modulus
+
+    def trace(self) -> int:
+        t = sum(self.rows[i][i] for i in range(self.n))
+        return t if self.modulus is None else t % self.modulus
+
+    def is_identity(self) -> bool:
+        return self.rows == identity_rows(self.n)
+
+    def to_text(self) -> str:
+        body = ";".join(",".join(map(str, r)) for r in self.rows)
+        return body if self.modulus is None else f"{body} mod {self.modulus}"
+
+    __str__ = to_text
+
+
+@dataclass(frozen=True, init=False)
+class IntMatrix(SquareMatrix):
+    """Immutable square matrix over Z."""
+
+    __slots__ = ()
+    modulus: None = field(init=False, repr=False)
+
+    def __init__(self, rows: Rows):
+        SquareMatrix.__init__(self, rows, None)
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
@@ -152,84 +239,41 @@ class IntMatrix:
             raise ParseError(f"unexpected modulus suffix in integer matrix {text!r}")
         return cls(parse_entries(text))
 
-    def to_text(self) -> str:
-        return ";".join(",".join(str(e) for e in r) for r in self.rows)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
     def __mul__(self, other: IntMatrix | int) -> IntMatrix:
         if isinstance(other, int):
-            return IntMatrix(tuple(tuple(other * e for e in r) for r in self.rows))
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
-        a, b = self.rows, other.rows
-        n = self.n
-        return IntMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                for i in range(n)
-            )
-        )
+            return self._wrap(tuple(tuple(other * e for e in r) for r in self.rows))
+        return SquareMatrix.__mul__(self, other)
 
     def __rmul__(self, other: int) -> IntMatrix:
         if isinstance(other, int):
             return self * other
         return NotImplemented
 
-    def __add__(self, other: IntMatrix) -> IntMatrix:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(f"cannot add {self.n}x{self.n} and {other.n}x{other.n}")
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
-
     def __sub__(self, other: IntMatrix) -> IntMatrix:
         return self + (-1) * other
 
     def __pow__(self, e: int) -> IntMatrix:
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = IntMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def det(self) -> int:
-        return det_of_rows(self.rows)
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-    def is_identity(self) -> bool:
-        return self.rows == identity_rows(self.n)
+        return self.inverse() ** (-e) if e < 0 else SquareMatrix.__pow__(self, e)
 
     def inverse(self) -> IntMatrix:
         """Integer inverse via the adjugate; requires det == 1."""
         d = self.det()
         if d != 1:
             raise NotUnimodular(f"determinant is {d}, expected 1")
-        n = self.n
+        n, rows = self.n, self.rows
         if n == 1:
-            return IntMatrix.identity(1)
-        inv = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = tuple(
-                    tuple(self.rows[r][c] for c in range(n) if c != i)
-                    for r in range(n)
-                    if r != j
+            return self  # det 1 makes it the identity
+        # entry (i, j) is the signed minor with row j and column i struck out
+        return self._wrap(
+            tuple(
+                tuple(
+                    (-1) ** (i + j)
+                    * det_of_rows(tuple(r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j))
+                    for j in range(n)
                 )
-                inv[i][j] = (-1) ** (i + j) * det_of_rows(minor)
-        return IntMatrix(inv)
+                for i in range(n)
+            )
+        )
 
 
 def random_elementary_rows(

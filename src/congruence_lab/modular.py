@@ -1,4 +1,7 @@
-"""Arithmetic in Z/N: matrices, CRT factorization, and the elements of SL_n(Z/N).
+"""Arithmetic in Z/N: ModMatrix, CRT recombination, and the elements of SL_n(Z/N).
+
+ModMatrix is the Z/N view of the matrix core in intmat.py; it adds only the
+identity of a given modulus and the "a,b;c,d mod N" parser.
 
 enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
 factors SL_n(Z/p^s), and each factor is built row by row, with the last row
@@ -16,15 +19,13 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BadModulus, CapExceeded, DimensionMismatch
-from .intmat import IntMatrix, Rows, det_of_rows, identity_rows, parse_entries
+from .errors import BadModulus, CapExceeded, ParseError
+from .intmat import IntMatrix, Rows, SquareMatrix, det_of_rows, identity_rows, parse_entries
 from .primes import factorize
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
-    "Modulus",
     "ModMatrix",
-    "crt_split",
     "crt_combine",
     "mod_reduce",
     "enumerate_sl",
@@ -32,38 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class Modulus:
-    """A modulus N >= 2 together with its prime factorization."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.value < 2:
-            raise BadModulus(f"modulus must be >= 2, got {self.value}")
-        prod = 1
-        for p, s in self.factors:
-            prod *= p**s
-        primes = [p for p, _ in self.factors]
-        if prod != self.value or primes != sorted(set(primes)) or any(s < 1 for _, s in self.factors):
-            raise ValueError(f"inconsistent factorization {self.factors} for {self.value}")
-
-    @property
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(p**s for p, s in self.factors)
-
-    def is_prime_power(self) -> bool:
-        return len(self.factors) == 1
-
-
-def crt_split(N: int) -> Modulus:
-    """Factor N >= 2 by trial division."""
-    if N < 2:
-        raise BadModulus(f"modulus must be >= 2, got {N}")
-    return Modulus(N, tuple(factorize(N)))
 
 
 def crt_combine(residues: Iterable[tuple[int, int]]) -> int:
@@ -77,33 +46,10 @@ def crt_combine(residues: Iterable[tuple[int, int]]) -> int:
 
 
 @dataclass(frozen=True)
-class ModMatrix:
+class ModMatrix(SquareMatrix):
     """Immutable square matrix over Z/N with entries reduced into [0, N)."""
 
-    rows: Rows
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise BadModulus(f"modulus must be >= 2, got {self.modulus}")
-        rows = tuple(tuple(int(e) % self.modulus for e in r) for r in self.rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("ModMatrix requires a non-empty square array of entries")
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _from_reduced(cls, rows: Rows, modulus: int) -> ModMatrix:
-        """Wrap a square tuple of entries already in [0, modulus), skipping validation."""
-        m = object.__new__(cls)
-        fields = m.__dict__  # frozen: __setattr__ would refuse
-        fields["rows"] = rows
-        fields["modulus"] = modulus
-        return m
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    __slots__ = ()
 
     @classmethod
     def identity(cls, n: int, modulus: int) -> ModMatrix:
@@ -111,8 +57,6 @@ class ModMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> ModMatrix:
-        from .errors import ParseError
-
         body, sep, mod_text = text.partition("mod")
         if not sep:
             raise ParseError(f"missing 'mod N' suffix in {text!r}")
@@ -121,59 +65,10 @@ class ModMatrix:
             raise ParseError(f"bad modulus {mod_text!r}")
         return cls(parse_entries(body.strip()), int(mod_text))
 
-    def to_text(self) -> str:
-        body = ";".join(",".join(str(e) for e in r) for r in self.rows)
-        return f"{body} mod {self.modulus}"
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __mul__(self, other: ModMatrix) -> ModMatrix:
-        if not isinstance(other, ModMatrix):
-            return NotImplemented
-        if self.modulus != other.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-        if self.n != other.n:
-            raise DimensionMismatch(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
-        a, b, n, N = self.rows, other.rows, self.n, self.modulus
-        return ModMatrix._from_reduced(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) % N for j in range(n))
-                for i in range(n)
-            ),
-            N,
-        )
-
-    def __pow__(self, e: int) -> ModMatrix:
-        if e < 0:
-            raise ValueError("negative powers of ModMatrix are not supported")
-        result = ModMatrix.identity(self.n, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def det(self) -> int:
-        return det_of_rows(self.rows) % self.modulus
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n)) % self.modulus
-
-    def is_identity(self) -> bool:
-        return self.rows == identity_rows(self.n)
-
-    def to_int(self) -> IntMatrix:
-        """Lift entrywise to the canonical representatives in [0, N)."""
-        return IntMatrix(self.rows)
-
-
-def mod_reduce(x: IntMatrix, N: int | Modulus) -> ModMatrix:
+def mod_reduce(x: IntMatrix, N: int) -> ModMatrix:
     """Entrywise reduction of an integer matrix into Z/N."""
-    modulus = N.value if isinstance(N, Modulus) else N
-    return ModMatrix(x.rows, modulus)
+    return ModMatrix(x.rows, N)
 
 
 def _check_enumeration(n: int, N: int, cap: int | None) -> None:
@@ -240,7 +135,7 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
         elements = _crt_glue(elements, M, local, p**s) if M > 1 else local
         M *= p**s
     elements.sort()
-    return [ModMatrix._from_reduced(rows, N) for rows in elements]
+    return [ModMatrix._wrap(rows, N) for rows in elements]
 
 
 def _crt_glue(xs: list[Rows], a: int, ys: list[Rows], b: int) -> list[Rows]:

@@ -8,9 +8,10 @@ a few seconds; the full mode runs at the scale of the acceptance suite.
 
 from __future__ import annotations
 
-from .gamma import gamma_index, gamma_level, gamma_member, sample_gamma, successive_quotient_order
+from .gamma import gamma_member, sample_gamma, successive_quotient_order
 from .intmat import IntMatrix, sample_sl
-from .modular import ModMatrix, crt_split, enumerate_sl, mod_reduce, sl_order_formula
+from .modular import ModMatrix, enumerate_sl, mod_reduce, sl_order_formula
+from .primes import factorize
 from .torsion import (
     TORSION_ORDER_4,
     TORSION_ORDER_6,
@@ -69,7 +70,7 @@ def _check_crt_multiplicativity(quick: bool, seed: int, cap: int | None):
     for n in (2, 3):
         for N in range(2, top + 1):
             expected = 1
-            for p, s in crt_split(N).factors:
+            for p, s in factorize(N):
                 expected *= sl_order_formula(n, p**s)
             if sl_order_formula(n, N) != expected:
                 return False, f"not multiplicative at (n={n}, N={N})"
@@ -181,7 +182,7 @@ def _check_phi_maps(quick: bool, seed: int, cap: int | None):
         for b in sl_basis(n, p):
             if phi_k(phi_preimage(b, p, k), p, k) != b:
                 return False, f"preimage misses basis element at (n={n}, p={p}, k={k})"
-        ratio = gamma_index(n, p ** (k + 1)) // gamma_index(n, p**k)
+        ratio = sl_order_formula(n, p ** (k + 1)) // sl_order_formula(n, p**k)
         if ratio != p ** (n * n - 1) or ratio != successive_quotient_order(n, p, k):
             return False, f"successive quotient order wrong at (n={n}, p={p}, k={k})"
     return True, f"additivity, kernel, surjectivity, and quotient order across {len(_phi_grid(quick))} cells"

@@ -107,7 +107,7 @@ def _local_spectrum(n: int, p: int, s: int) -> set[int]:
     for rows in _sl_local(n, p, s):
         if rows in orders:
             continue
-        x = y = ModMatrix._from_reduced(rows, q)
+        x = y = ModMatrix._wrap(rows, q)
         powers = [rows]
         while y.rows != ident:
             y = y * x

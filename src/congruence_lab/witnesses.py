@@ -14,6 +14,10 @@ Two separation routes are made executable here:
 
 phi_general is the same depth-one map at an arbitrary composite level N,
 with image in traceless matrices mod N and kernel Gamma(N^2).
+
+TracelessMatrix, the image type of both maps, is the additive view of the
+matrix core in intmat.py: it adds the trace check, zero and is_zero, and
+refuses products, which need not stay traceless.
 """
 
 from __future__ import annotations
@@ -22,16 +26,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import (
-    BadModulus,
-    IdentityInput,
-    NotInGamma,
-    NotPrime,
-    NotUnimodular,
-)
-from .gamma import gamma_index, gamma_level, gamma_member
-from .intmat import IntMatrix, Rows, identity_rows
-from .modular import ModMatrix, mod_reduce
+from .errors import BadModulus, IdentityInput, NotInGamma, NotPrime
+from .gamma import gamma_level, gamma_member
+from .intmat import IntMatrix, Rows, SquareMatrix, identity_rows
+from .modular import ModMatrix, mod_reduce, sl_order_formula
 from .primes import is_prime, next_prime
 
 __all__ = [
@@ -50,26 +48,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TracelessMatrix:
+class TracelessMatrix(SquareMatrix):
     """Element of sl_n(Z/m): entries reduced into [0, m), trace = 0 mod m."""
 
-    rows: Rows
-    modulus: int
+    __slots__ = ()
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise BadModulus(f"modulus must be >= 2, got {self.modulus}")
-        rows = tuple(tuple(int(e) % self.modulus for e in r) for r in self.rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("TracelessMatrix requires a non-empty square array")
-        if sum(rows[i][i] for i in range(n)) % self.modulus != 0:
+        SquareMatrix.__post_init__(self)
+        if self.trace() != 0:
             raise ValueError("trace must vanish mod the modulus")
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
     @classmethod
     def zero(cls, n: int, modulus: int) -> TracelessMatrix:
@@ -79,23 +66,14 @@ class TracelessMatrix:
         return all(e == 0 for r in self.rows for e in r)
 
     def __add__(self, other: TracelessMatrix) -> TracelessMatrix:
-        if not isinstance(other, TracelessMatrix):
-            return NotImplemented
-        if (self.n, self.modulus) != (other.n, other.modulus):
+        if isinstance(other, TracelessMatrix) and (self.n, self.modulus) != (other.n, other.modulus):
             raise ValueError("can only add traceless matrices of equal shape and modulus")
-        return TracelessMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.modulus,
-        )
+        return SquareMatrix.__add__(self, other)
 
-    def to_text(self) -> str:
-        body = ";".join(",".join(str(e) for e in r) for r in self.rows)
-        return f"{body} mod {self.modulus}"
+    def __mul__(self, other):
+        return NotImplemented
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __pow__ = __mul__
 
 
 def sl_basis(n: int, modulus: int) -> tuple[TracelessMatrix, ...]:
@@ -283,7 +261,7 @@ def witness_rf(x: IntMatrix) -> CongruenceWitness:
         kind="residual-finite",
         prime=p,
         level=p,
-        quotient_order=gamma_index(x.n, p),
+        quotient_order=sl_order_formula(x.n, p),
         image=image,
         target=x,
     )
@@ -309,7 +287,7 @@ def witness_p(x: IntMatrix, p: int) -> CongruenceWitness:
         s += 1
     image = phi_k(x, p, s)
     assert not image.is_zero()
-    quotient_order = gamma_index(x.n, p ** (s + 1)) // gamma_index(x.n, p)
+    quotient_order = sl_order_formula(x.n, p ** (s + 1)) // sl_order_formula(x.n, p)
     return CongruenceWitness(
         kind="residual-p-finite",
         prime=p,

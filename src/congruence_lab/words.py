@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import NotPrimePower, NotUnimodular, ParseError
 from .intmat import IntMatrix, identity_rows
-from .modular import ModMatrix, crt_combine, crt_split, mod_reduce
+from .modular import ModMatrix, crt_combine
 from .primes import factorize
 
 __all__ = [
@@ -320,13 +320,12 @@ def decompose_mod(y: ModMatrix) -> ElementaryWord:
     d = y.det()
     if d != 1:
         raise NotUnimodular(f"determinant is {d} mod {N}, expected 1")
-    modulus = crt_split(N)
-    if modulus.is_prime_power():
+    prime_powers = [p**s for p, s in factorize(N)]
+    if len(prime_powers) == 1:
         return decompose_local(y)
-    prime_powers = modulus.prime_powers
     gens = []
     for idx, q in enumerate(prime_powers):
-        local_word = decompose_local(mod_reduce(y.to_int(), q))
+        local_word = decompose_local(ModMatrix(y.rows, q))
         for g in local_word.gens:
             a = crt_combine(
                 (g.a if f == idx else 0, m) for f, m in enumerate(prime_powers)

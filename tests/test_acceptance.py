@@ -12,7 +12,6 @@ from congruence_lab import (
     decompose_int,
     decompose_mod,
     enumerate_sl,
-    gamma_index,
     gamma_member,
     lift_to_int,
     matrix_order,
@@ -145,7 +144,7 @@ def test_criterion_5_depth_map_suite():
             if phi_k(phi_preimage(b, p, k), p, k) != b:
                 failures.append(("surjectivity", n, p, k))
                 break
-        if gamma_index(n, p ** (k + 1)) // gamma_index(n, p**k) != p ** (n * n - 1):
+        if sl_order_formula(n, p ** (k + 1)) // sl_order_formula(n, p**k) != p ** (n * n - 1):
             failures.append(("cardinality", n, p, k))
     # literal image cardinality on the small cells: hit every element
     for p, k in [(2, 1), (2, 2), (3, 1)]:

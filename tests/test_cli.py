@@ -1,6 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, mod_reduce
 from congruence_lab.cli import run
@@ -192,3 +196,31 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "24"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--n", "2", "--mod", "5", "--plain"], ["--help"]], ids=["enumerate", "help"]
+)
+def test_closed_stdout_is_not_a_failure(argv, unbuffered):
+    # The reader is gone before the child writes, as with `| head -1` once
+    # head has exited: the output is dropped and the command's code stands.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "congruence_lab", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""

@@ -7,15 +7,15 @@ from congruence_lab import (
     IntMatrix,
     NotPrime,
     NotUnimodular,
-    crt_split,
     enumerate_sl,
-    gamma_index,
     gamma_level,
     gamma_member,
     sample_gamma,
     sample_sl,
+    sl_order_formula,
     successive_quotient_order,
 )
+from congruence_lab.primes import factorize
 
 from tests.helpers import unimodular_matrices
 
@@ -78,24 +78,24 @@ def test_gamma_closed_under_product_and_inverse():
 
 
 def test_index_examples():
-    assert gamma_index(2, 2) == 6
-    assert gamma_index(2, 6) == 144
+    assert sl_order_formula(2, 2) == 6
+    assert sl_order_formula(2, 6) == 144
     for n in (1, 2, 3, 5):
-        assert gamma_index(n, 1) == 1
+        assert sl_order_formula(n, 1) == 1
 
 
 def test_index_matches_enumeration():
     for N in range(2, 8):
-        assert gamma_index(2, N) == len(enumerate_sl(2, N))
+        assert sl_order_formula(2, N) == len(enumerate_sl(2, N))
 
 
 def test_index_crt_product():
     for n in (2, 3):
         for N in (6, 12, 30, 36):
             prod = 1
-            for p, s in crt_split(N).factors:
-                prod *= gamma_index(n, p**s)
-            assert gamma_index(n, N) == prod
+            for p, s in factorize(N):
+                prod *= sl_order_formula(n, p**s)
+            assert sl_order_formula(n, N) == prod
 
 
 def test_successive_quotient_order_values():
@@ -105,9 +105,9 @@ def test_successive_quotient_order_values():
 
 
 def test_successive_quotient_matches_index_ratio():
-    assert successive_quotient_order(3, 2, 1) == gamma_index(3, 4) // gamma_index(3, 2)
+    assert successive_quotient_order(3, 2, 1) == sl_order_formula(3, 4) // sl_order_formula(3, 2)
     for k in (1, 2, 3):
-        assert successive_quotient_order(2, 5, k) == gamma_index(2, 5 ** (k + 1)) // gamma_index(2, 5**k)
+        assert successive_quotient_order(2, 5, k) == sl_order_formula(2, 5 ** (k + 1)) // sl_order_formula(2, 5**k)
 
 
 def test_successive_quotient_rejects_composite():

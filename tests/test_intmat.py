@@ -5,7 +5,6 @@ from hypothesis import given
 from congruence_lab import (
     DimensionMismatch,
     IntMatrix,
-    MatrixUnit,
     NotUnimodular,
     ParseError,
     sample_sl,
@@ -153,15 +152,6 @@ def test_text_roundtrip():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         IntMatrix.from_text(bad)
-
-
-def test_matrix_unit():
-    e12 = MatrixUnit(1, 2, 2)
-    assert e12.matrix() == IntMatrix([[0, 1], [0, 0]])
-    with pytest.raises(ValueError):
-        MatrixUnit(0, 1, 2)
-    with pytest.raises(ValueError):
-        MatrixUnit(1, 3, 2)
 
 
 def test_rejects_non_square():

@@ -7,12 +7,13 @@ from congruence_lab import (
     IntMatrix,
     ModMatrix,
     crt_combine,
-    crt_split,
     enumerate_sl,
     mod_reduce,
     mod_spectrum,
     sl_order_formula,
 )
+
+from congruence_lab.primes import factorize
 
 from tests.helpers import brute_force_sl, unimodular_matrices
 
@@ -28,15 +29,8 @@ from tests.helpers import brute_force_sl, unimodular_matrices
     ],
 )
 def test_crt_split(N, factors):
-    modulus = crt_split(N)
-    assert modulus.value == N
-    assert modulus.factors == factors
-
-
-def test_crt_split_rejects_small():
-    for N in (1, 0, -4):
-        with pytest.raises(BadModulus):
-            crt_split(N)
+    # the prime-power split of N that every CRT route in the library uses
+    assert tuple(factorize(N)) == factors
 
 
 def test_crt_combine():
@@ -49,10 +43,6 @@ def test_mod_reduce_examples():
     assert mod_reduce(IntMatrix([[2, 1], [1, 1]]), 2) == ModMatrix([[0, 1], [1, 1]], 2)
     for n in (1, 2, 3):
         assert mod_reduce(IntMatrix.identity(n), 7).is_identity()
-
-
-def test_mod_reduce_accepts_modulus_object():
-    assert mod_reduce(IntMatrix([[2, 1], [1, 1]]), crt_split(6)).modulus == 6
 
 
 def test_mod_reduce_negative_entries():
@@ -162,7 +152,7 @@ def test_sl_order_crt_multiplicative():
     for n in (2, 3):
         for N in range(2, 61):
             expected = 1
-            for p, s in crt_split(N).factors:
+            for p, s in factorize(N):
                 expected *= sl_order_formula(n, p**s)
             assert sl_order_formula(n, N) == expected
 
