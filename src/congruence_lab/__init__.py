@@ -33,7 +33,6 @@ from .modular import (
     ModMatrix,
     crt_combine,
     enumerate_sl,
-    mod_reduce,
     sl_order_formula,
 )
 from .torsion import (
@@ -103,7 +102,6 @@ __all__ = [
     "lift_to_int",
     "matrix_order",
     "minkowski_probe",
-    "mod_reduce",
     "mod_spectrum",
     "phi_general",
     "phi_general_preimage",

@@ -3,9 +3,13 @@
 Exit codes: 0 success, 2 domain error (one machine-parsable "Name: reason"
 line on stderr), 1 internal failure. A reader that closes stdout early
 (`| head -1`) is not a failure: the rest of the output is dropped silently
-and the command's own code is returned. --plain switches to human-readable
-output. The enumeration cap may be overridden by --cap or the
-CONGRUENCE_LAB_CAP environment variable; the flag wins.
+and the command's own code is returned. Integers have no size limit in
+either direction: for the duration of a call, run() lifts CPython's limit
+on int<->str conversion (4300 digits by default), so a 5000-digit matrix
+entry parses and |SL_120(Z/2)| prints exactly, and then restores the
+caller's limit. --plain switches to human-readable output. The enumeration
+cap may be overridden by --cap or the CONGRUENCE_LAB_CAP environment
+variable; the flag wins.
 """
 
 from __future__ import annotations
@@ -185,6 +189,15 @@ def _plain_witness(w) -> str:
 
 def run(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BadModulus, CapExceeded, ParseError
-from .intmat import IntMatrix, Rows, SquareMatrix, det_of_rows, identity_rows, parse_entries
+from .intmat import Rows, SquareMatrix, det_of_rows, identity_rows, parse_entries
 from .primes import factorize
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "ModMatrix",
     "crt_combine",
-    "mod_reduce",
     "enumerate_sl",
     "sl_order_formula",
 ]
@@ -64,11 +63,6 @@ class ModMatrix(SquareMatrix):
         if not mod_text.isdigit():
             raise ParseError(f"bad modulus {mod_text!r}")
         return cls(parse_entries(body.strip()), int(mod_text))
-
-
-def mod_reduce(x: IntMatrix, N: int) -> ModMatrix:
-    """Entrywise reduction of an integer matrix into Z/N."""
-    return ModMatrix(x.rows, N)
 
 
 def _check_enumeration(n: int, N: int, cap: int | None) -> None:

@@ -1,16 +1,23 @@
 """Built-in invariant suite behind the CLI's selfcheck subcommand.
 
 Each check re-derives a fact two ways (closed form vs enumeration, map vs
-preimage, sampled law vs definition) and reports pass/fail. The quick mode
-shrinks sample counts and enumeration ranges so the whole table finishes in
-a few seconds; the full mode runs at the scale of the acceptance suite.
+preimage, sampled law vs definition) and reports pass/fail. This registry
+is the only implementation of the invariants: full mode is the acceptance
+suite (tests/test_acceptance.py runs it at seed 0), and quick mode shrinks
+samples and ranges to finish in under a second. depth-map-chain and
+witness-coverage check Malcev's residual (p-)finiteness; minkowski-probe and
+power-congruence check that Gamma(N) is torsion-free for N >= 3, the core of
+Selberg's lemma.
 """
 
 from __future__ import annotations
 
-from .gamma import gamma_member, sample_gamma, successive_quotient_order
+import itertools
+import math
+
+from .gamma import gamma_level, gamma_member, sample_gamma, successive_quotient_order
 from .intmat import IntMatrix, sample_sl
-from .modular import ModMatrix, enumerate_sl, mod_reduce, sl_order_formula
+from .modular import ModMatrix, enumerate_sl, sl_order_formula
 from .primes import factorize
 from .torsion import (
     TORSION_ORDER_4,
@@ -69,9 +76,7 @@ def _check_crt_multiplicativity(quick: bool, seed: int, cap: int | None):
     top = 30 if quick else 120
     for n in (2, 3):
         for N in range(2, top + 1):
-            expected = 1
-            for p, s in factorize(N):
-                expected *= sl_order_formula(n, p**s)
+            expected = math.prod(sl_order_formula(n, p**s) for p, s in factorize(N))
             if sl_order_formula(n, N) != expected:
                 return False, f"not multiplicative at (n={n}, N={N})"
     return True, f"orders multiplicative over CRT for n in (2,3), N <= {top}"
@@ -96,16 +101,16 @@ def _check_reduction_homomorphism(quick: bool, seed: int, cap: int | None):
             x = sample_sl(n, 6, seed + 2 * t)
             y = sample_sl(n, 6, seed + 2 * t + 1)
             for N in (2, 5, 6, 9):
-                if mod_reduce(x * y, N) != mod_reduce(x, N) * mod_reduce(y, N):
+                if ModMatrix((x * y).rows, N) != ModMatrix(x.rows, N) * ModMatrix(y.rows, N):
                     return False, f"reduction mod {N} not a homomorphism"
     return True, f"homomorphism law on {2 * trials} sampled pairs, four moduli"
 
 
 def _check_decompose_int(quick: bool, seed: int, cap: int | None):
-    trials = 40 if quick else 250
+    trials, shortest, spread = (40, 4, 12) if quick else (1000, 3, 20)
     for n in (2, 3):
         for t in range(trials):
-            x = sample_sl(n, 4 + t % 12, seed + t)
+            x = sample_sl(n, shortest + t % spread, seed + t)
             if decompose_int(x).evaluate() != x:
                 return False, f"round-trip failed for {x}"
     return True, f"{2 * trials} euclidean decompositions round-trip exactly"
@@ -125,7 +130,7 @@ def _check_lift_surjectivity(quick: bool, seed: int, cap: int | None):
     for N in range(2, top + 1):
         for y in enumerate_sl(2, N, cap=cap):
             lifted = lift_to_int(y)
-            if lifted.det() != 1 or mod_reduce(lifted, N) != y:
+            if lifted.det() != 1 or ModMatrix(lifted.rows, N) != y:
                 return False, f"bad lift for {y}"
             total += 1
     return True, f"{total} lifts reduce back correctly with det 1"
@@ -155,6 +160,14 @@ def _check_minkowski(quick: bool, seed: int, cap: int | None):
         report = minkowski_probe(N, trials, seed + N)
         if report["failures"] != 0:
             return False, f"probe failed at level {N}"
+    # Full mode also checks each conjugate against every level at once: its
+    # exact level must be 1 or 2, which rules out Gamma(N) for all N >= 3.
+    for t in range(0 if quick else trials):
+        g = sample_sl(2, 2 + t % 8, seed + t, bound=5)
+        g_inv = g.inverse()
+        for torsion in (TORSION_ORDER_4, TORSION_ORDER_6):
+            if gamma_level(g * torsion * g_inv) not in (1, 2):
+                return False, f"conjugate of {torsion} by {g} has level >= 3"
     return True, f"{trials} conjugates per level, levels {levels}, zero hits"
 
 
@@ -166,7 +179,7 @@ def _phi_grid(quick: bool):
 
 
 def _check_phi_maps(quick: bool, seed: int, cap: int | None):
-    pairs = 20 if quick else 100
+    pairs, samples = (20, 20) if quick else (1000, 100)
     for n, p, k in _phi_grid(quick):
         q = p**k
         for t in range(pairs):
@@ -174,6 +187,8 @@ def _check_phi_maps(quick: bool, seed: int, cap: int | None):
             y = sample_gamma(n, q, 4, seed + 3 * t + 1)
             if phi_k(x * y, p, k) != phi_k(x, p, k) + phi_k(y, p, k):
                 return False, f"additivity fails at (n={n}, p={p}, k={k})"
+            if t >= samples:
+                continue
             deep = sample_gamma(n, q * p, 4, seed + 3 * t + 2)
             if not phi_k(deep, p, k).is_zero():
                 return False, f"kernel misses Gamma(p^(k+1)) at (n={n}, p={p}, k={k})"
@@ -185,11 +200,16 @@ def _check_phi_maps(quick: bool, seed: int, cap: int | None):
         ratio = sl_order_formula(n, p ** (k + 1)) // sl_order_formula(n, p**k)
         if ratio != p ** (n * n - 1) or ratio != successive_quotient_order(n, p, k):
             return False, f"successive quotient order wrong at (n={n}, p={p}, k={k})"
+    # Full mode also counts the image literally: the preimages of all of
+    # sl_2(Z/p) map to p^3 distinct elements.
+    for p, k in [] if quick else [(2, 1), (2, 2), (3, 1)]:
+        if len({phi_k(phi_preimage(b, p, k), p, k) for b in sl_elements(2, p)}) != p**3:
+            return False, f"image of the depth map is not all of sl_2(Z/{p}) at k={k}"
     return True, f"additivity, kernel, surjectivity, and quotient order across {len(_phi_grid(quick))} cells"
 
 
 def _check_power_congruence(quick: bool, seed: int, cap: int | None):
-    samples = 20 if quick else 100
+    samples = 20 if quick else 1000
     for n, p, k in _phi_grid(quick):
         for t in range(samples):
             x = sample_gamma(n, p**k, 4, seed + t)
@@ -198,27 +218,18 @@ def _check_power_congruence(quick: bool, seed: int, cap: int | None):
     return True, f"{samples} samples per cell, all p-th powers descend one level"
 
 
+def _nontrivial(sample, trials: int):
+    """The first `trials` non-identity matrices among sample(0), sample(1), ..."""
+    return itertools.islice(filter(lambda x: not x.is_identity(), map(sample, itertools.count())), trials)
+
+
 def _check_witnesses(quick: bool, seed: int, cap: int | None):
-    trials = 30 if quick else 200
-    count = 0
-    t = 0
-    while count < trials:
-        x = sample_sl(2, 3 + t % 10, seed + t)
-        t += 1
-        if x.is_identity():
-            continue
-        count += 1
+    trials, rf_spread, p_spread = (30, 10, 8) if quick else (1000, 17, 9)
+    for x in _nontrivial(lambda t: sample_sl(2, 3 + t % rf_spread, seed + t), trials):
         if witness_rf(x).image.is_identity():
             return False, f"trivial residual-finiteness image for {x}"
     for p in (2, 3):
-        count = 0
-        t = 0
-        while count < trials:
-            x = sample_gamma(2, p, 3 + t % 8, seed + t)
-            t += 1
-            if x.is_identity():
-                continue
-            count += 1
+        for x in _nontrivial(lambda t: sample_gamma(2, p, 3 + t % p_spread, seed + t), trials):
             w = witness_p(x, p)
             if w.image.is_zero():
                 return False, f"zero depth-map image for {x}"
@@ -236,13 +247,14 @@ def _check_depth_map_general(quick: bool, seed: int, cap: int | None):
             x = phi_general_preimage(t)
             if phi_general(x, N) != t:
                 return False, f"preimage misses {t}"
-        for t in range(15):
-            shallow = sample_gamma(2, N, 3, seed + 2 * t)
-            deep = sample_gamma(2, N * N, 3, seed + 2 * t + 1)
-            if phi_general(shallow, N).is_zero() != gamma_member(shallow, N * N):
-                return False, f"kernel is not Gamma({N * N})"
-            if not phi_general(deep, N).is_zero():
-                return False, f"Gamma({N * N}) escapes the kernel"
+        for length in (3,) if quick else (1, 2, 3):
+            for t in range(15):
+                shallow = sample_gamma(2, N, length, seed + 2 * t)
+                deep = sample_gamma(2, N * N, length, seed + 2 * t + 1)
+                if phi_general(shallow, N).is_zero() != gamma_member(shallow, N * N):
+                    return False, f"kernel is not Gamma({N * N})"
+                if not phi_general(deep, N).is_zero():
+                    return False, f"Gamma({N * N}) escapes the kernel"
     return True, "depth map onto sl_2(Z/N) with kernel Gamma(N^2) for N in (2,3,4)"
 
 

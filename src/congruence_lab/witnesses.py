@@ -29,7 +29,7 @@ from typing import Iterator
 from .errors import BadModulus, IdentityInput, NotInGamma, NotPrime
 from .gamma import gamma_level, gamma_member
 from .intmat import IntMatrix, Rows, SquareMatrix, identity_rows
-from .modular import ModMatrix, mod_reduce, sl_order_formula
+from .modular import ModMatrix, sl_order_formula
 from .primes import is_prime, next_prime
 
 __all__ = [
@@ -79,41 +79,32 @@ class TracelessMatrix(SquareMatrix):
 def sl_basis(n: int, modulus: int) -> tuple[TracelessMatrix, ...]:
     """The n^2 - 1 standard generators of sl_n(Z/m): off-diagonal matrix
     units e_ij plus the adjacent diagonal differences e_ii - e_(i+1)(i+1)."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [[0] * n for _ in range(n)]
-                rows[i][j] = 1
-                basis.append(TracelessMatrix(tuple(map(tuple, rows)), modulus))
-    for i in range(n - 1):
+
+    def unit(*cells: tuple[int, int, int]) -> TracelessMatrix:
         rows = [[0] * n for _ in range(n)]
-        rows[i][i] = 1
-        rows[i + 1][i + 1] = -1
-        basis.append(TracelessMatrix(tuple(map(tuple, rows)), modulus))
-    return tuple(basis)
+        for i, j, value in cells:
+            rows[i][j] = value
+        return TracelessMatrix(tuple(map(tuple, rows)), modulus)
+
+    off_diagonal = [unit((i, j, 1)) for i in range(n) for j in range(n) if i != j]
+    return (*off_diagonal, *(unit((i, i, 1), (i + 1, i + 1, -1)) for i in range(n - 1)))
 
 
 def sl_elements(n: int, modulus: int) -> Iterator[TracelessMatrix]:
     """All m^(n^2 - 1) elements of sl_n(Z/m); the last diagonal entry is
     forced by tracelessness. Intended for small exhaustive checks."""
-    free = n * n - 1
-    for flat in itertools.product(range(modulus), repeat=free):
-        rows = [[0] * n for _ in range(n)]
-        pos = 0
-        for i in range(n):
-            for j in range(n):
-                if i == n - 1 and j == n - 1:
-                    continue
-                rows[i][j] = flat[pos]
-                pos += 1
-        rows[n - 1][n - 1] = -sum(rows[i][i] for i in range(n - 1)) % modulus
-        yield TracelessMatrix(tuple(map(tuple, rows)), modulus)
+    for flat in itertools.product(range(modulus), repeat=n * n - 1):
+        # row-major, so the first n - 1 diagonal entries sit at i * (n + 1)
+        entries = (*flat, -sum(flat[i * (n + 1)] for i in range(n - 1)) % modulus)
+        yield TracelessMatrix(tuple(entries[r * n : (r + 1) * n] for r in range(n)), modulus)
 
 
-def _require_prime(p: int) -> None:
+def _require_chain(p: int, k: int = 1) -> None:
+    """Refuse a p that is not prime, then a chain depth k below 1."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("chain depth k must be >= 1")
 
 
 def _require_member(x: IntMatrix, level: int) -> None:
@@ -135,9 +126,7 @@ def phi_k(x: IntMatrix, p: int, k: int) -> TracelessMatrix:
     A homomorphism into sl_n(Z/p) (the trace vanishes mod p because
     det x = 1) whose kernel is exactly Gamma(p^(k+1)).
     """
-    _require_prime(p)
-    if k < 1:
-        raise ValueError("chain depth k must be >= 1")
+    _require_chain(p, k)
     _require_member(x, p**k)
     return TracelessMatrix(_difference_quotient(x, p**k), p)
 
@@ -182,9 +171,7 @@ def _step_preimage(t: TracelessMatrix, step: int) -> IntMatrix:
 
 def phi_preimage(t: TracelessMatrix, p: int, k: int) -> IntMatrix:
     """Constructive surjectivity of phi_k: an element of Gamma(p^k) mapping to t."""
-    _require_prime(p)
-    if k < 1:
-        raise ValueError("chain depth k must be >= 1")
+    _require_chain(p, k)
     if t.modulus != p:
         raise ValueError(f"target lives mod {t.modulus}, expected mod {p}")
     return _step_preimage(t, p**k)
@@ -212,9 +199,7 @@ def power_congruence_check(x: IntMatrix, p: int, k: int) -> bool:
     Always true (the binomial expansion of (1 + p^k*Y)^p has every term past
     the first divisible by p^(k+1)); computed honestly rather than assumed.
     """
-    _require_prime(p)
-    if k < 1:
-        raise ValueError("chain depth k must be >= 1")
+    _require_chain(p, k)
     _require_member(x, p**k)
     return gamma_member(x**p, p ** (k + 1))
 
@@ -255,7 +240,7 @@ def witness_rf(x: IntMatrix) -> CongruenceWitness:
     p = 2
     while level % p == 0:
         p = next_prime(p)
-    image = mod_reduce(x, p)
+    image = ModMatrix(x.rows, p)
     assert not image.is_identity()
     return CongruenceWitness(
         kind="residual-finite",
@@ -274,7 +259,7 @@ def witness_p(x: IntMatrix, p: int) -> CongruenceWitness:
     level), then certifies x against the quotient Gamma(p)/Gamma(p^(s+1)),
     whose order is a power of p, via the nonzero image phi_s(x).
     """
-    _require_prime(p)
+    _require_chain(p)
     level = gamma_level(x)
     if level == 0:
         raise IdentityInput("the identity is not separated from itself")

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, mod_reduce
+import congruence_lab
+from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, selfcheck
 from congruence_lab.cli import run
 
 
@@ -73,7 +75,7 @@ def test_lift(capsys):
     doc = json.loads(out)
     lifted = IntMatrix.from_text(doc["matrix"])
     assert lifted.det() == 1
-    assert mod_reduce(lifted, 5) == ModMatrix(((0, 1), (4, 0)), 5)
+    assert ModMatrix(lifted.rows, 5) == ModMatrix(((0, 1), (4, 0)), 5)
 
 
 def test_enumerate_count_only(capsys):
@@ -167,8 +169,6 @@ def test_output_is_deterministic(capsys):
 
 
 def test_selfcheck_quick(capsys):
-    import time
-
     t0 = time.time()
     code, out, _ = run_cli(capsys, "selfcheck", "--quick")
     elapsed = time.time() - t0
@@ -186,6 +186,60 @@ def test_selfcheck_plain_table(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("(quick mode)")
+
+
+def test_selfcheck_failure_is_reported(capsys, monkeypatch):
+    checks = list(selfcheck._CHECKS)
+    checks[3] = (checks[3][0], lambda quick, seed, cap: (False, "forced failure"))
+    monkeypatch.setattr(selfcheck, "_CHECKS", checks)
+    report = selfcheck.run_selfcheck(quick=True)
+    assert (report["passed"], report["failed"]) == (12, 1)
+    code, out, _ = run_cli(capsys, "selfcheck", "--quick", "--plain")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL  {checks[3][0]:<34} forced failure"]
+    assert out.splitlines()[-1] == "12 passed, 1 failed (quick mode)"
+
+
+def test_index_past_the_int_text_limit(capsys):
+    expected = 1
+    for i in range(120):
+        expected *= 2**120 - 2**i
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "index", "--n", "120", "--mod", "2")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)  # to read the answer back here
+    try:
+        assert len(out.strip()) > 4300 and int(out) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_level_of_a_5000_digit_entry(capsys):
+    limit = sys.get_int_max_str_digits()
+    entry = "9" * 4999 + "7"
+    code, out, _ = run_cli(capsys, "level", f"1,{entry};0,1")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert out.strip() == '{"level": ' + entry + "}"
+
+
+def test_public_api_is_pinned():
+    assert congruence_lab.__all__ == [
+        "BadModulus", "CapExceeded", "CongruenceLabError", "CongruenceWitness",
+        "CounterexampleFound", "DEFAULT_ENUMERATION_CAP", "DimensionMismatch",
+        "ElementaryGen", "ElementaryWord", "IdentityInput", "IntMatrix", "ModMatrix",
+        "NotInGamma", "NotPrime", "NotPrimePower", "NotUnimodular", "OrderResult",
+        "ParseError", "TORSION_ORDER_4", "TORSION_ORDER_6", "TracelessMatrix",
+        "candidate_orders", "crt_combine", "decompose_int", "decompose_local",
+        "decompose_mod", "enumerate_sl", "gamma_level", "gamma_member", "lift_to_int",
+        "matrix_order", "minkowski_probe", "mod_spectrum", "phi_general",
+        "phi_general_preimage", "phi_k", "phi_preimage", "power_congruence_check",
+        "sample_gamma", "sample_sl", "sl_basis", "sl_elements", "sl_order_formula",
+        "spectrum_bound", "successive_quotient_order", "witness_p", "witness_rf",
+    ]  # fmt: skip
+    assert all(hasattr(congruence_lab, name) for name in congruence_lab.__all__)
 
 
 def test_module_entry_point():

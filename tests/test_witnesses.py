@@ -3,12 +3,12 @@ import pytest
 from congruence_lab import (
     IdentityInput,
     IntMatrix,
+    ModMatrix,
     NotInGamma,
     NotPrime,
     TracelessMatrix,
     gamma_member,
     matrix_order,
-    mod_reduce,
     phi_general,
     phi_general_preimage,
     phi_k,
@@ -204,7 +204,7 @@ def test_witness_rf_nontrivial_on_samples():
         found += 1
         w = witness_rf(x)
         assert not w.image.is_identity()
-        assert mod_reduce(x, w.prime) == w.image
+        assert ModMatrix(x.rows, w.prime) == w.image
 
 
 def test_witness_p_examples():

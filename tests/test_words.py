@@ -14,7 +14,6 @@ from congruence_lab import (
     decompose_mod,
     enumerate_sl,
     lift_to_int,
-    mod_reduce,
     sample_sl,
     sl_order_formula,
 )
@@ -183,7 +182,7 @@ def test_lift_example():
     assert y.det() == 1
     lifted = lift_to_int(y)
     assert lifted.det() == 1
-    assert mod_reduce(lifted, 5) == y
+    assert ModMatrix(lifted.rows, 5) == y
 
 
 def test_lift_exhaustive_small_levels():
@@ -191,14 +190,14 @@ def test_lift_exhaustive_small_levels():
         for y in enumerate_sl(2, N):
             lifted = lift_to_int(y)
             assert lifted.det() == 1
-            assert mod_reduce(lifted, N) == y
+            assert ModMatrix(lifted.rows, N) == y
 
 
 def test_reduction_covers_whole_group():
     # the reduced lifts hit every element, i.e. reduction is onto
     for N in (2, 3, 4, 5):
         els = enumerate_sl(2, N)
-        image = {mod_reduce(lift_to_int(y), N) for y in els}
+        image = {ModMatrix(lift_to_int(y).rows, N) for y in els}
         assert len(image) == sl_order_formula(2, N)
 
 
