@@ -8,113 +8,23 @@ spectra, and explicit finite-quotient witnesses that separate matrices from
 the identity.
 """
 
-from .errors import (
-    BadModulus,
-    CapExceeded,
-    CongruenceLabError,
-    CounterexampleFound,
-    DimensionMismatch,
-    IdentityInput,
-    NotInGamma,
-    NotPrime,
-    NotPrimePower,
-    NotUnimodular,
-    ParseError,
-)
-from .gamma import (
-    gamma_level,
-    gamma_member,
-    sample_gamma,
-    successive_quotient_order,
-)
-from .intmat import IntMatrix, sample_sl
-from .modular import (
-    DEFAULT_ENUMERATION_CAP,
-    ModMatrix,
-    crt_combine,
-    enumerate_sl,
-    sl_order_formula,
-)
-from .torsion import (
-    TORSION_ORDER_4,
-    TORSION_ORDER_6,
-    OrderResult,
-    candidate_orders,
-    matrix_order,
-    minkowski_probe,
-    mod_spectrum,
-    spectrum_bound,
-)
-from .witnesses import (
-    CongruenceWitness,
-    TracelessMatrix,
-    phi_general,
-    phi_general_preimage,
-    phi_k,
-    phi_preimage,
-    power_congruence_check,
-    sl_basis,
-    sl_elements,
-    witness_p,
-    witness_rf,
-)
-from .words import (
-    ElementaryGen,
-    ElementaryWord,
-    decompose_int,
-    decompose_local,
-    decompose_mod,
-    lift_to_int,
-)
+from .errors import *
+from .gamma import *
+from .intmat import *
+from .modular import *
+from .torsion import *
+from .witnesses import *
+from .words import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadModulus",
-    "CapExceeded",
-    "CongruenceLabError",
-    "CongruenceWitness",
-    "CounterexampleFound",
-    "DEFAULT_ENUMERATION_CAP",
-    "DimensionMismatch",
-    "ElementaryGen",
-    "ElementaryWord",
-    "IdentityInput",
-    "IntMatrix",
-    "ModMatrix",
-    "NotInGamma",
-    "NotPrime",
-    "NotPrimePower",
-    "NotUnimodular",
-    "OrderResult",
-    "ParseError",
-    "TORSION_ORDER_4",
-    "TORSION_ORDER_6",
-    "TracelessMatrix",
-    "candidate_orders",
-    "crt_combine",
-    "decompose_int",
-    "decompose_local",
-    "decompose_mod",
-    "enumerate_sl",
-    "gamma_level",
-    "gamma_member",
-    "lift_to_int",
-    "matrix_order",
-    "minkowski_probe",
-    "mod_spectrum",
-    "phi_general",
-    "phi_general_preimage",
-    "phi_k",
-    "phi_preimage",
-    "power_congruence_check",
-    "sample_gamma",
-    "sample_sl",
-    "sl_basis",
-    "sl_elements",
-    "sl_order_formula",
-    "spectrum_bound",
-    "successive_quotient_order",
-    "witness_p",
-    "witness_rf",
-]
+# The public names are exactly the __all__ lists of the modules star-imported above.
+__all__ = sorted(
+    errors.__all__
+    + gamma.__all__
+    + intmat.__all__
+    + modular.__all__
+    + torsion.__all__
+    + witnesses.__all__
+    + words.__all__
+)

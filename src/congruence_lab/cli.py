@@ -8,8 +8,10 @@ either direction: for the duration of a call, run() lifts CPython's limit
 on int<->str conversion (4300 digits by default), so a 5000-digit matrix
 entry parses and |SL_120(Z/2)| prints exactly, and then restores the
 caller's limit. --plain switches to human-readable output. The enumeration
-cap may be overridden by --cap or the CONGRUENCE_LAB_CAP environment
-variable; the flag wins.
+cap of enumerate and spectrum may be overridden by --cap or the
+CONGRUENCE_LAB_CAP environment variable; the flag wins. Every subcommand
+accepts --cap, and the others ignore it: selfcheck's cases all lie far
+below the default cap, which could only make it fail.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def _dispatch(args) -> tuple[int, object, str]:
         return 0, w.to_json(), _plain_witness(w)
 
     if cmd == "selfcheck":
-        report = run_selfcheck(quick=args.quick, seed=args.seed, cap=_resolve_cap(args))
+        report = run_selfcheck(quick=args.quick, seed=args.seed)
         lines = [
             f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']:<34} {c['detail']}"
             for c in report["checks"]

@@ -7,7 +7,6 @@ __all__ = [
     "BadModulus",
     "NotUnimodular",
     "NotPrime",
-    "NotPrimePower",
     "NotInGamma",
     "IdentityInput",
     "CapExceeded",
@@ -37,10 +36,6 @@ class NotUnimodular(CongruenceLabError):
 
 class NotPrime(CongruenceLabError):
     """Argument must be a prime number."""
-
-
-class NotPrimePower(CongruenceLabError):
-    """Argument must be a prime power."""
 
 
 class NotInGamma(CongruenceLabError):

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import BadModulus, NotPrime, NotUnimodular
-from .intmat import IntMatrix, random_elementary_rows
+from .errors import BadModulus, NotPrime
+from .intmat import IntMatrix, random_elementary_rows, require_det_one
 from .primes import is_prime
 
 __all__ = [
@@ -22,17 +22,19 @@ __all__ = [
 ]
 
 
-def _check_unimodular(x: IntMatrix) -> None:
-    d = x.det()
-    if d != 1:
-        raise NotUnimodular(f"determinant is {d}, expected 1")
+def _require_chain(p: int, k: int = 1) -> None:
+    """Refuse a p that is not prime, then a chain depth k below 1."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("chain depth k must be >= 1")
 
 
 def gamma_member(x: IntMatrix, N: int) -> bool:
     """True iff N divides every entry of x - 1, i.e. x lies in Gamma(N)."""
     if N < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
-    _check_unimodular(x)
+    require_det_one(x)
     return all(
         (e - (i == j)) % N == 0 for i, row in enumerate(x.rows) for j, e in enumerate(row)
     )
@@ -41,7 +43,7 @@ def gamma_member(x: IntMatrix, N: int) -> bool:
 def gamma_level(x: IntMatrix) -> int:
     """Exact level of x: the largest N with x in Gamma(N), computed as
     gcd of the entries of x - 1. Returns 0 for the identity."""
-    _check_unimodular(x)
+    require_det_one(x)
     g = 0
     for i, row in enumerate(x.rows):
         for j, e in enumerate(row):
@@ -54,14 +56,11 @@ def successive_quotient_order(n: int, p: int, k: int = 1) -> int:
 
     Cross-checkable as the ratio of sl_order_formula at p^(k+1) and at p^k.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("chain depth k must be >= 1")
+    _require_chain(p, k)
     return p ** (n * n - 1)
 
 
-def sample_gamma(n: int, N: int, length: int, seed: int, bound: int = 5) -> IntMatrix:
+def sample_gamma(n: int, N: int, length: int, seed: int) -> IntMatrix:
     """Deterministic pseudo-random element of Gamma(N): a product of `length`
     elementary matrices whose coefficients are multiples of N."""
     if N < 1:
@@ -69,4 +68,4 @@ def sample_gamma(n: int, N: int, length: int, seed: int, bound: int = 5) -> IntM
     if length < 0:
         raise ValueError("length must be >= 0")
     rng = random.Random(seed)
-    return IntMatrix(random_elementary_rows(n, length, rng, bound, scale=N))
+    return IntMatrix(random_elementary_rows(n, length, rng, scale=N))

@@ -8,7 +8,9 @@ subclasses that add only what differs between the rings.
 
 Entries are plain Python ints, so products, determinants, and inverses are
 computed without overflow or rounding. Matrices are immutable and hashable;
-all operations return new values.
+all operations return new values. require_det_one is the one statement of
+the determinant-1 precondition, shared by inverse, the Gamma(N) maps,
+matrix_order and the decompositions over Z and Z/N.
 
 Text format (used by the CLI and test fixtures): rows separated by ';',
 entries by ',', e.g. "1,2;0,1" for [[1,2],[0,1]]. Whitespace is insignificant
@@ -24,10 +26,10 @@ from operator import add, mul
 
 from .errors import BadModulus, DimensionMismatch, NotUnimodular, ParseError
 
-__all__ = ["IntMatrix", "sample_sl", "SAMPLE_COEFF_BOUND"]
+__all__ = ["IntMatrix", "sample_sl"]
 
-# Default bound on |a| for randomly generated elementary matrices 1 + a*e_ij.
-SAMPLE_COEFF_BOUND = 5
+# Bound on |a| for the random elementary matrices 1 + a*e_ij of the samplers.
+_COEFF_BOUND = 5
 
 _INT_RE = re.compile(r"-?\d+$")
 
@@ -59,27 +61,6 @@ def parse_entries(text: str) -> Rows:
     return tuple(rows)
 
 
-def _det_cofactor(rows: Rows) -> int:
-    """Determinant by first-row cofactor expansion (small n)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    total = 0
-    sign = 1
-    rest = rows[1:]
-    for j, entry in enumerate(rows[0]):
-        if entry:
-            minor = tuple(r[:j] + r[j + 1 :] for r in rest)
-            total += sign * entry * _det_cofactor(minor)
-        sign = -sign
-    return total
-
-
 def _det_bareiss(rows: Rows) -> int:
     """Fraction-free elimination; every interior division is exact."""
     m = [list(r) for r in rows]
@@ -103,8 +84,16 @@ def _det_bareiss(rows: Rows) -> int:
 
 
 def det_of_rows(rows: Rows) -> int:
-    """Exact determinant; cofactor expansion up to 4x4, Bareiss above."""
-    return _det_cofactor(rows) if len(rows) <= 4 else _det_bareiss(rows)
+    """Exact determinant; closed forms up to 3x3, Bareiss above."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return _det_bareiss(rows)
 
 
 @dataclass(frozen=True)
@@ -257,9 +246,7 @@ class IntMatrix(SquareMatrix):
 
     def inverse(self) -> IntMatrix:
         """Integer inverse via the adjugate; requires det == 1."""
-        d = self.det()
-        if d != 1:
-            raise NotUnimodular(f"determinant is {d}, expected 1")
+        require_det_one(self)
         n, rows = self.n, self.rows
         if n == 1:
             return self  # det 1 makes it the identity
@@ -276,12 +263,18 @@ class IntMatrix(SquareMatrix):
         )
 
 
-def random_elementary_rows(
-    n: int, length: int, rng: random.Random, bound: int, scale: int = 1
-) -> Rows:
+def require_det_one(x: SquareMatrix) -> None:
+    """Raise NotUnimodular unless det(x) == 1, over Z/N when x has a modulus."""
+    d = x.det()
+    if d != 1:
+        where = "" if x.modulus is None else f" mod {x.modulus}"
+        raise NotUnimodular(f"determinant is {d}{where}, expected 1")
+
+
+def random_elementary_rows(n: int, length: int, rng: random.Random, scale: int = 1) -> Rows:
     """Rows of a product of `length` random elementary matrices 1 + scale*a*e_ij.
 
-    Coefficients satisfy 1 <= |a| <= bound. Used by sample_sl and by the
+    Coefficients satisfy 1 <= |a| <= _COEFF_BOUND. Used by sample_sl and by the
     congruence-subgroup sampler (scale = N yields elements of Gamma(N)).
     """
     rows = [list(r) for r in identity_rows(n)]
@@ -292,7 +285,7 @@ def random_elementary_rows(
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
-        a = rng.randint(1, bound) * scale
+        a = rng.randint(1, _COEFF_BOUND) * scale
         if rng.randrange(2):
             a = -a
         for r in range(n):
@@ -300,17 +293,15 @@ def random_elementary_rows(
     return tuple(tuple(r) for r in rows)
 
 
-def sample_sl(n: int, length: int, seed: int, bound: int = SAMPLE_COEFF_BOUND) -> IntMatrix:
+def sample_sl(n: int, length: int, seed: int) -> IntMatrix:
     """Deterministic pseudo-random element of SL_n(Z).
 
     Returns the product of `length` random elementary matrices with
-    coefficient bound `bound`; the same seed always yields the same matrix.
+    coefficients 1 <= |a| <= 5; the same seed always yields the same matrix.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if length < 0:
         raise ValueError("length must be >= 0")
-    if bound < 1:
-        raise ValueError("coefficient bound must be >= 1")
     rng = random.Random(seed)
-    return IntMatrix(random_elementary_rows(n, length, rng, bound))
+    return IntMatrix(random_elementary_rows(n, length, rng))

@@ -61,18 +61,18 @@ def _sl_list_fault(elements: list[ModMatrix], n: int, N: int) -> str | None:
     return None
 
 
-def _check_index_formula(quick: bool, seed: int, cap: int | None):
+def _check_index_formula(quick: bool, seed: int):
     cases = [(2, N) for N in range(2, 7 if quick else 13)]
     cases += [(3, N) for N in ((2,) if quick else (2, 3, 4))]
     for n, N in cases:
-        fault = _sl_list_fault(enumerate_sl(n, N, cap=cap), n, N)
+        fault = _sl_list_fault(enumerate_sl(n, N), n, N)
         if fault:
             return False, fault
     # The wording is frozen with the rest of the report's bytes.
     return True, f"{len(cases)} (n, N) cases agree with brute force"
 
 
-def _check_crt_multiplicativity(quick: bool, seed: int, cap: int | None):
+def _check_crt_multiplicativity(quick: bool, seed: int):
     top = 30 if quick else 120
     for n in (2, 3):
         for N in range(2, top + 1):
@@ -82,10 +82,10 @@ def _check_crt_multiplicativity(quick: bool, seed: int, cap: int | None):
     return True, f"orders multiplicative over CRT for n in (2,3), N <= {top}"
 
 
-def _check_prime_power_orders(quick: bool, seed: int, cap: int | None):
+def _check_prime_power_orders(quick: bool, seed: int):
     cases = [(2, 2, 2)] if quick else [(2, 2, 2), (2, 2, 3), (2, 3, 2)]
     for n, p, k in cases:
-        tower, base = enumerate_sl(n, p**k, cap=cap), enumerate_sl(n, p, cap=cap)
+        tower, base = enumerate_sl(n, p**k), enumerate_sl(n, p)
         fault = _sl_list_fault(tower, n, p**k) or _sl_list_fault(base, n, p)
         if fault:
             return False, fault
@@ -94,7 +94,7 @@ def _check_prime_power_orders(quick: bool, seed: int, cap: int | None):
     return True, f"{len(cases)} prime-power cases verified by enumeration"
 
 
-def _check_reduction_homomorphism(quick: bool, seed: int, cap: int | None):
+def _check_reduction_homomorphism(quick: bool, seed: int):
     trials = 50 if quick else 500
     for n in (2, 3):
         for t in range(trials):
@@ -106,7 +106,7 @@ def _check_reduction_homomorphism(quick: bool, seed: int, cap: int | None):
     return True, f"homomorphism law on {2 * trials} sampled pairs, four moduli"
 
 
-def _check_decompose_int(quick: bool, seed: int, cap: int | None):
+def _check_decompose_int(quick: bool, seed: int):
     trials, shortest, spread = (40, 4, 12) if quick else (1000, 3, 20)
     for n in (2, 3):
         for t in range(trials):
@@ -116,19 +116,19 @@ def _check_decompose_int(quick: bool, seed: int, cap: int | None):
     return True, f"{2 * trials} euclidean decompositions round-trip exactly"
 
 
-def _check_decompose_mod(quick: bool, seed: int, cap: int | None):
+def _check_decompose_mod(quick: bool, seed: int):
     for N in (4, 6):
-        for y in enumerate_sl(2, N, cap=cap):
+        for y in enumerate_sl(2, N):
             if decompose_mod(y).evaluate() != y:
                 return False, f"round-trip failed for {y}"
     return True, "all of SL_2(Z/4) and SL_2(Z/6) decompose and round-trip"
 
 
-def _check_lift_surjectivity(quick: bool, seed: int, cap: int | None):
+def _check_lift_surjectivity(quick: bool, seed: int):
     top = 4 if quick else 6
     total = 0
     for N in range(2, top + 1):
-        for y in enumerate_sl(2, N, cap=cap):
+        for y in enumerate_sl(2, N):
             lifted = lift_to_int(y)
             if lifted.det() != 1 or ModMatrix(lifted.rows, N) != y:
                 return False, f"bad lift for {y}"
@@ -136,16 +136,16 @@ def _check_lift_surjectivity(quick: bool, seed: int, cap: int | None):
     return True, f"{total} lifts reduce back correctly with det 1"
 
 
-def _check_torsion_facts(quick: bool, seed: int, cap: int | None):
+def _check_torsion_facts(quick: bool, seed: int):
     if matrix_order(TORSION_ORDER_4).value != 4:
         return False, "order-4 element misidentified"
     if matrix_order(TORSION_ORDER_6).value != 6:
         return False, "order-6 element misidentified"
     if matrix_order(IntMatrix(((1, 1), (0, 1)))).kind != "infinite":
         return False, "unipotent should have infinite order"
-    if mod_spectrum(2, 2, cap=cap) != frozenset({1, 2, 3}):
+    if mod_spectrum(2, 2) != frozenset({1, 2, 3}):
         return False, "spectrum of SL_2(Z/2) wrong"
-    if mod_spectrum(2, 3, cap=cap) != frozenset({1, 2, 3, 4, 6}):
+    if mod_spectrum(2, 3) != frozenset({1, 2, 3, 4, 6}):
         return False, "spectrum of SL_2(Z/3) wrong"
     bound = spectrum_bound(frozenset({1, 2}), frozenset({1, 2, 3}))
     if bound != frozenset({1, 2, 3, 4, 6}):
@@ -153,7 +153,7 @@ def _check_torsion_facts(quick: bool, seed: int, cap: int | None):
     return True, "orders 4 and 6 confirmed; spectra mod 2 and 3 match; bound is {1,2,3,4,6}"
 
 
-def _check_minkowski(quick: bool, seed: int, cap: int | None):
+def _check_minkowski(quick: bool, seed: int):
     trials = 300 if quick else 10_000
     levels = (3, 4) if quick else (3, 4, 5, 6)
     for N in levels:
@@ -163,7 +163,7 @@ def _check_minkowski(quick: bool, seed: int, cap: int | None):
     # Full mode also checks each conjugate against every level at once: its
     # exact level must be 1 or 2, which rules out Gamma(N) for all N >= 3.
     for t in range(0 if quick else trials):
-        g = sample_sl(2, 2 + t % 8, seed + t, bound=5)
+        g = sample_sl(2, 2 + t % 8, seed + t)
         g_inv = g.inverse()
         for torsion in (TORSION_ORDER_4, TORSION_ORDER_6):
             if gamma_level(g * torsion * g_inv) not in (1, 2):
@@ -178,7 +178,7 @@ def _phi_grid(quick: bool):
     return [(n, p, k) for n in ns for p in ps for k in ks]
 
 
-def _check_phi_maps(quick: bool, seed: int, cap: int | None):
+def _check_phi_maps(quick: bool, seed: int):
     pairs, samples = (20, 20) if quick else (1000, 100)
     for n, p, k in _phi_grid(quick):
         q = p**k
@@ -208,7 +208,7 @@ def _check_phi_maps(quick: bool, seed: int, cap: int | None):
     return True, f"additivity, kernel, surjectivity, and quotient order across {len(_phi_grid(quick))} cells"
 
 
-def _check_power_congruence(quick: bool, seed: int, cap: int | None):
+def _check_power_congruence(quick: bool, seed: int):
     samples = 20 if quick else 1000
     for n, p, k in _phi_grid(quick):
         for t in range(samples):
@@ -223,7 +223,7 @@ def _nontrivial(sample, trials: int):
     return itertools.islice(filter(lambda x: not x.is_identity(), map(sample, itertools.count())), trials)
 
 
-def _check_witnesses(quick: bool, seed: int, cap: int | None):
+def _check_witnesses(quick: bool, seed: int):
     trials, rf_spread, p_spread = (30, 10, 8) if quick else (1000, 17, 9)
     for x in _nontrivial(lambda t: sample_sl(2, 3 + t % rf_spread, seed + t), trials):
         if witness_rf(x).image.is_identity():
@@ -241,7 +241,7 @@ def _check_witnesses(quick: bool, seed: int, cap: int | None):
     return True, f"{trials} witnesses per route, all images nontrivial"
 
 
-def _check_depth_map_general(quick: bool, seed: int, cap: int | None):
+def _check_depth_map_general(quick: bool, seed: int):
     for N in (2, 3, 4):
         for t in sl_elements(2, N):
             x = phi_general_preimage(t)
@@ -277,12 +277,12 @@ _CHECKS = [
 CHECK_NAMES = [name for name, _ in _CHECKS]
 
 
-def run_selfcheck(quick: bool = False, seed: int = 0, cap: int | None = None) -> dict:
+def run_selfcheck(quick: bool = False, seed: int = 0) -> dict:
     """Run every invariant check; returns a JSON-ready report."""
     checks = []
     failed = 0
     for name, fn in _CHECKS:
-        ok, detail = fn(quick, seed, cap)
+        ok, detail = fn(quick, seed)
         checks.append({"name": name, "ok": ok, "detail": detail})
         if not ok:
             failed += 1

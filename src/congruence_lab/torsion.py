@@ -21,9 +21,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import BadModulus, CounterexampleFound, NotUnimodular
+from .errors import BadModulus, CounterexampleFound
 from .gamma import gamma_level, gamma_member
-from .intmat import IntMatrix, Rows, identity_rows, random_elementary_rows
+from .intmat import IntMatrix, Rows, identity_rows, random_elementary_rows, require_det_one
 from .modular import ModMatrix, _check_enumeration, _sl_local
 from .primes import euler_phi, factorize
 
@@ -61,31 +61,29 @@ class OrderResult:
 def candidate_orders(n: int) -> frozenset[int]:
     """Every order a finite-order element of GL_n(Z) can have.
 
-    Enumerates sets of distinct cyclotomic indices {d_i} with
-    sum phi(d_i) <= n and collects their lcms. phi(d) >= sqrt(d/2), so the
-    scan over d is finite.
+    The lcms of sets of distinct cyclotomic indices {d_i} with
+    sum phi(d_i) <= n, found as a 0/1 knapsack that maps each lcm to the
+    least total phi-cost reaching it. phi(d) >= sqrt(d/2), so the scan over
+    d is finite.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    ds = [d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n]
-    found: set[int] = set()
-
-    def walk(start: int, budget: int, acc: int) -> None:
-        found.add(acc)
-        for t in range(start, len(ds)):
-            cost = euler_phi(ds[t])
-            if cost <= budget:
-                walk(t + 1, budget - cost, math.lcm(acc, ds[t]))
-
-    walk(0, n, 1)
-    return frozenset(found)
+    least = {1: 0}
+    for d in range(1, 2 * n * n + 2):
+        cost = euler_phi(d)
+        if cost > n:
+            continue
+        # a snapshot of the table, so each index is spent at most once
+        for acc, spent in list(least.items()):
+            if spent + cost <= n:
+                m = math.lcm(acc, d)
+                least[m] = min(least.get(m, n), spent + cost)
+    return frozenset(least)
 
 
 def matrix_order(x: IntMatrix) -> OrderResult:
     """Exact multiplicative order of x in SL_n(Z)."""
-    d = x.det()
-    if d != 1:
-        raise NotUnimodular(f"determinant is {d}, expected 1")
+    require_det_one(x)
     ident = IntMatrix.identity(x.n)
     for cand in sorted(candidate_orders(x.n)):
         if x**cand == ident:
@@ -170,7 +168,7 @@ def minkowski_probe(N: int, trials: int, seed: int) -> dict:
     examples = []
     for _ in range(trials):
         t = pool[rng.randrange(len(pool))]
-        g = IntMatrix(random_elementary_rows(2, rng.randrange(2, 10), rng, bound=5))
+        g = IntMatrix(random_elementary_rows(2, rng.randrange(2, 10), rng))
         conj = g * t * g.inverse()
         if gamma_member(conj, N):
             raise CounterexampleFound(

@@ -26,11 +26,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BadModulus, IdentityInput, NotInGamma, NotPrime
-from .gamma import gamma_level, gamma_member
+from .errors import BadModulus, IdentityInput, NotInGamma
+from .gamma import _require_chain, gamma_level, gamma_member
 from .intmat import IntMatrix, Rows, SquareMatrix, identity_rows
 from .modular import ModMatrix, sl_order_formula
-from .primes import is_prime, next_prime
+from .primes import next_prime
 
 __all__ = [
     "TracelessMatrix",
@@ -93,18 +93,13 @@ def sl_basis(n: int, modulus: int) -> tuple[TracelessMatrix, ...]:
 def sl_elements(n: int, modulus: int) -> Iterator[TracelessMatrix]:
     """All m^(n^2 - 1) elements of sl_n(Z/m); the last diagonal entry is
     forced by tracelessness. Intended for small exhaustive checks."""
+    if modulus < 2:
+        raise BadModulus(f"modulus must be >= 2, got {modulus}")
     for flat in itertools.product(range(modulus), repeat=n * n - 1):
         # row-major, so the first n - 1 diagonal entries sit at i * (n + 1)
         entries = (*flat, -sum(flat[i * (n + 1)] for i in range(n - 1)) % modulus)
-        yield TracelessMatrix(tuple(entries[r * n : (r + 1) * n] for r in range(n)), modulus)
-
-
-def _require_chain(p: int, k: int = 1) -> None:
-    """Refuse a p that is not prime, then a chain depth k below 1."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("chain depth k must be >= 1")
+        # reduced and traceless by construction, so the checks are skipped
+        yield TracelessMatrix._wrap(tuple(entries[r * n : (r + 1) * n] for r in range(n)), modulus)
 
 
 def _require_member(x: IntMatrix, level: int) -> None:
@@ -135,7 +130,8 @@ def _diag_block(n: int, slot: int, step: int) -> IntMatrix:
     """Identity with the 2x2 block (1+step, step; -step, 1-step) at (slot, slot+1).
 
     Determinant is (1 - step^2) + step^2 = 1, and the depth map sends it to
-    e_ii - e_(i+1)(i+1) + e_i(i+1) - e_(i+1)i.
+    e_ii - e_(i+1)(i+1) + e_i(i+1) - e_(i+1)i. The block is 1 + step*M with
+    M^2 = 0, so its k-th power is _diag_block(n, slot, k*step).
     """
     rows = [list(r) for r in identity_rows(n)]
     rows[slot][slot] = 1 + step
@@ -149,7 +145,7 @@ def _step_preimage(t: TracelessMatrix, step: int) -> IntMatrix:
     """Element of Gamma(step) whose depth-map image is t.
 
     Built additively from generator preimages: 1 + a*step*e_ij hits a*e_ij,
-    and powers of the diagonal block (corrected by two off-diagonal
+    and diagonal blocks at multiples of step (corrected by two off-diagonal
     preimages) hit the diagonal differences. The partial sums of t's
     diagonal are the coefficients that telescope to the right diagonal.
     """
@@ -163,7 +159,7 @@ def _step_preimage(t: TracelessMatrix, step: int) -> IntMatrix:
     for i in range(n - 1):
         partial = (partial + t.rows[i][i]) % m
         if partial:
-            acc = acc * (_diag_block(n, i, step) ** partial)
+            acc = acc * _diag_block(n, i, partial * step)
             acc = acc * IntMatrix.elementary(n, i + 1, i + 2, -partial * step)
             acc = acc * IntMatrix.elementary(n, i + 2, i + 1, partial * step)
     return acc

@@ -1,16 +1,16 @@
 """Elementary-generator words and constructive decomposition into them.
 
-A word is an ordered product of elementary matrices 1 + a*e_ij. Three
+A word is an ordered product of elementary matrices 1 + a*e_ij. Two
 decomposition routines produce such certificates:
 
 * decompose_int reduces a determinant-1 integer matrix to the identity by
   euclidean row/column operations and replays the inverse operations as a
   word over Z.
-* decompose_local does the same over Z/p^k, where any entry outside (p) is
-  a unit and can pivot directly.
-* decompose_mod splits Z/N into prime-power factors, decomposes each local
-  image, and stitches the coefficients back together with the CRT so each
-  factor's generators act trivially in every other factor.
+* decompose_mod splits Z/N into prime-power factors Z/p^k, decomposes each
+  local image by unit pivoting (any entry outside (p) is a unit there and
+  can pivot directly), and stitches the coefficients back together with the
+  CRT so each factor's generators act trivially in every other factor. A
+  prime-power N is the case of a single factor.
 
 lift_to_int turns a mod-N word into an integer matrix, which is what makes
 the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable sense.
@@ -28,16 +28,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import NotPrimePower, NotUnimodular, ParseError
-from .intmat import IntMatrix, identity_rows
-from .modular import ModMatrix, crt_combine
+from .errors import ParseError
+from .intmat import IntMatrix, identity_rows, require_det_one
+from .modular import ModMatrix
 from .primes import factorize
 
 __all__ = [
     "ElementaryGen",
     "ElementaryWord",
     "decompose_int",
-    "decompose_local",
     "decompose_mod",
     "lift_to_int",
 ]
@@ -83,9 +82,8 @@ class ElementaryWord:
         if self.modulus is not None:
             if self.modulus < 2:
                 raise ValueError(f"word modulus must be >= 2, got {self.modulus}")
-            gens = tuple(
-                ElementaryGen(g.i, g.j, g.a % self.modulus) for g in gens
-            )
+            m = self.modulus
+            gens = tuple(g if 0 <= g.a < m else ElementaryGen(g.i, g.j, g.a % m) for g in gens)
         for g in gens:
             if g.i > self.n or g.j > self.n:
                 raise ValueError(f"generator {g.to_text()} out of range for n={self.n}")
@@ -241,9 +239,7 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
     Raises NotUnimodular unless det(x) == 1. The returned word evaluates to
     x exactly.
     """
-    d = x.det()
-    if d != 1:
-        raise NotUnimodular(f"determinant is {d}, expected 1")
+    require_det_one(x)
     n = x.n
     red = _Reducer(x.rows)
     m = red.m
@@ -269,24 +265,16 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
     return ElementaryWord(n, red.word_gens())
 
 
-def decompose_local(y: ModMatrix) -> ElementaryWord:
-    """Certificate of elementary generation for y in SL_n(Z/p^k).
+def _decompose_local(y: ModMatrix, p: int) -> tuple[ElementaryGen, ...]:
+    """Generators of a word over Z/p^k for y in SL_n(Z/p^k), p prime.
 
     Over the local ring Z/p^k any entry not divisible by p is invertible, so
     no euclidean loop is needed: pick a unit in the active row (such an entry
     exists, else the determinant would be divisible by p), swap it onto the
-    diagonal, and clear its row and column with exact unit divisions.
-    Raises NotPrimePower unless the modulus is a prime power, NotUnimodular
-    unless det(y) == 1 in Z/p^k.
+    diagonal, and clear its row and column with exact unit divisions. The
+    caller has checked det(y) == 1.
     """
     N = y.modulus
-    facs = factorize(N)
-    if len(facs) != 1:
-        raise NotPrimePower(f"modulus {N} is not a prime power")
-    p = facs[0][0]
-    d = y.det()
-    if d != 1:
-        raise NotUnimodular(f"determinant is {d} mod {N}, expected 1")
     n = y.n
     red = _Reducer(y.rows, modulus=N)
     m = red.m
@@ -304,7 +292,7 @@ def decompose_local(y: ModMatrix) -> ElementaryWord:
                 red.add_row(i, k, -m[i][k] * ainv)
     _cleanup_diagonal(red, lambda a: pow(a, -1, N))
     assert red.is_identity()
-    return ElementaryWord(n, red.word_gens(), modulus=N)
+    return red.word_gens()
 
 
 def decompose_mod(y: ModMatrix) -> ElementaryWord:
@@ -314,23 +302,18 @@ def decompose_mod(y: ModMatrix) -> ElementaryWord:
     factor, then lifts every local generator E(i,j,a) to the unique
     coefficient in [0, N) that is a mod its own factor and 0 mod the others.
     The lifted generators therefore evaluate to the identity in every foreign
-    factor, and their concatenated product equals y by the CRT.
+    factor, and their concatenated product equals y by the CRT. Over a single
+    factor the lift is a itself. Raises NotUnimodular unless det(y) == 1 in
+    Z/N.
     """
+    require_det_one(y)
     N = y.modulus
-    d = y.det()
-    if d != 1:
-        raise NotUnimodular(f"determinant is {d} mod {N}, expected 1")
-    prime_powers = [p**s for p, s in factorize(N)]
-    if len(prime_powers) == 1:
-        return decompose_local(y)
     gens = []
-    for idx, q in enumerate(prime_powers):
-        local_word = decompose_local(ModMatrix(y.rows, q))
-        for g in local_word.gens:
-            a = crt_combine(
-                (g.a if f == idx else 0, m) for f, m in enumerate(prime_powers)
-            )
-            gens.append(ElementaryGen(g.i, g.j, a))
+    for p, s in factorize(N):
+        q = p**s
+        idem = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod the other factors
+        for g in _decompose_local(ModMatrix(y.rows, q), p):
+            gens.append(ElementaryGen(g.i, g.j, g.a * idem % N))
     return ElementaryWord(y.n, tuple(gens), modulus=N)
 
 

@@ -2,10 +2,12 @@
 
 import functools
 import itertools
+import math
 
 import hypothesis.strategies as st
 
 from congruence_lab import ElementaryGen, ElementaryWord, IntMatrix, ModMatrix
+from congruence_lab.primes import euler_phi
 
 
 @functools.cache
@@ -50,6 +52,23 @@ def brute_force_spectrum(n: int, N: int) -> frozenset[int]:
             y, order = y * x, order + 1
         orders.add(order)
     return frozenset(orders)
+
+
+def candidate_orders_walk(n: int) -> frozenset[int]:
+    """lcms of every set of distinct cyclotomic indices with sum phi(d) <= n,
+    by walking the subsets one by one (exponential in n)."""
+    ds = [d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n]
+    found: set[int] = set()
+
+    def walk(start: int, budget: int, acc: int) -> None:
+        found.add(acc)
+        for t in range(start, len(ds)):
+            cost = euler_phi(ds[t])
+            if cost <= budget:
+                walk(t + 1, budget - cost, math.lcm(acc, ds[t]))
+
+    walk(0, n, 1)
+    return frozenset(found)
 
 
 def int_matrices(n: int, bound: int = 9):

@@ -18,7 +18,7 @@ from congruence_lab.selfcheck import _CHECKS, CHECK_NAMES
 def _full(name: str) -> tuple[bool, str, float]:
     """(ok, detail, seconds) of one full-mode check, run once per session."""
     t0 = time.perf_counter()
-    ok, detail = dict(_CHECKS)[name](False, 0, None)
+    ok, detail = dict(_CHECKS)[name](False, 0)
     elapsed = time.perf_counter() - t0
     print(f"acceptance {name}: {'PASS' if ok else 'FAIL'} ({detail}, {elapsed:.2f}s)")
     return ok, detail, elapsed

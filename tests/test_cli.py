@@ -190,7 +190,7 @@ def test_selfcheck_plain_table(capsys):
 
 def test_selfcheck_failure_is_reported(capsys, monkeypatch):
     checks = list(selfcheck._CHECKS)
-    checks[3] = (checks[3][0], lambda quick, seed, cap: (False, "forced failure"))
+    checks[3] = (checks[3][0], lambda quick, seed: (False, "forced failure"))
     monkeypatch.setattr(selfcheck, "_CHECKS", checks)
     report = selfcheck.run_selfcheck(quick=True)
     assert (report["passed"], report["failed"]) == (12, 1)
@@ -199,6 +199,17 @@ def test_selfcheck_failure_is_reported(capsys, monkeypatch):
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert fails == [f"FAIL  {checks[3][0]:<34} forced failure"]
     assert out.splitlines()[-1] == "12 passed, 1 failed (quick mode)"
+
+
+def test_selfcheck_ignores_the_enumeration_cap(capsys, monkeypatch):
+    # Every selfcheck case lies far below the default cap, so a cap could
+    # only make the invariant suite fail; it applies to enumerate and spectrum.
+    monkeypatch.delenv("CONGRUENCE_LAB_CAP", raising=False)
+    expected = run_cli(capsys, "selfcheck", "--quick")
+    assert expected[0] == 0
+    assert run_cli(capsys, "selfcheck", "--quick", "--cap", "1000") == expected
+    monkeypatch.setenv("CONGRUENCE_LAB_CAP", "1000")
+    assert run_cli(capsys, "selfcheck", "--quick") == expected
 
 
 def test_index_past_the_int_text_limit(capsys):
@@ -230,14 +241,14 @@ def test_public_api_is_pinned():
         "BadModulus", "CapExceeded", "CongruenceLabError", "CongruenceWitness",
         "CounterexampleFound", "DEFAULT_ENUMERATION_CAP", "DimensionMismatch",
         "ElementaryGen", "ElementaryWord", "IdentityInput", "IntMatrix", "ModMatrix",
-        "NotInGamma", "NotPrime", "NotPrimePower", "NotUnimodular", "OrderResult",
-        "ParseError", "TORSION_ORDER_4", "TORSION_ORDER_6", "TracelessMatrix",
-        "candidate_orders", "crt_combine", "decompose_int", "decompose_local",
-        "decompose_mod", "enumerate_sl", "gamma_level", "gamma_member", "lift_to_int",
-        "matrix_order", "minkowski_probe", "mod_spectrum", "phi_general",
-        "phi_general_preimage", "phi_k", "phi_preimage", "power_congruence_check",
-        "sample_gamma", "sample_sl", "sl_basis", "sl_elements", "sl_order_formula",
-        "spectrum_bound", "successive_quotient_order", "witness_p", "witness_rf",
+        "NotInGamma", "NotPrime", "NotUnimodular", "OrderResult", "ParseError",
+        "TORSION_ORDER_4", "TORSION_ORDER_6", "TracelessMatrix", "candidate_orders",
+        "crt_combine", "decompose_int", "decompose_mod", "enumerate_sl", "gamma_level",
+        "gamma_member", "lift_to_int", "matrix_order", "minkowski_probe",
+        "mod_spectrum", "phi_general", "phi_general_preimage", "phi_k", "phi_preimage",
+        "power_congruence_check", "sample_gamma", "sample_sl", "sl_basis",
+        "sl_elements", "sl_order_formula", "spectrum_bound",
+        "successive_quotient_order", "witness_p", "witness_rf",
     ]  # fmt: skip
     assert all(hasattr(congruence_lab, name) for name in congruence_lab.__all__)
 

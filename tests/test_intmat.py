@@ -67,7 +67,7 @@ def test_det_matches_permutation_oracle(x):
 
 @given(st.integers(1, 4).flatmap(lambda n: int_matrices(n, bound=7)))
 def test_det_cofactor_and_bareiss_agree(x):
-    # n <= 4 takes the cofactor path in det(); compare against Bareiss directly
+    # n <= 3 takes the closed forms in det(); compare against Bareiss directly
     assert _det_bareiss(x.rows) == det_of_rows(x.rows)
 
 

@@ -21,7 +21,7 @@ from congruence_lab import (
     spectrum_bound,
 )
 
-from tests.helpers import brute_force_spectrum
+from tests.helpers import brute_force_spectrum, candidate_orders_walk
 
 
 def test_candidate_orders_small_dimensions():
@@ -29,6 +29,11 @@ def test_candidate_orders_small_dimensions():
     assert candidate_orders(2) == frozenset({1, 2, 3, 4, 6})
     # frozen by hand: subsets of {1,2,3,4,6} with totient sum <= 3 give the same lcms
     assert candidate_orders(3) == frozenset({1, 2, 3, 4, 6})
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_candidate_orders_match_subset_walk(n):
+    assert candidate_orders(n) == candidate_orders_walk(n)
 
 
 def test_candidate_orders_grow_with_dimension():

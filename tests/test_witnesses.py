@@ -1,6 +1,7 @@
 import pytest
 
 from congruence_lab import (
+    BadModulus,
     IdentityInput,
     IntMatrix,
     ModMatrix,
@@ -21,6 +22,7 @@ from congruence_lab import (
     witness_p,
     witness_rf,
 )
+from congruence_lab.witnesses import _diag_block
 
 E12_MOD2 = TracelessMatrix(((0, 1), (0, 0)), 2)
 
@@ -44,6 +46,14 @@ def test_sl_basis_and_element_counts():
     for n, m in [(2, 2), (2, 3), (3, 2), (3, 5)]:
         assert len(sl_basis(n, m)) == n * n - 1
         assert len(set(sl_elements(n, m))) == m ** (n * n - 1)
+
+
+def test_sl_elements_match_the_validating_constructor():
+    for n, m in [(2, 3), (3, 2)]:
+        for t in sl_elements(n, m):
+            assert t == TracelessMatrix(t.rows, m)
+    with pytest.raises(BadModulus):
+        next(sl_elements(2, 1))
 
 
 def test_phi_k_examples():
@@ -106,6 +116,15 @@ def test_phi_preimage_of_diagonal_difference_uses_block():
     assert x.det() == 1
     assert gamma_member(x, 3)
     assert phi_k(x, 3, 1) == diag
+
+
+def test_diag_block_power_is_a_multiple():
+    # the block is 1 + s*M with M^2 = 0, which _step_preimage relies on
+    for n in (2, 3):
+        for slot in range(n - 1):
+            for s in (2, 3, 9):
+                for k in range(1, 6):
+                    assert _diag_block(n, slot, s) ** k == _diag_block(n, slot, k * s)
 
 
 def test_phi_preimage_of_zero_is_identity():

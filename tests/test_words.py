@@ -6,17 +6,17 @@ from congruence_lab import (
     ElementaryWord,
     IntMatrix,
     ModMatrix,
-    NotPrimePower,
     NotUnimodular,
     ParseError,
     decompose_int,
-    decompose_local,
     decompose_mod,
     enumerate_sl,
     lift_to_int,
     sample_sl,
     sl_order_formula,
 )
+
+from congruence_lab.words import _decompose_local
 
 from tests.helpers import elementary_words, unimodular_matrices
 
@@ -111,13 +111,13 @@ def test_decompose_emits_offdiagonal_generators_and_bounded_words():
 
 
 def test_decompose_local_identity():
-    assert len(decompose_local(ModMatrix.identity(2, 4))) == 0
+    assert len(decompose_mod(ModMatrix.identity(2, 4))) == 0
 
 
 def test_decompose_local_example():
     y = ModMatrix([[0, 1], [3, 0]], 4)
     assert y.det() == 1
-    word = decompose_local(y)
+    word = decompose_mod(y)
     assert word.modulus == 4
     assert word.evaluate() == y
 
@@ -126,34 +126,30 @@ def test_decompose_local_exhaustive_mod3():
     els = enumerate_sl(2, 3)
     assert len(els) == 24
     for y in els:
-        assert decompose_local(y).evaluate() == y
+        assert decompose_mod(y).evaluate() == y
 
 
 def test_decompose_local_exhaustive_mod4_and_mod9():
     for N in (4, 9):
         for y in enumerate_sl(2, N):
-            assert decompose_local(y).evaluate() == y
+            assert decompose_mod(y).evaluate() == y
 
 
 def test_decompose_local_dim3():
     for y in enumerate_sl(3, 2):
-        assert decompose_local(y).evaluate() == y
-
-
-def test_decompose_local_rejects_composite_modulus():
-    with pytest.raises(NotPrimePower):
-        decompose_local(ModMatrix.identity(2, 6))
+        assert decompose_mod(y).evaluate() == y
 
 
 def test_decompose_local_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
-        decompose_local(ModMatrix([[1, 0], [0, 3]], 4))
+        decompose_mod(ModMatrix([[1, 0], [0, 3]], 4))
 
 
 def test_decompose_mod_agrees_with_local_at_prime_powers():
-    for N in (2, 3, 5, 4):
+    # a single CRT factor gives the local routine's word unchanged
+    for N, p in ((2, 2), (3, 3), (5, 5), (4, 2)):
         for y in enumerate_sl(2, N):
-            assert decompose_mod(y) == decompose_local(y)
+            assert decompose_mod(y).gens == _decompose_local(y, p)
 
 
 def test_decompose_mod_identity_is_empty():
