@@ -7,11 +7,9 @@ and the command's own code is returned. Integers have no size limit in
 either direction: for the duration of a call, run() lifts CPython's limit
 on int<->str conversion (4300 digits by default), so a 5000-digit matrix
 entry parses and |SL_120(Z/2)| prints exactly, and then restores the
-caller's limit. --plain switches to human-readable output. The enumeration
-cap of enumerate and spectrum may be overridden by --cap or the
-CONGRUENCE_LAB_CAP environment variable; the flag wins. Every subcommand
-accepts --cap, and the others ignore it: selfcheck's cases all lie far
-below the default cap, which could only make it fail.
+caller's limit. --plain switches to human-readable output. --cap overrides
+the enumeration cap; only enumerate and spectrum enumerate, so only they
+accept it, and on any other subcommand it is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -32,29 +30,13 @@ from .words import decompose_int, decompose_mod, lift_to_int
 
 __all__ = ["run", "main"]
 
-ENV_CAP = "CONGRUENCE_LAB_CAP"
-
-
 def _any_matrix(text: str) -> IntMatrix | ModMatrix:
     return ModMatrix.from_text(text) if "mod" in text else IntMatrix.from_text(text)
-
-
-def _resolve_cap(args) -> int | None:
-    if args.cap is not None:
-        return args.cap
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"bad {ENV_CAP} value {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--plain", action="store_true", help="human-readable output instead of JSON")
-    common.add_argument("--cap", type=int, default=None, help="enumeration cap override")
 
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
@@ -81,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, required=True, metavar="N")
 
     p = sub.add_parser("enumerate", parents=[common], help="all of SL_n(Z/N), sorted by entries")
+    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", type=int, required=True, metavar="N")
     p.add_argument("--count-only", action="store_true")
@@ -89,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
 
     p = sub.add_parser("spectrum", parents=[common], help="element orders of SL_n(Z/N)")
+    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", type=int, required=True, metavar="N")
 
@@ -144,7 +128,7 @@ def _dispatch(args) -> tuple[int, object, str]:
         return 0, value, str(value)
 
     if cmd == "enumerate":
-        matrices = enumerate_sl(args.n, args.mod, cap=_resolve_cap(args))
+        matrices = enumerate_sl(args.n, args.mod, cap=args.cap)
         if args.count_only:
             return 0, {"count": len(matrices)}, str(len(matrices))
         texts = [m.to_text() for m in matrices]
@@ -157,7 +141,7 @@ def _dispatch(args) -> tuple[int, object, str]:
         return 0, {"kind": "infinite"}, "infinite"
 
     if cmd == "spectrum":
-        orders = sorted(mod_spectrum(args.n, args.mod, cap=_resolve_cap(args)))
+        orders = sorted(mod_spectrum(args.n, args.mod, cap=args.cap))
         return 0, {"orders": orders}, " ".join(map(str, orders))
 
     if cmd == "phi":

@@ -17,7 +17,6 @@ from .primes import is_prime
 __all__ = [
     "gamma_member",
     "gamma_level",
-    "successive_quotient_order",
     "sample_gamma",
 ]
 
@@ -49,15 +48,6 @@ def gamma_level(x: IntMatrix) -> int:
         for j, e in enumerate(row):
             g = math.gcd(g, e - (i == j))
     return g
-
-
-def successive_quotient_order(n: int, p: int, k: int = 1) -> int:
-    """Order of Gamma(p^k)/Gamma(p^(k+1)): always p^(n^2 - 1), independent of k.
-
-    Cross-checkable as the ratio of sl_order_formula at p^(k+1) and at p^k.
-    """
-    _require_chain(p, k)
-    return p ** (n * n - 1)
 
 
 def sample_gamma(n: int, N: int, length: int, seed: int) -> IntMatrix:

@@ -6,6 +6,10 @@ holds the product, power, det, trace, identity test and text. IntMatrix
 (here), ModMatrix (modular.py) and TracelessMatrix (witnesses.py) are thin
 subclasses that add only what differs between the rings.
 
+elementary_product is the one kernel for products of elementary matrices
+1 + a*e_ij: word evaluation, the samplers and the depth-map preimages all
+reduce to its column operations.
+
 Entries are plain Python ints, so products, determinants, and inverses are
 computed without overflow or rounding. Matrices are immutable and hashable;
 all operations return new values. require_det_one is the one statement of
@@ -212,17 +216,6 @@ class IntMatrix(SquareMatrix):
         return cls(identity_rows(n))
 
     @classmethod
-    def elementary(cls, n: int, i: int, j: int, a: int) -> IntMatrix:
-        """The elementary matrix 1 + a*e_ij (1-based indices, i != j)."""
-        if i == j:
-            raise ValueError("elementary matrix requires i != j")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"elementary position ({i},{j}) out of range for n={n}")
-        rows = [list(r) for r in identity_rows(n)]
-        rows[i - 1][j - 1] = int(a)
-        return cls(rows)
-
-    @classmethod
     def from_text(cls, text: str) -> IntMatrix:
         if "mod" in text:
             raise ParseError(f"unexpected modulus suffix in integer matrix {text!r}")
@@ -271,15 +264,35 @@ def require_det_one(x: SquareMatrix) -> None:
         raise NotUnimodular(f"determinant is {d}{where}, expected 1")
 
 
+def elementary_product(n: int, ops, N: int | None = None) -> Rows:
+    """Rows of the left-to-right product of 1 + a*e_ij over 0-based (i, j, a).
+
+    Right-multiplying by 1 + a*e_ij adds a times column i to column j, so the
+    product costs n multiply-adds per factor. Over Z/N (N given) every entry
+    is reduced as it changes, so entries stay in [0, N) however long ops is.
+    """
+    rows = [list(r) for r in identity_rows(n)]
+    if N is None:
+        for i, j, a in ops:
+            for r in rows:
+                r[j] += a * r[i]
+    else:
+        for i, j, a in ops:
+            for r in rows:
+                r[j] = (r[j] + a * r[i]) % N
+    return tuple(map(tuple, rows))
+
+
 def random_elementary_rows(n: int, length: int, rng: random.Random, scale: int = 1) -> Rows:
     """Rows of a product of `length` random elementary matrices 1 + scale*a*e_ij.
 
     Coefficients satisfy 1 <= |a| <= _COEFF_BOUND. Used by sample_sl and by the
-    congruence-subgroup sampler (scale = N yields elements of Gamma(N)).
+    congruence-subgroup sampler (scale = N yields elements of Gamma(N)). At
+    n = 1 there is no off-diagonal position, and no draw is made.
     """
-    rows = [list(r) for r in identity_rows(n)]
     if n == 1:
         return identity_rows(1)
+    ops = []
     for _ in range(length):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
@@ -288,9 +301,8 @@ def random_elementary_rows(n: int, length: int, rng: random.Random, scale: int =
         a = rng.randint(1, _COEFF_BOUND) * scale
         if rng.randrange(2):
             a = -a
-        for r in range(n):
-            rows[r][j] += a * rows[r][i]
-    return tuple(tuple(r) for r in rows)
+        ops.append((i, j, a))
+    return elementary_product(n, ops)
 
 
 def sample_sl(n: int, length: int, seed: int) -> IntMatrix:

@@ -15,6 +15,10 @@ Two separation routes are made executable here:
 phi_general is the same depth-one map at an arbitrary composite level N,
 with image in traceless matrices mod N and kernel Gamma(N^2).
 
+Preimages of both maps are single elementary words, multiplied out by
+intmat.elementary_product: 1 + a*step*e_ij for each off-diagonal entry, and
+for each diagonal difference a 2x2 block that is itself a short word.
+
 TracelessMatrix, the image type of both maps, is the additive view of the
 matrix core in intmat.py: it adds the trace check, zero and is_zero, and
 refuses products, which need not stay traceless.
@@ -28,7 +32,7 @@ from typing import Iterator
 
 from .errors import BadModulus, IdentityInput, NotInGamma
 from .gamma import _require_chain, gamma_level, gamma_member
-from .intmat import IntMatrix, Rows, SquareMatrix, identity_rows
+from .intmat import IntMatrix, Rows, SquareMatrix, elementary_product
 from .modular import ModMatrix, sl_order_formula
 from .primes import next_prime
 
@@ -126,43 +130,28 @@ def phi_k(x: IntMatrix, p: int, k: int) -> TracelessMatrix:
     return TracelessMatrix(_difference_quotient(x, p**k), p)
 
 
-def _diag_block(n: int, slot: int, step: int) -> IntMatrix:
-    """Identity with the 2x2 block (1+step, step; -step, 1-step) at (slot, slot+1).
-
-    Determinant is (1 - step^2) + step^2 = 1, and the depth map sends it to
-    e_ii - e_(i+1)(i+1) + e_i(i+1) - e_(i+1)i. The block is 1 + step*M with
-    M^2 = 0, so its k-th power is _diag_block(n, slot, k*step).
-    """
-    rows = [list(r) for r in identity_rows(n)]
-    rows[slot][slot] = 1 + step
-    rows[slot][slot + 1] = step
-    rows[slot + 1][slot] = -step
-    rows[slot + 1][slot + 1] = 1 - step
-    return IntMatrix(rows)
-
-
 def _step_preimage(t: TracelessMatrix, step: int) -> IntMatrix:
-    """Element of Gamma(step) whose depth-map image is t.
+    """Element of Gamma(step) whose depth-map image is t, as one elementary word.
 
-    Built additively from generator preimages: 1 + a*step*e_ij hits a*e_ij,
-    and diagonal blocks at multiples of step (corrected by two off-diagonal
-    preimages) hit the diagonal differences. The partial sums of t's
-    diagonal are the coefficients that telescope to the right diagonal.
+    Built additively from generator preimages: 1 + a*step*e_ij hits a*e_ij.
+    For the diagonal, the block (1+c, c; -c, 1-c) at slots (k, k+1), written
+    as the word E(k,k+1,-1) E(k+1,k,-c) E(k,k+1,1), has determinant 1 and
+    depth-map image e_kk - e_(k+1)(k+1) + e_k(k+1) - e_(k+1)k when c = step;
+    two off-diagonal preimages cancel the off-diagonal part. With c = a*step
+    for the partial sums a of t's diagonal, the differences telescope to the
+    right diagonal.
     """
     n, m = t.n, t.modulus
-    acc = IntMatrix.identity(n)
-    for i in range(n):
-        for j in range(n):
-            if i != j and t.rows[i][j]:
-                acc = acc * IntMatrix.elementary(n, i + 1, j + 1, t.rows[i][j] * step)
+    ops = [
+        (i, j, a * step) for i, row in enumerate(t.rows) for j, a in enumerate(row) if i != j and a
+    ]
     partial = 0
-    for i in range(n - 1):
-        partial = (partial + t.rows[i][i]) % m
+    for k in range(n - 1):
+        partial = (partial + t.rows[k][k]) % m
         if partial:
-            acc = acc * _diag_block(n, i, partial * step)
-            acc = acc * IntMatrix.elementary(n, i + 1, i + 2, -partial * step)
-            acc = acc * IntMatrix.elementary(n, i + 2, i + 1, partial * step)
-    return acc
+            c = partial * step
+            ops += [(k, k + 1, -1), (k + 1, k, -c), (k, k + 1, 1), (k, k + 1, -c), (k + 1, k, c)]
+    return IntMatrix._wrap(elementary_product(n, ops))
 
 
 def phi_preimage(t: TracelessMatrix, p: int, k: int) -> IntMatrix:

@@ -9,11 +9,13 @@ decomposition routines produce such certificates:
 * decompose_mod splits Z/N into prime-power factors Z/p^k, decomposes each
   local image by unit pivoting (any entry outside (p) is a unit there and
   can pivot directly), and stitches the coefficients back together with the
-  CRT so each factor's generators act trivially in every other factor. A
-  prime-power N is the case of a single factor.
+  CRT so each factor's generators act trivially in every other factor. At a
+  prime-power N the local word is the word.
 
 lift_to_int turns a mod-N word into an integer matrix, which is what makes
 the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable sense.
+Evaluating a word, over Z or Z/N, is intmat.elementary_product on its
+generators.
 
 Column swaps needed during reduction are emitted as three elementary
 operations realizing the signed swap (c_k, c_j) -> (c_j, -c_k), so every
@@ -29,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .intmat import IntMatrix, identity_rows, require_det_one
+from .intmat import IntMatrix, _reduce, elementary_product, identity_rows, require_det_one
 from .modular import ModMatrix
 from .primes import factorize
 
@@ -100,18 +102,9 @@ class ElementaryWord:
         return ElementaryWord(self.n, self.gens + other.gens, self.modulus)
 
     def evaluate(self) -> IntMatrix | ModMatrix:
-        rows = [list(r) for r in identity_rows(self.n)]
         N = self.modulus
-        for g in self.gens:
-            i, j, a = g.i - 1, g.j - 1, g.a
-            # right-multiplying by 1 + a*e_ij adds a * column i to column j
-            for r in range(self.n):
-                rows[r][j] += a * rows[r][i]
-                if N is not None:
-                    rows[r][j] %= N
-        if N is None:
-            return IntMatrix(rows)
-        return ModMatrix(tuple(tuple(r) for r in rows), N)
+        rows = elementary_product(self.n, ((g.i - 1, g.j - 1, g.a) for g in self.gens), N)
+        return IntMatrix(rows) if N is None else ModMatrix(rows, N)
 
     def to_text(self) -> str:
         body = ";".join(g.to_text() for g in self.gens)
@@ -162,7 +155,7 @@ class _Reducer:
     """
 
     def __init__(self, rows, modulus: int | None = None):
-        self.m = [list(r) for r in rows]
+        self.m = [list(r) for r in _reduce(rows, modulus)]
         self.n = len(self.m)
         self.modulus = modulus
         self._lefts: list[tuple[int, int, int]] = []  # (i, j, c) for E_ij(c) on the left
@@ -265,32 +258,32 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
     return ElementaryWord(n, red.word_gens())
 
 
-def _decompose_local(y: ModMatrix, p: int) -> tuple[ElementaryGen, ...]:
-    """Generators of a word over Z/p^k for y in SL_n(Z/p^k), p prime.
+def _decompose_local(rows, q: int, p: int) -> tuple[ElementaryGen, ...]:
+    """Generators of a word over Z/q, q = p^k with p prime, for the rows of
+    an element of SL_n(Z/q); the rows may be given unreduced.
 
     Over the local ring Z/p^k any entry not divisible by p is invertible, so
     no euclidean loop is needed: pick a unit in the active row (such an entry
     exists, else the determinant would be divisible by p), swap it onto the
     diagonal, and clear its row and column with exact unit divisions. The
-    caller has checked det(y) == 1.
+    caller has checked that the determinant is 1 mod q.
     """
-    N = y.modulus
-    n = y.n
-    red = _Reducer(y.rows, modulus=N)
+    n = len(rows)
+    red = _Reducer(rows, modulus=q)
     m = red.m
     for k in range(n - 1):
         piv = next((j for j in range(k, n) if m[k][j] % p != 0), None)
         assert piv is not None, "a det-1 row over a local ring must contain a unit"
         if piv != k:
             red.swap_cols_signed(k, piv)
-        ainv = pow(m[k][k], -1, N)
+        ainv = pow(m[k][k], -1, q)
         for j in range(k + 1, n):
             if m[k][j]:
                 red.add_col(j, k, -m[k][j] * ainv)
         for i in range(k + 1, n):
             if m[i][k]:
                 red.add_row(i, k, -m[i][k] * ainv)
-    _cleanup_diagonal(red, lambda a: pow(a, -1, N))
+    _cleanup_diagonal(red, lambda a: pow(a, -1, q))
     assert red.is_identity()
     return red.word_gens()
 
@@ -303,17 +296,19 @@ def decompose_mod(y: ModMatrix) -> ElementaryWord:
     coefficient in [0, N) that is a mod its own factor and 0 mod the others.
     The lifted generators therefore evaluate to the identity in every foreign
     factor, and their concatenated product equals y by the CRT. Over a single
-    factor the lift is a itself. Raises NotUnimodular unless det(y) == 1 in
-    Z/N.
+    factor the local generators are the word's own. Raises NotUnimodular
+    unless det(y) == 1 in Z/N.
     """
     require_det_one(y)
     N = y.modulus
     gens = []
     for p, s in factorize(N):
         q = p**s
+        local = _decompose_local(y.rows, q, p)
+        if q == N:
+            return ElementaryWord(y.n, local, modulus=N)
         idem = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod the other factors
-        for g in _decompose_local(ModMatrix(y.rows, q), p):
-            gens.append(ElementaryGen(g.i, g.j, g.a * idem % N))
+        gens += [ElementaryGen(g.i, g.j, g.a * idem % N) for g in local]
     return ElementaryWord(y.n, tuple(gens), modulus=N)
 
 

@@ -137,11 +137,11 @@ def test_domain_errors_exit_2(capsys):
 def test_cap_flag_and_env(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "enumerate", "--n", "2", "--mod", "2", "--cap", "10")
     assert code == 2 and err.startswith("CapExceeded:")
-    monkeypatch.setenv("CONGRUENCE_LAB_CAP", "10")
-    code, _, err = run_cli(capsys, "enumerate", "--n", "2", "--mod", "2")
-    assert code == 2 and err.startswith("CapExceeded:")
-    # the flag wins over the environment
     code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--mod", "2", "--cap", "16", "--count-only")
+    assert code == 0 and json.loads(out) == {"count": 6}
+    # the flag is the only override: the environment is not read
+    monkeypatch.setenv("CONGRUENCE_LAB_CAP", "10")
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--mod", "2", "--count-only")
     assert code == 0 and json.loads(out) == {"count": 6}
 
 
@@ -201,15 +201,15 @@ def test_selfcheck_failure_is_reported(capsys, monkeypatch):
     assert out.splitlines()[-1] == "12 passed, 1 failed (quick mode)"
 
 
-def test_selfcheck_ignores_the_enumeration_cap(capsys, monkeypatch):
-    # Every selfcheck case lies far below the default cap, so a cap could
-    # only make the invariant suite fail; it applies to enumerate and spectrum.
-    monkeypatch.delenv("CONGRUENCE_LAB_CAP", raising=False)
-    expected = run_cli(capsys, "selfcheck", "--quick")
-    assert expected[0] == 0
-    assert run_cli(capsys, "selfcheck", "--quick", "--cap", "1000") == expected
-    monkeypatch.setenv("CONGRUENCE_LAB_CAP", "1000")
-    assert run_cli(capsys, "selfcheck", "--quick") == expected
+@pytest.mark.parametrize(
+    "argv",
+    [["selfcheck", "--quick"], ["order", "0,-1;1,0"], ["index", "--n", "2", "--mod", "3"]],
+    ids=["selfcheck", "order", "index"],
+)
+def test_cap_is_a_usage_error_where_nothing_is_enumerated(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--cap", "1000")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --cap 1000" in err
 
 
 def test_index_past_the_int_text_limit(capsys):
@@ -247,8 +247,7 @@ def test_public_api_is_pinned():
         "gamma_member", "lift_to_int", "matrix_order", "minkowski_probe",
         "mod_spectrum", "phi_general", "phi_general_preimage", "phi_k", "phi_preimage",
         "power_congruence_check", "sample_gamma", "sample_sl", "sl_basis",
-        "sl_elements", "sl_order_formula", "spectrum_bound",
-        "successive_quotient_order", "witness_p", "witness_rf",
+        "sl_elements", "sl_order_formula", "spectrum_bound", "witness_p", "witness_rf",
     ]  # fmt: skip
     assert all(hasattr(congruence_lab, name) for name in congruence_lab.__all__)
 

@@ -5,7 +5,6 @@ from hypothesis import given
 from congruence_lab import (
     BadModulus,
     IntMatrix,
-    NotPrime,
     NotUnimodular,
     enumerate_sl,
     gamma_level,
@@ -13,7 +12,6 @@ from congruence_lab import (
     sample_gamma,
     sample_sl,
     sl_order_formula,
-    successive_quotient_order,
 )
 from congruence_lab.primes import factorize
 
@@ -98,25 +96,6 @@ def test_index_crt_product():
             assert sl_order_formula(n, N) == prod
 
 
-def test_successive_quotient_order_values():
-    assert successive_quotient_order(2, 2, 1) == 8
-    assert successive_quotient_order(2, 3, 1) == 27
-    assert successive_quotient_order(3, 2, 1) == 256
-
-
-def test_successive_quotient_matches_index_ratio():
-    assert successive_quotient_order(3, 2, 1) == sl_order_formula(3, 4) // sl_order_formula(3, 2)
-    for k in (1, 2, 3):
-        assert successive_quotient_order(2, 5, k) == sl_order_formula(2, 5 ** (k + 1)) // sl_order_formula(2, 5**k)
-
-
-def test_successive_quotient_rejects_composite():
-    with pytest.raises(NotPrime):
-        successive_quotient_order(2, 4, 1)
-    with pytest.raises(ValueError):
-        successive_quotient_order(2, 3, 0)
-
-
 def test_sample_gamma_lands_in_gamma():
     for N in (2, 3, 5):
         for t in range(10):
@@ -125,3 +104,4 @@ def test_sample_gamma_lands_in_gamma():
 
 def test_sample_gamma_seed_stability():
     assert sample_gamma(2, 3, 6, 99).rows == ((109, 6), (672, 37))
+    assert sample_gamma(3, 5, 12, 4).rows == ((126, -23425, -660), (625, -115124, -3250), (0, 45, 1))

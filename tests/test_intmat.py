@@ -65,10 +65,10 @@ def test_det_matches_permutation_oracle(x):
     assert x.det() == det_permutation_oracle(x.rows)
 
 
-@given(st.integers(1, 4).flatmap(lambda n: int_matrices(n, bound=7)))
+@given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, bound=7)))
 def test_det_cofactor_and_bareiss_agree(x):
-    # n <= 3 takes the closed forms in det(); compare against Bareiss directly
-    assert _det_bareiss(x.rows) == det_of_rows(x.rows)
+    # det() takes closed forms up to 3x3, so test Bareiss itself at every n
+    assert _det_bareiss(x.rows) == det_permutation_oracle(x.rows)
 
 
 def test_inverse_example():
@@ -130,6 +130,28 @@ def test_sample_seed_stability():
     # frozen regression snapshots: the sampler must never drift under a fixed seed
     assert sample_sl(2, 10, 20240601).rows == ((-1167, 2665), (275, -628))
     assert sample_sl(3, 8, 7777).rows == ((1, -4, 0), (3, -11, 0), (9, -28, 1))
+    assert sample_sl(4, 20, 1).rows == (
+        (9, 0, 71, -12),
+        (69, -1, 545, -84),
+        (13, 0, 102, -17),
+        (-69, 2, -547, 77),
+    )
+    assert sample_sl(4, 20, 2).rows == (
+        (19, -1367, 136, 2531),
+        (-18, 1811, -180, -3355),
+        (0, -111, 11, 206),
+        (10, -1016, 101, 1882),
+    )
+    assert sample_sl(8, 24, 3).rows == (
+        (-33, -9, 1, -1, 13, -189, 9, 29),
+        (0, 1, 0, 0, 0, 0, 0, 0),
+        (-33, 5, 0, 1, 18, -104, -5, -25),
+        (-20, 4, -1, 1, 20, -15, -8, -32),
+        (-1, 0, 0, 0, 1, -3, 0, 0),
+        (-4, 0, 0, 0, 4, -11, 0, 0),
+        (-6, -1, 0, 0, -3, -44, 1, 1),
+        (7, 0, 0, 0, -4, 27, 0, 1),
+    )
     assert sample_sl(2, 10, 20240601) == sample_sl(2, 10, 20240601)
 
 

@@ -22,7 +22,6 @@ from congruence_lab import (
     witness_p,
     witness_rf,
 )
-from congruence_lab.witnesses import _diag_block
 
 E12_MOD2 = TracelessMatrix(((0, 1), (0, 0)), 2)
 
@@ -118,15 +117,6 @@ def test_phi_preimage_of_diagonal_difference_uses_block():
     assert phi_k(x, 3, 1) == diag
 
 
-def test_diag_block_power_is_a_multiple():
-    # the block is 1 + s*M with M^2 = 0, which _step_preimage relies on
-    for n in (2, 3):
-        for slot in range(n - 1):
-            for s in (2, 3, 9):
-                for k in range(1, 6):
-                    assert _diag_block(n, slot, s) ** k == _diag_block(n, slot, k * s)
-
-
 def test_phi_preimage_of_zero_is_identity():
     assert phi_preimage(TracelessMatrix.zero(2, 5), 5, 1) == IntMatrix.identity(2)
 
@@ -146,6 +136,22 @@ def test_phi_preimage_hits_every_element_small():
             assert img == t
             images.add(img)
         assert len(images) == p**3
+
+
+def test_preimages_with_a_diagonal_are_frozen():
+    # regression snapshots: the preimage construction must never drift
+    t = TracelessMatrix(((1, 2, 0), (0, 2, 1), (1, 0, 0)), 3)
+    assert phi_preimage(t, 3, 2).rows == (
+        (-1037357, -116865, 162),
+        (-57591, -6488, 9),
+        (-6471, -729, 1),
+    )
+    t = TracelessMatrix(((5, 0, 3), (1, 4, 0), (0, 2, 3)), 12)
+    assert phi_general_preimage(t).rows == (
+        (183297661, -3849080148144, -35642715084),
+        (-2378868, 49954595377, 462582576),
+        (5097600, -107044853304, -991241819),
+    )
 
 
 def test_phi_preimage_basis_dim3():

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -39,6 +40,21 @@ def test_concatenation_is_product(w1, w2):
 @given(elementary_words(3, modulus=6), elementary_words(3, modulus=6))
 def test_concatenation_is_product_mod(w1, w2):
     assert (w1 + w2).evaluate() == w1.evaluate() * w2.evaluate()
+
+
+@given(st.sampled_from([None, 6]).flatmap(lambda N: elementary_words(3, modulus=N)))
+def test_evaluate_is_the_product_of_its_generators(w):
+    # an independent route: each generator written out as 1 + a*e_ij, multiplied by `*`
+    def matrix(cells):
+        rows = [[int(r == c) for c in range(w.n)] for r in range(w.n)]
+        for i, j, a in cells:
+            rows[i - 1][j - 1] = a
+        return IntMatrix(rows) if w.modulus is None else ModMatrix(rows, w.modulus)
+
+    product = matrix(())
+    for g in w.gens:
+        product = product * matrix([(g.i, g.j, g.a)])
+    assert w.evaluate() == product
 
 
 @given(elementary_words(3))
@@ -149,7 +165,7 @@ def test_decompose_mod_agrees_with_local_at_prime_powers():
     # a single CRT factor gives the local routine's word unchanged
     for N, p in ((2, 2), (3, 3), (5, 5), (4, 2)):
         for y in enumerate_sl(2, N):
-            assert decompose_mod(y).gens == _decompose_local(y, p)
+            assert decompose_mod(y).gens == _decompose_local(y.rows, N, p)
 
 
 def test_decompose_mod_identity_is_empty():
