@@ -10,11 +10,14 @@ entry parses and |SL_120(Z/2)| prints exactly, and then restores the
 caller's limit. --plain switches to human-readable output. --cap overrides
 the enumeration cap; only enumerate and spectrum enumerate, so only they
 accept it, and on any other subcommand it is a usage error (exit 2).
+Usage and help text wrap at 78 columns whatever the terminal's width, so
+the same argv always gives the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,6 +37,9 @@ def _any_matrix(text: str) -> IntMatrix | ModMatrix:
     return ModMatrix.from_text(text) if "mod" in text else IntMatrix.from_text(text)
 
 
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--plain", action="store_true", help="human-readable output instead of JSON")
@@ -41,54 +47,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
         description="Exact computations in SL_n(Z) and its congruence quotients.",
+        formatter_class=_FORMATTER,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser,
+        parents=[common],
+        formatter_class=_FORMATTER,
+    )
 
-    p = sub.add_parser("decompose", parents=[common], help="elementary word for a matrix over Z or Z/N")
+    p = add("decompose", help="elementary word for a matrix over Z or Z/N")
     p.add_argument("matrix", help='matrix text, e.g. "0,-1;1,0" or "0,1;1,1 mod 2"')
 
-    p = sub.add_parser("lift", parents=[common], help="integer matrix of det 1 reducing to the input mod N")
+    p = add("lift", help="integer matrix of det 1 reducing to the input mod N")
     p.add_argument("matrix")
     p.add_argument("--mod", type=int, required=True, metavar="N")
 
-    p = sub.add_parser("level", parents=[common], help="exact congruence level of a matrix")
+    p = add("level", help="exact congruence level of a matrix")
     p.add_argument("matrix")
 
-    p = sub.add_parser("member", parents=[common], help="membership in Gamma(N)")
+    p = add("member", help="membership in Gamma(N)")
     p.add_argument("matrix")
     p.add_argument("--mod", type=int, required=True, metavar="N")
 
-    p = sub.add_parser("index", parents=[common], help="index of Gamma(N), i.e. |SL_n(Z/N)|")
+    p = add("index", help="index of Gamma(N), i.e. |SL_n(Z/N)|")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", type=int, required=True, metavar="N")
 
-    p = sub.add_parser("enumerate", parents=[common], help="all of SL_n(Z/N), sorted by entries")
+    p = add("enumerate", help="all of SL_n(Z/N), sorted by entries")
     p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", type=int, required=True, metavar="N")
     p.add_argument("--count-only", action="store_true")
 
-    p = sub.add_parser("order", parents=[common], help="exact multiplicative order in SL_n(Z)")
+    p = add("order", help="exact multiplicative order in SL_n(Z)")
     p.add_argument("matrix")
 
-    p = sub.add_parser("spectrum", parents=[common], help="element orders of SL_n(Z/N)")
+    p = add("spectrum", help="element orders of SL_n(Z/N)")
     p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mod", type=int, required=True, metavar="N")
 
-    p = sub.add_parser("phi", parents=[common], help="depth-map image of a Gamma(p^k) element in sl_n(Z/p)")
+    p = add("phi", help="depth-map image of a Gamma(p^k) element in sl_n(Z/p)")
     p.add_argument("matrix")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("witness-rf", parents=[common], help="finite quotient separating a matrix from 1")
+    p = add("witness-rf", help="finite quotient separating a matrix from 1")
     p.add_argument("matrix")
 
-    p = sub.add_parser("witness-p", parents=[common], help="p-group quotient separating a Gamma(p) element from 1")
+    p = add("witness-p", help="p-group quotient separating a Gamma(p) element from 1")
     p.add_argument("matrix")
     p.add_argument("--prime", type=int, required=True)
 
-    p = sub.add_parser("selfcheck", parents=[common], help="run the built-in invariant suite")
+    p = add("selfcheck", help="run the built-in invariant suite")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 

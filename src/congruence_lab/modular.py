@@ -60,7 +60,7 @@ class ModMatrix(SquareMatrix):
         if not sep:
             raise ParseError(f"missing 'mod N' suffix in {text!r}")
         mod_text = mod_text.strip()
-        if not mod_text.isdigit():
+        if not mod_text.isdecimal():
             raise ParseError(f"bad modulus {mod_text!r}")
         return cls(parse_entries(body.strip()), int(mod_text))
 

@@ -34,7 +34,6 @@ __all__ = [
     "candidate_orders",
     "matrix_order",
     "mod_spectrum",
-    "spectrum_bound",
     "minkowski_probe",
 ]
 
@@ -130,12 +129,6 @@ def mod_spectrum(n: int, N: int, cap: int | None = None) -> frozenset[int]:
         local = _local_spectrum(n, p, s)
         spectrum = {math.lcm(a, b) for a in spectrum for b in local}
     return frozenset(spectrum)
-
-
-def spectrum_bound(kernel_spec: frozenset[int], range_spec: frozenset[int]) -> frozenset[int]:
-    """Elementwise product set {k*r}: every order in the domain of a
-    homomorphism divides some product of a kernel order and a range order."""
-    return frozenset(k * r for k in kernel_spec for r in range_spec)
 
 
 def _torsion_pool() -> list[IntMatrix]:

@@ -13,7 +13,9 @@ Two separation routes are made executable here:
   p-power quotient order (witnessing residual p-finiteness of Gamma(p)).
 
 phi_general is the same depth-one map at an arbitrary composite level N,
-with image in traceless matrices mod N and kernel Gamma(N^2).
+with image in traceless matrices mod N and kernel Gamma(N^2). The laws of
+both maps, and the congruence x^p in Gamma(p^(k+1)) for x in Gamma(p^k),
+are checked in the selfcheck registry, not here.
 
 Preimages of both maps are single elementary words, multiplied out by
 intmat.elementary_product: 1 + a*step*e_ij for each off-diagonal entry, and
@@ -45,7 +47,6 @@ __all__ = [
     "phi_preimage",
     "phi_general",
     "phi_general_preimage",
-    "power_congruence_check",
     "witness_rf",
     "witness_p",
 ]
@@ -176,17 +177,6 @@ def phi_general(x: IntMatrix, N: int) -> TracelessMatrix:
 def phi_general_preimage(t: TracelessMatrix) -> IntMatrix:
     """Element of Gamma(N) mapping to t under phi_general, N = t.modulus."""
     return _step_preimage(t, t.modulus)
-
-
-def power_congruence_check(x: IntMatrix, p: int, k: int) -> bool:
-    """Whether x^p lands in Gamma(p^(k+1)) for x in Gamma(p^k).
-
-    Always true (the binomial expansion of (1 + p^k*Y)^p has every term past
-    the first divisible by p^(k+1)); computed honestly rather than assumed.
-    """
-    _require_chain(p, k)
-    _require_member(x, p**k)
-    return gamma_member(x**p, p ** (k + 1))
 
 
 @dataclass(frozen=True)

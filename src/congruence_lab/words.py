@@ -119,7 +119,7 @@ class ElementaryWord:
         tag = tag.strip()
         if tag == "Z":
             modulus = None
-        elif tag.startswith("Z/") and tag[2:].isdigit():
+        elif tag.startswith("Z/") and tag[2:].isdecimal():
             modulus = int(tag[2:])
         else:
             raise ParseError(f"bad ring tag {tag!r}")

@@ -18,31 +18,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_order_finite(capsys):
-    code, out, _ = run_cli(capsys, "order", "0,-1;1,0")
-    assert code == 0
-    assert json.loads(out) == {"kind": "finite", "value": 4}
-
-
-def test_order_infinite(capsys):
-    _, out, _ = run_cli(capsys, "order", "1,1;0,1")
-    assert json.loads(out) == {"kind": "infinite"}
-
-
 def test_index(capsys):
     code, out, _ = run_cli(capsys, "index", "--n", "2", "--mod", "2")
     assert code == 0
     assert out.strip() == "6"
-
-
-def test_level_identity(capsys):
-    _, out, _ = run_cli(capsys, "level", "1,0;0,1")
-    assert json.loads(out) == {"level": "infinite"}
-
-
-def test_level_plain(capsys):
-    _, out, _ = run_cli(capsys, "level", "1,4;0,1", "--plain")
-    assert out.strip() == "4"
 
 
 def test_member(capsys):
@@ -83,14 +62,6 @@ def test_enumerate_count_only(capsys):
     assert json.loads(out) == {"count": 24}
 
 
-def test_enumerate_matrices_parse_back(capsys):
-    _, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--mod", "2")
-    doc = json.loads(out)
-    assert doc["count"] == 6
-    mats = [ModMatrix.from_text(t) for t in doc["matrices"]]
-    assert all(m.det() == 1 for m in mats)
-
-
 def test_spectrum(capsys):
     _, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--mod", "3")
     assert json.loads(out) == {"orders": [1, 2, 3, 4, 6]}
@@ -99,25 +70,6 @@ def test_spectrum(capsys):
 def test_phi(capsys):
     _, out, _ = run_cli(capsys, "phi", "1,2;0,1", "--prime", "2", "--k", "1")
     assert json.loads(out) == {"prime": 2, "k": 1, "image": "0,1;0,0 mod 2"}
-
-
-def test_witness_rf_json(capsys):
-    _, out, _ = run_cli(capsys, "witness-rf", "1,2;0,1")
-    doc = json.loads(out)
-    assert doc["kind"] == "residual-finite"
-    assert doc["prime"] == 3
-    assert doc["quotient_order"] == "24"
-
-
-def test_witness_p_json(capsys):
-    _, out, _ = run_cli(capsys, "witness-p", "1,2;0,1", "--prime", "2")
-    assert json.loads(out) == {
-        "kind": "residual-p-finite",
-        "prime": 2,
-        "level": 4,
-        "quotient_order": "8",
-        "image": "0,1;0,0 mod 2",
-    }
 
 
 def test_domain_errors_exit_2(capsys):
@@ -162,12 +114,6 @@ def test_missing_required_flag_exits_2(capsys):
     assert run(["member", "1,0;0,1"]) == 2
 
 
-def test_output_is_deterministic(capsys):
-    first = run_cli(capsys, "decompose", "2,1;1,1")
-    second = run_cli(capsys, "decompose", "2,1;1,1")
-    assert first == second
-
-
 def test_selfcheck_quick(capsys):
     t0 = time.time()
     code, out, _ = run_cli(capsys, "selfcheck", "--quick")
@@ -178,14 +124,6 @@ def test_selfcheck_quick(capsys):
     assert doc["failed"] == 0
     assert doc["passed"] == len(doc["checks"]) == 13
     assert elapsed < 30.0  # must fit comfortably inside the acceptance budget
-
-
-def test_selfcheck_plain_table(capsys):
-    code, out, _ = run_cli(capsys, "selfcheck", "--quick", "--plain")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("(quick mode)")
 
 
 def test_selfcheck_failure_is_reported(capsys, monkeypatch):
@@ -246,8 +184,8 @@ def test_public_api_is_pinned():
         "crt_combine", "decompose_int", "decompose_mod", "enumerate_sl", "gamma_level",
         "gamma_member", "lift_to_int", "matrix_order", "minkowski_probe",
         "mod_spectrum", "phi_general", "phi_general_preimage", "phi_k", "phi_preimage",
-        "power_congruence_check", "sample_gamma", "sample_sl", "sl_basis",
-        "sl_elements", "sl_order_formula", "spectrum_bound", "witness_p", "witness_rf",
+        "sample_gamma", "sample_sl", "sl_basis", "sl_elements", "sl_order_formula",
+        "witness_p", "witness_rf",
     ]  # fmt: skip
     assert all(hasattr(congruence_lab, name) for name in congruence_lab.__all__)
 

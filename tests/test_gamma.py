@@ -6,14 +6,11 @@ from congruence_lab import (
     BadModulus,
     IntMatrix,
     NotUnimodular,
-    enumerate_sl,
     gamma_level,
     gamma_member,
     sample_gamma,
     sample_sl,
-    sl_order_formula,
 )
-from congruence_lab.primes import factorize
 
 from tests.helpers import unimodular_matrices
 
@@ -73,27 +70,6 @@ def test_gamma_closed_under_product_and_inverse():
         y = sample_gamma(2, 4, 4, seed=1000 + t)
         assert gamma_member(x * y, 4)
         assert gamma_member(x.inverse(), 4)
-
-
-def test_index_examples():
-    assert sl_order_formula(2, 2) == 6
-    assert sl_order_formula(2, 6) == 144
-    for n in (1, 2, 3, 5):
-        assert sl_order_formula(n, 1) == 1
-
-
-def test_index_matches_enumeration():
-    for N in range(2, 8):
-        assert sl_order_formula(2, N) == len(enumerate_sl(2, N))
-
-
-def test_index_crt_product():
-    for n in (2, 3):
-        for N in (6, 12, 30, 36):
-            prod = 1
-            for p, s in factorize(N):
-                prod *= sl_order_formula(n, p**s)
-            assert sl_order_formula(n, N) == prod
 
 
 def test_sample_gamma_lands_in_gamma():

@@ -5,7 +5,6 @@ import pytest
 
 from congruence_lab import (
     BadModulus,
-    CounterexampleFound,
     IntMatrix,
     NotUnimodular,
     TORSION_ORDER_4,
@@ -17,8 +16,8 @@ from congruence_lab import (
     minkowski_probe,
     mod_spectrum,
     sample_sl,
+    selfcheck,
     sl_order_formula,
-    spectrum_bound,
 )
 
 from tests.helpers import brute_force_spectrum, candidate_orders_walk
@@ -109,12 +108,13 @@ def test_mod_spectrum_divisor_closed_and_lagrange_bounded():
                     assert e in spec
 
 
-def test_spectrum_bound():
-    assert spectrum_bound(frozenset({1, 2}), frozenset({1, 2, 3})) == frozenset(
-        {1, 2, 3, 4, 6}
+def test_torsion_facts_bound_the_spectrum_mod_4(monkeypatch):
+    # an order 12 in SL_2(Z/4) is no kernel order (1 or 2) times an order mod 2
+    real = selfcheck.mod_spectrum
+    monkeypatch.setattr(
+        selfcheck, "mod_spectrum", lambda n, N: real(n, N) | ({12} if (n, N) == (2, 4) else set())
     )
-    s = frozenset({1, 5, 9})
-    assert spectrum_bound(frozenset({1}), s) == s
+    assert dict(selfcheck._CHECKS)["torsion-facts"](True, 0) == (False, "spectrum bound wrong")
 
 
 def test_binomial_torsion_identity():

@@ -172,13 +172,6 @@ def test_decompose_mod_identity_is_empty():
     assert len(decompose_mod(ModMatrix.identity(2, 6))) == 0
 
 
-def test_decompose_mod_exhaustive_mod6():
-    els = enumerate_sl(2, 6)
-    assert len(els) == 144
-    for y in els:
-        assert decompose_mod(y).evaluate() == y
-
-
 def test_decompose_mod_coefficients_canonical():
     for y in enumerate_sl(2, 6)[:20]:
         for g in decompose_mod(y).gens:
@@ -195,14 +188,6 @@ def test_lift_example():
     lifted = lift_to_int(y)
     assert lifted.det() == 1
     assert ModMatrix(lifted.rows, 5) == y
-
-
-def test_lift_exhaustive_small_levels():
-    for N in (2, 3, 4):
-        for y in enumerate_sl(2, N):
-            lifted = lift_to_int(y)
-            assert lifted.det() == 1
-            assert ModMatrix(lifted.rows, N) == y
 
 
 def test_reduction_covers_whole_group():
@@ -226,7 +211,7 @@ def test_word_text_roundtrip():
 
 @pytest.mark.parametrize(
     "bad",
-    ["E(1,2,5)", "E(1,1,5) | Z", "E(1,2) | Z", "| Q", "E(1,2,5) | Z/x", "| Z"],
+    ["E(1,2,5)", "E(1,1,5) | Z", "E(1,2) | Z", "| Q", "E(1,2,5) | Z/x", "E(1,2,1) | Z/\u00b2", "| Z"],
 )
 def test_word_text_errors(bad):
     with pytest.raises(ParseError):
