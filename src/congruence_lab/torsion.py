@@ -1,13 +1,12 @@
 """Exact torsion analysis in SL_n(Z) and its finite quotients.
 
-Element orders over Z are decided against a finite candidate set rather than
-by iterating powers with a size cutoff: a finite-order integer matrix has
-minimal polynomial equal to a product of distinct cyclotomic polynomials
-whose degrees sum to at most n, so its order is the lcm of the corresponding
-cyclotomic indices. candidate_orders(n) enumerates exactly those lcms; a
-matrix whose candidate powers all miss the identity has infinite order, no
-heuristics involved. (This degree bound is classical theory, see any text on
-integral representations of finite groups.)
+Element orders over Z are read off the characteristic polynomial rather than
+found by iterating powers with a size cutoff. An element of finite order is
+diagonalisable with root-of-unity eigenvalues, so |tr x| > n proves infinite
+order, and so does a characteristic polynomial with a non-cyclotomic factor.
+Otherwise chi_x is a product of cyclotomic polynomials Phi_d, the only order
+x can have is m = lcm of those d, and one exact power x^m decides between m
+and infinite order. No heuristics are involved.
 
 minkowski_probe is a falsification probe for the classical fact (Minkowski,
 1887) that Gamma(N) is torsion-free for N >= 3 and that nontrivial torsion
@@ -17,6 +16,7 @@ raises CounterexampleFound if one ever lands where none should ever land.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -31,7 +31,6 @@ __all__ = [
     "OrderResult",
     "TORSION_ORDER_4",
     "TORSION_ORDER_6",
-    "candidate_orders",
     "matrix_order",
     "mod_spectrum",
     "minkowski_probe",
@@ -57,37 +56,79 @@ class OrderResult:
         return self.value is not None
 
 
-def candidate_orders(n: int) -> frozenset[int]:
-    """Every order a finite-order element of GL_n(Z) can have.
+def _divide_monic(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...] | None:
+    """p / q for monic q, or None if q does not divide p.
 
-    The lcms of sets of distinct cyclotomic indices {d_i} with
-    sum phi(d_i) <= n, found as a 0/1 knapsack that maps each lcm to the
-    least total phi-cost reaching it. phi(d) >= sqrt(d/2), so the scan over
-    d is finite.
+    Polynomials are coefficient tuples, lowest degree first. Long division by
+    a monic divisor stays in Z, so the quotient is exact when it exists.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    least = {1: 0}
-    for d in range(1, 2 * n * n + 2):
-        cost = euler_phi(d)
-        if cost > n:
-            continue
-        # a snapshot of the table, so each index is spent at most once
-        for acc, spent in list(least.items()):
-            if spent + cost <= n:
-                m = math.lcm(acc, d)
-                least[m] = min(least.get(m, n), spent + cost)
-    return frozenset(least)
+    dq = len(q) - 1
+    rem = list(p)
+    quot = [0] * (len(p) - dq)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + dq]
+        if c:
+            for i in range(dq):
+                rem[k + i] -= c * q[i]
+    return None if any(rem[:dq]) else tuple(quot)
+
+
+@functools.cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d: t^d - 1 divided by Phi_e for every proper divisor e of d."""
+    p = (-1,) + (0,) * (d - 1) + (1,)
+    for e in range(1, d):
+        if d % e == 0:
+            p = _divide_monic(p, _cyclotomic(e))
+    return p
+
+
+@functools.cache
+def _cyclotomic_indices(n: int) -> tuple[int, ...]:
+    """Every d with phi(d) <= n; phi(d) >= sqrt(d/2) bounds the scan."""
+    return tuple(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n)
+
+
+def _charpoly(rows: Rows) -> tuple[int, ...]:
+    """det(t*I - A) over Z, lowest degree first, by Faddeev-LeVerrier.
+
+    With M_1 = I, c_(n-k) = -tr(A*M_k)/k and M_(k+1) = A*M_k + c_(n-k)*I.
+    Every M_k is an integer matrix and every c_i an integer, so each
+    division by k is exact: n products over Z and no fractions.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    m = identity_rows(n)
+    for k in range(1, n + 1):
+        am = IntMatrix._product(rows, m, None)
+        c = coeffs[n - k] = -sum(am[i][i] for i in range(n)) // k
+        m = tuple(tuple(e + c * (i == j) for j, e in enumerate(r)) for i, r in enumerate(am))
+    return tuple(coeffs)
 
 
 def matrix_order(x: IntMatrix) -> OrderResult:
-    """Exact multiplicative order of x in SL_n(Z)."""
+    """Exact multiplicative order of x in SL_n(Z).
+
+    Strips from chi_x every Phi_d with phi(d) <= n; a leftover of positive
+    degree means infinite order, else x^m == 1 for m = lcm of the stripped d
+    decides.
+    """
+    if x.modulus is not None:
+        raise TypeError(
+            f"matrix_order works over Z, not Z/{x.modulus}; "
+            "the orders of SL_n(Z/N) are given by mod_spectrum"
+        )
     require_det_one(x)
-    ident = IntMatrix.identity(x.n)
-    for cand in sorted(candidate_orders(x.n)):
-        if x**cand == ident:
-            return OrderResult(cand)
-    return OrderResult(None)
+    n = x.n
+    if abs(x.trace()) > n:
+        return OrderResult(None)
+    chi, m = _charpoly(x.rows), 1
+    for d in _cyclotomic_indices(n):
+        while (quot := _divide_monic(chi, _cyclotomic(d))) is not None:
+            chi, m = quot, math.lcm(m, d)
+    if len(chi) > 1:
+        return OrderResult(None)
+    return OrderResult(m if (x**m).is_identity() else None)
 
 
 def _local_spectrum(n: int, p: int, s: int) -> set[int]:

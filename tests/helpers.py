@@ -71,6 +71,15 @@ def candidate_orders_walk(n: int) -> frozenset[int]:
     return frozenset(found)
 
 
+def order_by_candidate_powers(x: IntMatrix) -> int | None:
+    """Order of x in SL_n(Z) by trying every candidate power over Z, smallest
+    first; None when none of them is the identity (infinite order)."""
+    for cand in sorted(candidate_orders_walk(x.n)):
+        if (x**cand).is_identity():
+            return cand
+    return None
+
+
 def int_matrices(n: int, bound: int = 9):
     """Arbitrary n x n integer matrices with entries in [-bound, bound]."""
     row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)

@@ -4,7 +4,9 @@ Every entry of data/cli_corpus.json was recorded through cli.run. The corpus
 covers every subcommand, JSON and --plain output, and the domain-error paths
 (non-square input, a modulus given to an integer command, bad moduli, cap
 overrides, a composite prime, the identity as witness target), plus --cap as
-a usage error where nothing is enumerated. A change that moves any byte of it
+a usage error where nothing is enumerated. Two orders at n = 16 and n = 20
+(a sample of infinite order with |tr| <= n, and a conjugated permutation of
+order 105) pin answers that need the characteristic polynomial. A change that moves any byte of it
 changes the CLI's contract. The CLI wraps usage text at a fixed width, so the
 usage errors replay the same bytes at any terminal width.
 """

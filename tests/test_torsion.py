@@ -1,15 +1,18 @@
 import json
-from math import comb
+from math import comb, lcm
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from congruence_lab import (
     BadModulus,
     IntMatrix,
+    ModMatrix,
     NotUnimodular,
+    OrderResult,
     TORSION_ORDER_4,
     TORSION_ORDER_6,
-    candidate_orders,
     gamma_level,
     gamma_member,
     matrix_order,
@@ -20,28 +23,52 @@ from congruence_lab import (
     sl_order_formula,
 )
 
-from tests.helpers import brute_force_spectrum, candidate_orders_walk
+from congruence_lab.primes import euler_phi, factorize
+from congruence_lab.torsion import _charpoly
+from tests.helpers import (
+    brute_force_spectrum,
+    candidate_orders_walk,
+    det_permutation_oracle,
+    int_matrices,
+    order_by_candidate_powers,
+)
+
+# The subset walk behind order_by_candidate_powers, the reference for
+# matrix_order, is pinned by hand, by divisor closure and by a closed form.
 
 
 def test_candidate_orders_small_dimensions():
-    assert candidate_orders(1) == frozenset({1, 2})
-    assert candidate_orders(2) == frozenset({1, 2, 3, 4, 6})
+    assert candidate_orders_walk(1) == frozenset({1, 2})
+    assert candidate_orders_walk(2) == frozenset({1, 2, 3, 4, 6})
     # frozen by hand: subsets of {1,2,3,4,6} with totient sum <= 3 give the same lcms
-    assert candidate_orders(3) == frozenset({1, 2, 3, 4, 6})
+    assert candidate_orders_walk(3) == frozenset({1, 2, 3, 4, 6})
+
+
+def _least_dimension(m: int) -> int:
+    """Least n such that GL_n(Z) has an element of order m (Kuzmanovich and
+    Pavlichenkov, 2002): the sum of phi(p^a) over the prime powers exactly
+    dividing m, less 1 when m = 2 (mod 4) and m > 2."""
+    if m == 2:
+        return 1
+    total = sum(euler_phi(p**a) for p, a in factorize(m))
+    return total - 1 if m % 4 == 2 else total
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_candidate_orders_match_subset_walk(n):
-    assert candidate_orders(n) == candidate_orders_walk(n)
+    walk = candidate_orders_walk(n)
+    # the closed form is checked up to four times the walk's largest order
+    scan = range(1, 4 * max(walk) + 1)
+    assert walk == frozenset(m for m in scan if _least_dimension(m) <= n)
 
 
 def test_candidate_orders_grow_with_dimension():
-    assert {5, 8, 10, 12} <= candidate_orders(4)
+    assert {5, 8, 10, 12} <= candidate_orders_walk(4)
 
 
 def test_candidate_orders_divisor_closed():
     for n in (2, 3, 4):
-        cands = candidate_orders(n)
+        cands = candidate_orders_walk(n)
         for d in cands:
             for e in range(1, d + 1):
                 if d % e == 0:
@@ -61,6 +88,112 @@ def test_matrix_order_requires_unimodular():
         matrix_order(IntMatrix([[0, 1], [1, 0]]))
 
 
+def test_matrix_order_refuses_a_modulus():
+    # order 4 in SL_2(Z/5), which an answer over Z would get wrong
+    with pytest.raises(TypeError, match="mod_spectrum"):
+        matrix_order(ModMatrix(((0, -1), (1, 0)), 5))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: int_matrices(n, bound=7)))
+def test_charpoly_matches_leibniz_at_n_plus_1_points(a):
+    # n + 1 values fix a monic polynomial of degree n
+    chi, n = _charpoly(a.rows), a.n
+    for t in range(n + 1):
+        shifted = [[t * (i == j) - e for j, e in enumerate(r)] for i, r in enumerate(a.rows)]
+        assert sum(c * t**k for k, c in enumerate(chi)) == det_permutation_oracle(shifted)
+
+
+def _block_diagonal(blocks) -> IntMatrix:
+    n = sum(b.n for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        rows += [(0,) * offset + r + (0,) * (n - offset - b.n) for r in b.rows]
+        offset += b.n
+    return IntMatrix(rows)
+
+
+def _conjugate(x: IntMatrix, seed: int) -> IntMatrix:
+    g = sample_sl(x.n, x.n + 2, seed)
+    return g * x * g.inverse()
+
+
+def _jordan(n: int) -> IntMatrix:
+    return IntMatrix([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+
+
+def _permutation(n: int, cycles) -> IntMatrix:
+    image, start = list(range(n)), 0
+    for length in cycles:
+        for k in range(length):
+            image[start + k] = start + (k + 1) % length
+        start += length
+    return IntMatrix([[int(image[j] == i) for j in range(n)] for i in range(n)])
+
+
+def _companion(n: int) -> IntMatrix:
+    """Companion matrix of t^n - 3t + (-1)^n for n >= 2. It has det 1, trace
+    0 from n = 3 on, and a real root strictly between -1 and 1, which is no
+    root of unity: its order is infinite."""
+    rows = [[int(j == i - 1) for j in range(n)] for i in range(n)]
+    rows[0][n - 1] = -((-1) ** n)
+    rows[1][n - 1] += 3
+    return IntMatrix(rows)
+
+
+def _differential_inputs(n: int) -> list[IntMatrix]:
+    # words up to length 2n; the shorter ones often have |tr x| <= n
+    xs = [sample_sl(n, length, seed) for length in (1, 2, n, 2 * n) for seed in range(10)]
+    if n >= 2:
+        # a characteristic polynomial with a factor that is not cyclotomic
+        xs += [_companion(n), _conjugate(_companion(n), n)]
+    # torsion blocks: the powers of the order-4 and order-6 elements
+    pool = [TORSION_ORDER_4**k for k in (1, 2, 3)] + [TORSION_ORDER_6**k for k in range(1, 6)]
+    one = IntMatrix.identity(1)
+    for i in range(len(pool)):
+        blocks = [pool[(i + j) % len(pool)] for j in range(n // 2)] + [one] * (n % 2)
+        xs.append(_conjugate(_block_diagonal(blocks), i))
+    # infinite order with a characteristic polynomial that is all cyclotomic
+    cyclotomic = [_jordan(n)] if n >= 2 else []
+    if n % 2 == 0:
+        cyclotomic.append((-1) * _jordan(n))
+    if n >= 4:
+        cyclotomic.append(_block_diagonal([TORSION_ORDER_4, _jordan(n - 2)]))
+    xs += cyclotomic + [_conjugate(x, n) for x in cyclotomic]
+    return xs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matrix_order_matches_candidate_powers(n):
+    charpoly_path_kinds = set()
+    for x in _differential_inputs(n):
+        result = matrix_order(x)
+        assert result.value == order_by_candidate_powers(x), x
+        if abs(x.trace()) <= n and not x.is_identity():
+            charpoly_path_kinds.add(result.kind)
+    if n >= 2:
+        assert charpoly_path_kinds == {"finite", "infinite"}
+
+
+@pytest.mark.parametrize(
+    "n,cycles", [(12, (5, 7)), (15, (5, 7)), (15, (3, 5, 7))], ids=["35@12", "35@15", "105@15"]
+)
+def test_matrix_order_of_conjugated_permutations(n, cycles):
+    x = _conjugate(_permutation(n, cycles), n)
+    assert matrix_order(x).value == order_by_candidate_powers(x) == lcm(*cycles)
+
+
+def test_non_cyclotomic_factor_is_decided_without_a_power(monkeypatch):
+    monkeypatch.setattr(IntMatrix, "__pow__", lambda x, e: pytest.fail(f"x**{e} computed"))
+    for n in (3, 8, 20):
+        assert matrix_order(_conjugate(_companion(n), n)) == OrderResult(None)
+
+
+def test_matrix_order_is_exact_at_n_24():
+    # J - 1 is nilpotent and nonzero, and |tr| = 303 > 24 for the sample
+    assert matrix_order(_jordan(24)) == OrderResult(None)
+    assert matrix_order(sample_sl(24, 72, 24)) == OrderResult(None)
+
+
 def test_matrix_order_is_minimal():
     ident = IntMatrix.identity(2)
     for x in (TORSION_ORDER_4, TORSION_ORDER_6, TORSION_ORDER_6 * TORSION_ORDER_6):
@@ -78,7 +211,7 @@ def test_conjugation_preserves_order():
 
 
 def test_sampled_finite_orders_stay_in_candidate_set():
-    cands = candidate_orders(2)
+    cands = candidate_orders_walk(2)
     for t in range(60):
         res = matrix_order(sample_sl(2, 5, seed=t))
         if res.is_finite:
