@@ -55,7 +55,4 @@ def sample_gamma(n: int, N: int, length: int, seed: int) -> IntMatrix:
     elementary matrices whose coefficients are multiples of N."""
     if N < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    rng = random.Random(seed)
-    return IntMatrix(random_elementary_rows(n, length, rng, scale=N))
+    return IntMatrix(random_elementary_rows(n, length, random.Random(seed), scale=N))

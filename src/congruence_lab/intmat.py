@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add, index, mul
 
 from .errors import BadModulus, DimensionMismatch, NotUnimodular, ParseError
 
@@ -116,14 +116,16 @@ class SquareMatrix:
     modulus: int | None
 
     def __post_init__(self):
+        # operator.index, not int: a float, str or Fraction is a TypeError, not truncated.
         N = self.modulus
-        if N is not None and N < 2:
+        if N is not None and (N := index(N)) < 2:
             raise BadModulus(f"modulus must be >= 2, got {N}")
-        rows = _reduce(tuple(tuple(map(int, r)) for r in self.rows), N)
+        rows = _reduce(tuple(tuple(map(index, r)) for r in self.rows), N)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError(f"{type(self).__name__} requires a non-empty square array of entries")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "modulus", N)
 
     @classmethod
     def _wrap(cls, rows: Rows, modulus: int | None = None):
@@ -290,6 +292,10 @@ def random_elementary_rows(n: int, length: int, rng: random.Random, scale: int =
     congruence-subgroup sampler (scale = N yields elements of Gamma(N)). At
     n = 1 there is no off-diagonal position, and no draw is made.
     """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if length < 0:
+        raise ValueError("length must be >= 0")
     if n == 1:
         return identity_rows(1)
     ops = []
@@ -311,9 +317,4 @@ def sample_sl(n: int, length: int, seed: int) -> IntMatrix:
     Returns the product of `length` random elementary matrices with
     coefficients 1 <= |a| <= 5; the same seed always yields the same matrix.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    rng = random.Random(seed)
-    return IntMatrix(random_elementary_rows(n, length, rng))
+    return IntMatrix(random_elementary_rows(n, length, random.Random(seed)))

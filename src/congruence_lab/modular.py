@@ -1,7 +1,11 @@
-"""Arithmetic in Z/N: ModMatrix, CRT recombination, and the elements of SL_n(Z/N).
+"""Arithmetic in Z/N: ModMatrix, the CRT split, and the elements of SL_n(Z/N).
 
 ModMatrix is the Z/N view of the matrix core in intmat.py; it adds only the
 identity of a given modulus and the "a,b;c,d mod N" parser.
+
+crt_idempotent (1 mod q, 0 mod N/q) is the one statement of the CRT split
+of Z/N into its prime-power factors Z/q: enumerate_sl glues its factor lists
+with it, and words.decompose_mod lifts every local word with it.
 
 enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
 factors SL_n(Z/p^s), and each factor is built row by row, with the last row
@@ -17,7 +21,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import BadModulus, CapExceeded, ParseError
 from .intmat import Rows, SquareMatrix, det_of_rows, identity_rows, parse_entries
@@ -26,7 +29,6 @@ from .primes import factorize
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "ModMatrix",
-    "crt_combine",
     "enumerate_sl",
     "sl_order_formula",
 ]
@@ -34,14 +36,9 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
-def crt_combine(residues: Iterable[tuple[int, int]]) -> int:
-    """Solve x = r (mod m) over pairwise coprime moduli; x is returned in [0, prod m)."""
-    x, big = 0, 1
-    for r, m in residues:
-        t = ((r - x) * pow(big, -1, m)) % m
-        x += big * t
-        big *= m
-    return x % big
+def crt_idempotent(q: int, N: int) -> int:
+    """The e in [0, N) with e = 1 mod q and e = 0 mod N/q, for q | N coprime to N/q."""
+    return N // q * pow(N // q, -1, q)
 
 
 @dataclass(frozen=True)
@@ -134,9 +131,8 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
 
 def _crt_glue(xs: list[Rows], a: int, ys: list[Rows], b: int) -> list[Rows]:
     """Every pair (x mod a, y mod b) joined entrywise by CRT, for coprime a and b."""
-    ea = crt_combine([(1, a), (0, b)])
-    eb = crt_combine([(0, a), (1, b)])
     ab = a * b
+    ea, eb = crt_idempotent(a, ab), crt_idempotent(b, ab)
     return [
         tuple(tuple((u * ea + v * eb) % ab for u, v in zip(rx, ry)) for rx, ry in zip(x, y))
         for x in xs

@@ -6,11 +6,11 @@ decomposition routines produce such certificates:
 * decompose_int reduces a determinant-1 integer matrix to the identity by
   euclidean row/column operations and replays the inverse operations as a
   word over Z.
-* decompose_mod splits Z/N into prime-power factors Z/p^k, decomposes each
+* decompose_mod splits Z/N into prime-power factors Z/q, decomposes each
   local image by unit pivoting (any entry outside (p) is a unit there and
-  can pivot directly), and stitches the coefficients back together with the
-  CRT so each factor's generators act trivially in every other factor. At a
-  prime-power N the local word is the word.
+  can pivot directly), and multiplies each local coefficient by the CRT
+  idempotent of its factor, so it acts trivially in every other factor.
+  One path serves every N; at a prime power the idempotent is 1.
 
 lift_to_int turns a mod-N word into an integer matrix, which is what makes
 the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable sense.
@@ -27,12 +27,13 @@ smallest index), so equal inputs always yield identical words.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 from .errors import ParseError
 from .intmat import IntMatrix, _reduce, elementary_product, identity_rows, require_det_one
-from .modular import ModMatrix
+from .modular import ModMatrix, crt_idempotent
 from .primes import factorize
 
 __all__ = [
@@ -55,6 +56,9 @@ class ElementaryGen:
     a: int
 
     def __post_init__(self):
+        if not type(self.i) is type(self.j) is type(self.a) is int:  # 0.5: TypeError; True -> 1
+            for name in ("i", "j", "a"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.i < 1 or self.j < 1:
             raise ValueError(f"generator position ({self.i},{self.j}) must be 1-based")
         if self.i == self.j:
@@ -150,8 +154,9 @@ class _Reducer:
     add_row(dst, src, c) performs row_dst += c*row_src, i.e. multiplies by
     1 + c*e_{dst,src} on the left; add_col(dst, src, c) performs
     col_dst += c*col_src, i.e. multiplies by 1 + c*e_{src,dst} on the right.
-    Once the matrix is reduced to the identity, word_gens() replays the
-    inverses in the order that reconstructs the original matrix.
+    Once the matrix is reduced to the identity, word_ops() replays the
+    inverses as the 0-based (i, j, a), a unreduced, of the word that
+    reconstructs the original matrix.
     """
 
     def __init__(self, rows, modulus: int | None = None):
@@ -191,13 +196,11 @@ class _Reducer:
     def is_identity(self) -> bool:
         return [tuple(r) for r in self.m] == list(identity_rows(self.n))
 
-    def word_gens(self) -> tuple[ElementaryGen, ...]:
+    def word_ops(self) -> list[tuple[int, int, int]]:
         # The recorded operations give L * X * R = 1 with L the left ops
         # composed last-to-first and R the right ops composed first-to-last,
         # so X = (inverses of lefts, in order) * (inverses of rights, reversed).
-        gens = [ElementaryGen(i + 1, j + 1, self._norm(-c)) for i, j, c in self._lefts]
-        gens += [ElementaryGen(i + 1, j + 1, self._norm(-c)) for i, j, c in reversed(self._rights)]
-        return tuple(gens)
+        return [(i, j, -c) for i, j, c in self._lefts + self._rights[::-1]]
 
 
 def _cleanup_diagonal(red: _Reducer, inv) -> None:
@@ -255,12 +258,13 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
                 red.add_row(i, k, -m[i][k] * a)
     _cleanup_diagonal(red, lambda a: a)  # units of Z are self-inverse
     assert red.is_identity()
-    return ElementaryWord(n, red.word_gens())
+    return ElementaryWord(n, tuple(ElementaryGen(i + 1, j + 1, a) for i, j, a in red.word_ops()))
 
 
-def _decompose_local(rows, q: int, p: int) -> tuple[ElementaryGen, ...]:
-    """Generators of a word over Z/q, q = p^k with p prime, for the rows of
-    an element of SL_n(Z/q); the rows may be given unreduced.
+def _decompose_local(rows, q: int, p: int) -> list[tuple[int, int, int]]:
+    """The 0-based (i, j, a) of a word over Z/q, q = p^k with p prime, for
+    the rows of an element of SL_n(Z/q); the rows may be given unreduced,
+    and so are the returned coefficients.
 
     Over the local ring Z/p^k any entry not divisible by p is invertible, so
     no euclidean loop is needed: pick a unit in the active row (such an entry
@@ -285,30 +289,27 @@ def _decompose_local(rows, q: int, p: int) -> tuple[ElementaryGen, ...]:
                 red.add_row(i, k, -m[i][k] * ainv)
     _cleanup_diagonal(red, lambda a: pow(a, -1, q))
     assert red.is_identity()
-    return red.word_gens()
+    return red.word_ops()
 
 
 def decompose_mod(y: ModMatrix) -> ElementaryWord:
     """Certificate of elementary generation for y in SL_n(Z/N), composite N allowed.
 
-    Splits Z/N into prime-power factors, decomposes the image of y in each
-    factor, then lifts every local generator E(i,j,a) to the unique
-    coefficient in [0, N) that is a mod its own factor and 0 mod the others.
-    The lifted generators therefore evaluate to the identity in every foreign
-    factor, and their concatenated product equals y by the CRT. Over a single
-    factor the local generators are the word's own. Raises NotUnimodular
-    unless det(y) == 1 in Z/N.
+    Splits Z/N into prime-power factors q, decomposes the image of y in each
+    factor, then lifts every local generator E(i,j,a) to E(i,j,a*e mod N),
+    with e the CRT idempotent of q (1 mod q, 0 mod N/q). The lifted
+    generators therefore evaluate to the identity in every foreign factor,
+    and their concatenated product equals y by the CRT. At a prime power
+    e = 1, so the local word is the word. Raises NotUnimodular unless
+    det(y) == 1 in Z/N.
     """
     require_det_one(y)
     N = y.modulus
     gens = []
     for p, s in factorize(N):
         q = p**s
-        local = _decompose_local(y.rows, q, p)
-        if q == N:
-            return ElementaryWord(y.n, local, modulus=N)
-        idem = N // q * pow(N // q, -1, q)  # 1 mod q, 0 mod the other factors
-        gens += [ElementaryGen(g.i, g.j, g.a * idem % N) for g in local]
+        e, local = crt_idempotent(q, N), _decompose_local(y.rows, q, p)
+        gens += [ElementaryGen(i + 1, j + 1, a * e % N) for i, j, a in local]
     return ElementaryWord(y.n, tuple(gens), modulus=N)
 
 

@@ -180,12 +180,11 @@ def test_public_api_is_pinned():
         "CounterexampleFound", "DEFAULT_ENUMERATION_CAP", "DimensionMismatch",
         "ElementaryGen", "ElementaryWord", "IdentityInput", "IntMatrix", "ModMatrix",
         "NotInGamma", "NotPrime", "NotUnimodular", "OrderResult", "ParseError",
-        "TORSION_ORDER_4", "TORSION_ORDER_6", "TracelessMatrix", "crt_combine",
-        "decompose_int", "decompose_mod", "enumerate_sl", "gamma_level",
-        "gamma_member", "lift_to_int", "matrix_order", "minkowski_probe",
-        "mod_spectrum", "phi_general", "phi_general_preimage", "phi_k", "phi_preimage",
-        "sample_gamma", "sample_sl", "sl_basis", "sl_elements", "sl_order_formula",
-        "witness_p", "witness_rf",
+        "TORSION_ORDER_4", "TORSION_ORDER_6", "TracelessMatrix", "decompose_int",
+        "decompose_mod", "enumerate_sl", "gamma_level", "gamma_member", "lift_to_int",
+        "matrix_order", "minkowski_probe", "mod_spectrum", "phi_general",
+        "phi_general_preimage", "phi_k", "phi_preimage", "sample_gamma", "sample_sl",
+        "sl_basis", "sl_elements", "sl_order_formula", "witness_p", "witness_rf",
     ]  # fmt: skip
     assert all(hasattr(congruence_lab, name) for name in congruence_lab.__all__)
 

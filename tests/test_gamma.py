@@ -78,6 +78,22 @@ def test_sample_gamma_lands_in_gamma():
             assert gamma_member(sample_gamma(2, N, 4, seed=t), N)
 
 
+def test_samplers_state_the_same_preconditions():
+    # both samplers refuse n = 0 and length < 0 with one message, before any draw
+    for call in (
+        lambda: sample_sl(0, 3, 1),
+        lambda: sample_gamma(0, 2, 3, 1),
+        lambda: sample_gamma(0, 2, 0, 1),
+    ):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1$"):
+            call()
+    for call in (lambda: sample_sl(2, -1, 1), lambda: sample_gamma(2, 2, -1, 1)):
+        with pytest.raises(ValueError, match=r"^length must be >= 0$"):
+            call()
+    with pytest.raises(BadModulus):  # the level is still checked first
+        sample_gamma(0, 0, -1, 1)
+
+
 def test_sample_gamma_seed_stability():
     assert sample_gamma(2, 3, 6, 99).rows == ((109, 6), (672, 37))
     assert sample_gamma(3, 5, 12, 4).rows == ((126, -23425, -660), (625, -115124, -3250), (0, 45, 1))

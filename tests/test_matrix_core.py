@@ -23,6 +23,7 @@ from congruence_lab import (
 )
 
 R = ((0, 1), (0, 0))  # traceless, so every class accepts it
+MAKERS = [IntMatrix, lambda r: ModMatrix(r, 5), lambda r: TracelessMatrix(r, 5)]
 
 
 def _one_of_each():
@@ -154,7 +155,28 @@ def test_modulus_below_two_is_bad_modulus(cls):
         ModMatrix.identity(2, 1)
 
 
-@pytest.mark.parametrize("make", [IntMatrix, lambda r: ModMatrix(r, 5), lambda r: TracelessMatrix(r, 5)])
+@pytest.mark.parametrize("make", MAKERS)
+def test_non_integral_entries_are_type_errors(make):
+    # truncating would make [[1.5, 0.5], [0, 1]] the identity and parse strings
+    for rows in ([[1.5, 0.5], [0, 1]], [["7", "0"], ["0", "1"]], [[0, 1.0], [0, 0]]):
+        with pytest.raises(TypeError):
+            make(rows)
+    m = make([[False, True], [0, 0]])  # int subclasses pass and are stored as int
+    assert m.rows == R and all(type(e) is int for r in m.rows for e in r)
+
+
+def test_non_integral_modulus_is_type_error():
+    for cls in (ModMatrix, TracelessMatrix):
+        for N in (5.5, 5.0, "5"):
+            with pytest.raises(TypeError):
+                cls(R, N)
+    with pytest.raises(BadModulus):  # still checked before the shape
+        ModMatrix(((1, 2), (3,)), False)
+    y = ModMatrix(((0, -1), (1, 0)), True + 4)
+    assert y.modulus == 5 and type(y.modulus) is int and y.det() == 1
+
+
+@pytest.mark.parametrize("make", MAKERS)
 def test_non_square_is_value_error(make):
     for rows in ([[0, 1], [0]], [], [[]]):
         with pytest.raises(ValueError):

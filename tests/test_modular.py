@@ -6,12 +6,12 @@ from congruence_lab import (
     CapExceeded,
     IntMatrix,
     ModMatrix,
-    crt_combine,
     enumerate_sl,
     mod_spectrum,
     sl_order_formula,
 )
 
+from congruence_lab.modular import crt_idempotent
 from congruence_lab.primes import factorize
 
 from tests.helpers import brute_force_sl, unimodular_matrices
@@ -32,10 +32,16 @@ def test_crt_split(N, factors):
     assert tuple(factorize(N)) == factors
 
 
-def test_crt_combine():
-    assert crt_combine([(1, 2), (2, 3)]) == 5
-    x = crt_combine([(0, 4), (3, 9), (1, 5)])
-    assert x % 4 == 0 and x % 9 == 3 and x % 5 == 1 and 0 <= x < 180
+def test_crt_idempotent():
+    # for every q || N: the one e in [0, N) that is 1 mod q and 0 mod N/q
+    for N in range(2, 501):
+        qs = [p**s for p, s in factorize(N)]
+        es = [crt_idempotent(q, N) for q in qs]
+        for q, e in zip(qs, es):
+            assert 0 <= e < N and e % q == 1 and e % (N // q) == 0
+            assert e * e % N == e
+        assert sum(es) % N == 1  # the idempotents of the factors split 1
+    assert crt_idempotent(4, 4) == 1 and crt_idempotent(2, 6) == 3 and crt_idempotent(3, 6) == 4
 
 
 def test_mod_reduce_examples():
@@ -82,6 +88,17 @@ def test_cap_exceeded_carries_required_value():
 @pytest.mark.parametrize("n,N", [(2, N) for N in range(2, 13)] + [(3, N) for N in (2, 3, 4)])
 def test_enumerate_sl_matches_brute_force(n, N):
     assert enumerate_sl(n, N) == brute_force_sl(n, N)
+
+
+def test_enumerate_sl_three_crt_factors():
+    # N = 30 = 2*3*5: two glue steps. N^(n^2) tuples is too many to brute-force,
+    # so the closed-form count and the shape of the list are the oracle.
+    els = enumerate_sl(2, 30)
+    assert len(els) == sl_order_formula(2, 30) == 6 * 24 * 120
+    rows = [y.rows for y in els]
+    assert rows == sorted(set(rows))
+    assert all(y.modulus == 30 and y.det() == 1 for y in els)
+    assert all(0 <= e < 30 for r in rows for row in r for e in row)
 
 
 WALKS = [enumerate_sl, mod_spectrum]

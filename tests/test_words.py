@@ -65,6 +65,14 @@ def test_every_word_evaluates_to_det_one(w):
 def test_generator_validation():
     with pytest.raises(ValueError):
         ElementaryGen(1, 1, 3)
+    with pytest.raises(TypeError):
+        ElementaryGen(1, 2, 0.5)  # truncated, it would evaluate to the identity
+    with pytest.raises(TypeError):
+        ElementaryGen(1.0, 2, 1)
+    with pytest.raises(TypeError):
+        ElementaryGen(1, "2", 1)
+    g = ElementaryGen(True, 2, True)  # int subclasses pass and are stored as int
+    assert g == ElementaryGen(1, 2, 1) and type(g.i) is type(g.a) is int
     with pytest.raises(ValueError):
         ElementaryGen(0, 1, 3)
     with pytest.raises(ValueError):
@@ -162,10 +170,30 @@ def test_decompose_local_rejects_non_unimodular():
 
 
 def test_decompose_mod_agrees_with_local_at_prime_powers():
-    # a single CRT factor gives the local routine's word unchanged
+    # a single CRT factor has idempotent 1: the local operations, reduced, are the word
     for N, p in ((2, 2), (3, 3), (5, 5), (4, 2)):
         for y in enumerate_sl(2, N):
-            assert decompose_mod(y).gens == _decompose_local(y.rows, N, p)
+            local = _decompose_local(y.rows, N, p)
+            assert decompose_mod(y).gens == tuple(
+                ElementaryGen(i + 1, j + 1, a % N) for i, j, a in local
+            )
+
+
+def test_decompose_mod_and_lift_three_crt_factors():
+    # N = 30 and 60 have three prime-power factors, so every word is three
+    # lifted local words; the round trip and the lift's det are the oracle
+    for y in enumerate_sl(2, 30)[::97]:
+        assert decompose_mod(y).evaluate() == y
+        lifted = lift_to_int(y)
+        assert lifted.det() == 1 and ModMatrix(lifted.rows, 30) == y
+    for t in range(40):
+        x = sample_sl(3, 4 + t % 12, seed=6000 + t)
+        for N in (30, 60):
+            y = ModMatrix(x.rows, N)
+            word = decompose_mod(y)
+            assert word.modulus == N and word.evaluate() == y
+            lifted = lift_to_int(y)
+            assert lifted.det() == 1 and ModMatrix(lifted.rows, N) == y
 
 
 def test_decompose_mod_identity_is_empty():
