@@ -143,21 +143,28 @@ def _crt_glue(xs: list[Rows], a: int, ys: list[Rows], b: int) -> list[Rows]:
 def sl_order_formula(n: int, N: int) -> int:
     """|SL_n(Z/N)| as an exact integer.
 
-    Multiplicative over the prime factorization of N; for a prime power p^s
-    the count is p^((s-1)(n^2-1)) * |SL_n(Z/p)|, and |SL_n(Z/p)| is
-    prod_{i<n}(p^n - p^i) / (p - 1) by exact division.
+    Multiplicative over the prime factorization of N. For a prime power p^s
+    the count is p^(n(n-1)/2 + (s-1)(n^2-1)) * prod_{k=2..n}(p^k - 1).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if N < 1:
         raise BadModulus(f"modulus must be >= 1, got {N}")
-    if N == 1:
-        return 1
     total = 1
     for p, s in factorize(N):
-        gl_p = 1
-        for i in range(n):
-            gl_p *= p**n - p**i
-        sl_p = gl_p // (p - 1)
-        total *= p ** ((s - 1) * (n * n - 1)) * sl_p
+        shift = n * (n - 1) // 2 + (s - 1) * (n * n - 1)
+        total *= p**shift * _prod_pk_minus_one(p, 2, n + 1)
     return total
+
+
+def _prod_pk_minus_one(p: int, lo: int, hi: int) -> int:
+    """prod_{lo <= k < hi}(p^k - 1), by halves, so that the large multiplies
+    pair operands of similar size; a running product takes time quadratic
+    in the size of the result."""
+    if hi - lo <= 8:
+        out = 1
+        for k in range(lo, hi):
+            out *= p**k - 1
+        return out
+    mid = (lo + hi) // 2
+    return _prod_pk_minus_one(p, lo, mid) * _prod_pk_minus_one(p, mid, hi)

@@ -84,16 +84,20 @@ class ElementaryWord:
     modulus: int | None = None
 
     def __post_init__(self):
+        # operator.index, as in the matrix core: n = 2.5 or Z/5.5 is a TypeError.
+        n = operator.index(self.n)
+        m = self.modulus
         gens = tuple(self.gens)
-        if self.modulus is not None:
-            if self.modulus < 2:
-                raise ValueError(f"word modulus must be >= 2, got {self.modulus}")
-            m = self.modulus
+        if m is not None:
+            if (m := operator.index(m)) < 2:
+                raise ValueError(f"word modulus must be >= 2, got {m}")
             gens = tuple(g if 0 <= g.a < m else ElementaryGen(g.i, g.j, g.a % m) for g in gens)
         for g in gens:
-            if g.i > self.n or g.j > self.n:
-                raise ValueError(f"generator {g.to_text()} out of range for n={self.n}")
+            if g.i > n or g.j > n:
+                raise ValueError(f"generator {g.to_text()} out of range for n={n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "modulus", m)
 
     def __len__(self) -> int:
         return len(self.gens)

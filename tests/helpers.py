@@ -80,6 +80,28 @@ def order_by_candidate_powers(x: IntMatrix) -> int | None:
     return None
 
 
+def factorize_by_trial_division(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1 by trial division up to sqrt(n): the
+    library's loop before it stopped at 1000 (exponential in the digits)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n > 1 and factorize_by_trial_division(n) == [(n, 1)]
+
+
 def int_matrices(n: int, bound: int = 9):
     """Arbitrary n x n integer matrices with entries in [-bound, bound]."""
     row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)

@@ -6,9 +6,14 @@ covers every subcommand, JSON and --plain output, and the domain-error paths
 overrides, a composite prime, the identity as witness target), plus --cap as
 a usage error where nothing is enumerated. Two orders at n = 16 and n = 20
 (a sample of infinite order with |tr| <= n, and a conjugated permutation of
-order 105) pin answers that need the characteristic polynomial. A change that moves any byte of it
-changes the CLI's contract. The CLI wraps usage text at a fixed width, so the
-usage errors replay the same bytes at any terminal width.
+order 105) pin answers that need the characteristic polynomial. Four inputs
+pin the range of exact factoring and primality: the index mod the prime
+10^18 + 3 and a witness-p at it (NotInGamma) answer, while a product of two
+primes next to 10^12 (past the rho budget) and the prime 2^89 - 1 (past
+psi_13, where 13 Miller-Rabin bases stop proving primality) are BadModulus.
+A change that moves any byte of it changes the CLI's contract. The CLI wraps
+usage text at a fixed width, so the usage errors replay the same bytes at any
+terminal width.
 """
 
 import json

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 
@@ -147,6 +149,16 @@ def test_cap_override():
 )
 def test_sl_order_formula_values(n, N, expected):
     assert sl_order_formula(n, N) == expected
+
+
+def test_sl_order_formula_is_gl_over_units():
+    # |SL_n(Z/p^s)| = p^((s-1)(n^2-1)) |GL_n(F_p)| / (p - 1), at sizes where the
+    # formula multiplies by halves, and at a prime past trial division
+    for n in (7, 9, 17, 40):
+        for p, s in [(2, 1), (3, 2), (7, 3), (10**18 + 3, 1)]:
+            gl = math.prod(p**n - p**i for i in range(n))
+            assert sl_order_formula(n, p**s) == p ** ((s - 1) * (n * n - 1)) * gl // (p - 1)
+    assert sl_order_formula(40, 12) == sl_order_formula(40, 4) * sl_order_formula(40, 3)
 
 
 def test_modmatrix_text_roundtrip():

@@ -77,6 +77,10 @@ def test_generator_validation():
         ElementaryGen(0, 1, 3)
     with pytest.raises(ValueError):
         ElementaryWord(2, (ElementaryGen(1, 3, 1),))
+    for n, modulus in [(2, 5.5), (2.5, None), (2.0, 5)]:
+        # "E(1,2,3) | Z/5.5" would print, but neither parse nor evaluate
+        with pytest.raises(TypeError):
+            ElementaryWord(n, (ElementaryGen(1, 2, 3),), modulus)
 
 
 def test_decompose_identity_is_empty():
