@@ -1,6 +1,7 @@
 """Elementary-generator words and constructive decomposition into them.
 
-A word is an ordered product of elementary matrices 1 + a*e_ij. Two
+A word is an ordered product of elementary matrices 1 + a*e_ij, each given
+by its 1-based (i, j, a) and checked once, by ElementaryWord. Two
 decomposition routines produce such certificates:
 
 * decompose_int reduces a determinant-1 integer matrix to the identity by
@@ -12,10 +13,10 @@ decomposition routines produce such certificates:
   idempotent of its factor, so it acts trivially in every other factor.
   One path serves every N; at a prime power the idempotent is 1.
 
-lift_to_int turns a mod-N word into an integer matrix, which is what makes
-the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable sense.
-Evaluating a word, over Z or Z/N, is intmat.elementary_product on its
-generators.
+lift_to_int multiplies the operations of that mod-N word out over Z, which
+makes the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable
+sense. Evaluating a word, over Z or Z/N, and lifting are both
+intmat.elementary_product on 0-based (i, j, a).
 
 Column swaps needed during reduction are emitted as three elementary
 operations realizing the signed swap (c_k, c_j) -> (c_j, -c_k), so every
@@ -30,6 +31,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .intmat import IntMatrix, _reduce, elementary_product, identity_rows, require_det_one
@@ -37,7 +39,6 @@ from .modular import ModMatrix, crt_idempotent
 from .primes import factorize
 
 __all__ = [
-    "ElementaryGen",
     "ElementaryWord",
     "decompose_int",
     "decompose_mod",
@@ -47,56 +48,52 @@ __all__ = [
 _GEN_RE = re.compile(r"E\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(-?\d+)\s*\)$")
 
 
-@dataclass(frozen=True)
-class ElementaryGen:
-    """One generator 1 + a*e_ij with 1-based off-diagonal position (i, j)."""
+class _Gen(NamedTuple):
+    """A checked generator 1 + a*e_ij of an ElementaryWord, i and j 1-based."""
 
     i: int
     j: int
     a: int
-
-    def __post_init__(self):
-        if not type(self.i) is type(self.j) is type(self.a) is int:  # 0.5: TypeError; True -> 1
-            for name in ("i", "j", "a"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.i < 1 or self.j < 1:
-            raise ValueError(f"generator position ({self.i},{self.j}) must be 1-based")
-        if self.i == self.j:
-            raise ValueError("elementary generator requires i != j")
-
-    def inverse(self) -> ElementaryGen:
-        return ElementaryGen(self.i, self.j, -self.a)
-
-    def to_text(self) -> str:
-        return f"E({self.i},{self.j},{self.a})"
 
 
 @dataclass(frozen=True)
 class ElementaryWord:
     """An ordered product of elementary generators over Z or over Z/N.
 
-    modulus None means the word lives over Z; otherwise coefficients are kept
-    reduced into [0, modulus). Evaluation is the left-to-right product.
+    gens holds triples of ints (i, j, a), the generator 1 + a*e_ij with
+    1 <= i, j <= n and i != j, checked here and nowhere else and stored as
+    named tuples with fields i, j and a (equal to the plain triples). modulus
+    None means the word lives over Z; otherwise coefficients are kept reduced
+    into [0, modulus). Evaluation is the left-to-right product.
     """
 
     n: int
-    gens: tuple[ElementaryGen, ...]
+    gens: tuple[tuple[int, int, int], ...]
     modulus: int | None = None
 
     def __post_init__(self):
-        # operator.index, as in the matrix core: n = 2.5 or Z/5.5 is a TypeError.
-        n = operator.index(self.n)
+        # operator.index, as in the matrix core: n = 2.5, Z/5.5 or a = 0.5 is a TypeError.
+        index = operator.index
+        n = index(self.n)
         m = self.modulus
-        gens = tuple(self.gens)
-        if m is not None:
-            if (m := operator.index(m)) < 2:
-                raise ValueError(f"word modulus must be >= 2, got {m}")
-            gens = tuple(g if 0 <= g.a < m else ElementaryGen(g.i, g.j, g.a % m) for g in gens)
-        for g in gens:
-            if g.i > n or g.j > n:
-                raise ValueError(f"generator {g.to_text()} out of range for n={n}")
+        if m is not None and (m := index(m)) < 2:
+            raise ValueError(f"word modulus must be >= 2, got {m}")
+        gens = []
+        for i, j, a in self.gens:
+            i, j, a = index(i), index(j), index(a)
+            if m is not None:
+                a %= m
+            if i < 1 or j < 1:
+                raise ValueError(f"generator position ({i},{j}) must be 1-based")
+            if i == j:
+                raise ValueError("elementary generator requires i != j")
+            if i > n or j > n:
+                raise ValueError(f"generator E({i},{j},{a}) out of range for n={n}")
+            gens.append(_Gen(i, j, a))
+        if n < 1:  # checked last: with n < 1 every generator fails above, with its own message
+            raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "modulus", m)
 
     def __len__(self) -> int:
@@ -111,11 +108,11 @@ class ElementaryWord:
 
     def evaluate(self) -> IntMatrix | ModMatrix:
         N = self.modulus
-        rows = elementary_product(self.n, ((g.i - 1, g.j - 1, g.a) for g in self.gens), N)
+        rows = elementary_product(self.n, ((i - 1, j - 1, a) for i, j, a in self.gens), N)
         return IntMatrix(rows) if N is None else ModMatrix(rows, N)
 
     def to_text(self) -> str:
-        body = ";".join(g.to_text() for g in self.gens)
+        body = ";".join(f"E({i},{j},{a})" for i, j, a in self.gens)
         tag = "Z" if self.modulus is None else f"Z/{self.modulus}"
         return f"{body} | {tag}" if body else f"| {tag}"
 
@@ -138,14 +135,11 @@ class ElementaryWord:
                 m = _GEN_RE.match(part.strip())
                 if not m:
                     raise ParseError(f"bad generator {part.strip()!r}")
-                try:
-                    gens.append(ElementaryGen(int(m.group(1)), int(m.group(2)), int(m.group(3))))
-                except ValueError as e:
-                    raise ParseError(str(e)) from None
+                gens.append(tuple(map(int, m.groups())))
         if n is None:
             if not gens:
                 raise ParseError("cannot infer dimension of an empty word")
-            n = max(max(g.i, g.j) for g in gens)
+            n = max(max(i, j) for i, j, _ in gens)
         try:
             return cls(n, tuple(gens), modulus)
         except ValueError as e:
@@ -262,7 +256,7 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
                 red.add_row(i, k, -m[i][k] * a)
     _cleanup_diagonal(red, lambda a: a)  # units of Z are self-inverse
     assert red.is_identity()
-    return ElementaryWord(n, tuple(ElementaryGen(i + 1, j + 1, a) for i, j, a in red.word_ops()))
+    return ElementaryWord(n, tuple((i + 1, j + 1, a) for i, j, a in red.word_ops()))
 
 
 def _decompose_local(rows, q: int, p: int) -> list[tuple[int, int, int]]:
@@ -296,6 +290,18 @@ def _decompose_local(rows, q: int, p: int) -> list[tuple[int, int, int]]:
     return red.word_ops()
 
 
+def _mod_ops(y: ModMatrix) -> list[tuple[int, int, int]]:
+    """The word of decompose_mod(y) as 0-based (i, j, a), each a in [0, N)."""
+    require_det_one(y)
+    N = y.modulus
+    ops = []
+    for p, s in factorize(N):
+        q = p**s
+        e, local = crt_idempotent(q, N), _decompose_local(y.rows, q, p)
+        ops += [(i, j, a * e % N) for i, j, a in local]
+    return ops
+
+
 def decompose_mod(y: ModMatrix) -> ElementaryWord:
     """Certificate of elementary generation for y in SL_n(Z/N), composite N allowed.
 
@@ -307,24 +313,16 @@ def decompose_mod(y: ModMatrix) -> ElementaryWord:
     e = 1, so the local word is the word. Raises NotUnimodular unless
     det(y) == 1 in Z/N.
     """
-    require_det_one(y)
-    N = y.modulus
-    gens = []
-    for p, s in factorize(N):
-        q = p**s
-        e, local = crt_idempotent(q, N), _decompose_local(y.rows, q, p)
-        gens += [ElementaryGen(i + 1, j + 1, a * e % N) for i, j, a in local]
-    return ElementaryWord(y.n, tuple(gens), modulus=N)
+    ops = _mod_ops(y)
+    return ElementaryWord(y.n, tuple((i + 1, j + 1, a) for i, j, a in ops), y.modulus)
 
 
 def lift_to_int(y: ModMatrix) -> IntMatrix:
     """An integer matrix of determinant 1 that reduces to y mod N.
 
-    Decomposes y into elementary generators over Z/N and reads the same word
-    over Z with the canonical coefficients in [0, N). The result is a product
-    of integer elementary matrices, hence has determinant exactly 1, and its
-    reduction mod N is y.
+    Multiplies the operations of decompose_mod(y), with their canonical
+    coefficients in [0, N), out over Z without building a word. The result
+    is a product of integer elementary matrices, hence has determinant
+    exactly 1, and its reduction mod N is y.
     """
-    word = decompose_mod(y)
-    integer_word = ElementaryWord(word.n, word.gens)
-    return integer_word.evaluate()
+    return IntMatrix._wrap(elementary_product(y.n, _mod_ops(y)))

@@ -6,7 +6,7 @@ import math
 
 import hypothesis.strategies as st
 
-from congruence_lab import ElementaryGen, ElementaryWord, IntMatrix, ModMatrix
+from congruence_lab import ElementaryWord, IntMatrix, ModMatrix
 from congruence_lab.primes import euler_phi
 
 
@@ -116,9 +116,7 @@ def elementary_words(n: int, max_len: int = 8, bound: int = 5, modulus: int | No
     """Random elementary words over Z (or Z/modulus)."""
     item = st.tuples(_positions(n), st.integers(-bound, bound))
     return st.lists(item, max_size=max_len).map(
-        lambda items: ElementaryWord(
-            n, tuple(ElementaryGen(i, j, a) for (i, j), a in items), modulus
-        )
+        lambda items: ElementaryWord(n, tuple((i, j, a) for (i, j), a in items), modulus)
     )
 
 

@@ -178,7 +178,7 @@ def test_public_api_is_pinned():
     assert congruence_lab.__all__ == [
         "BadModulus", "CapExceeded", "CongruenceLabError", "CongruenceWitness",
         "CounterexampleFound", "DEFAULT_ENUMERATION_CAP", "DimensionMismatch",
-        "ElementaryGen", "ElementaryWord", "IdentityInput", "IntMatrix", "ModMatrix",
+        "ElementaryWord", "IdentityInput", "IntMatrix", "ModMatrix",
         "NotInGamma", "NotPrime", "NotUnimodular", "OrderResult", "ParseError",
         "TORSION_ORDER_4", "TORSION_ORDER_6", "TracelessMatrix", "decompose_int",
         "decompose_mod", "enumerate_sl", "gamma_level", "gamma_member", "lift_to_int",

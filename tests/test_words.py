@@ -1,9 +1,11 @@
+import copy
+import pickle
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from congruence_lab import (
-    ElementaryGen,
     ElementaryWord,
     IntMatrix,
     ModMatrix,
@@ -28,8 +30,11 @@ def test_empty_word_evaluates_to_identity():
 
 
 def test_single_generator():
-    w = ElementaryWord(2, (ElementaryGen(1, 2, 5),))
+    w = ElementaryWord(2, ((1, 2, 5),))
     assert w.evaluate() == IntMatrix([[1, 5], [0, 1]])
+    # a generator is its plain triple, and keeps the field names readers use
+    (g,) = w.gens
+    assert g == (1, 2, 5) and (g.i, g.j, g.a) == (1, 2, 5)
 
 
 @given(elementary_words(2), elementary_words(2))
@@ -63,24 +68,26 @@ def test_every_word_evaluates_to_det_one(w):
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
-        ElementaryGen(1, 1, 3)
-    with pytest.raises(TypeError):
-        ElementaryGen(1, 2, 0.5)  # truncated, it would evaluate to the identity
-    with pytest.raises(TypeError):
-        ElementaryGen(1.0, 2, 1)
-    with pytest.raises(TypeError):
-        ElementaryGen(1, "2", 1)
-    g = ElementaryGen(True, 2, True)  # int subclasses pass and are stored as int
-    assert g == ElementaryGen(1, 2, 1) and type(g.i) is type(g.a) is int
-    with pytest.raises(ValueError):
-        ElementaryGen(0, 1, 3)
-    with pytest.raises(ValueError):
-        ElementaryWord(2, (ElementaryGen(1, 3, 1),))
+    with pytest.raises(ValueError, match="requires i != j"):
+        ElementaryWord(2, ((1, 1, 3),))
+    # a = 0.5 truncated would evaluate to the identity
+    for gen in [(1, 2, 0.5), (1.0, 2, 1), (1, "2", 1)]:
+        with pytest.raises(TypeError):
+            ElementaryWord(2, (gen,))
+    w = ElementaryWord(2, ((True, 2, True),))  # int subclasses pass and are stored as int
+    assert w.gens == ((1, 2, 1),) and all(type(x) is int for x in w.gens[0])
+    with pytest.raises(ValueError, match="must be 1-based"):
+        ElementaryWord(2, ((0, 1, 3),))
+    with pytest.raises(ValueError, match="out of range for n=2"):
+        ElementaryWord(2, ((1, 3, 1),))
+    for n in (0, -1):
+        # "| Z" would print and parse back, and fail only in evaluate
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            ElementaryWord(n, ())
     for n, modulus in [(2, 5.5), (2.5, None), (2.0, 5)]:
         # "E(1,2,3) | Z/5.5" would print, but neither parse nor evaluate
         with pytest.raises(TypeError):
-            ElementaryWord(n, (ElementaryGen(1, 2, 3),), modulus)
+            ElementaryWord(n, ((1, 2, 3),), modulus)
 
 
 def test_decompose_identity_is_empty():
@@ -90,7 +97,7 @@ def test_decompose_identity_is_empty():
 
 def test_decompose_already_elementary():
     word = decompose_int(IntMatrix([[1, 5], [0, 1]]))
-    assert word.gens == (ElementaryGen(1, 2, 5),)
+    assert word.gens == ((1, 2, 5),)
 
 
 def test_decompose_rotation_roundtrip():
@@ -178,9 +185,7 @@ def test_decompose_mod_agrees_with_local_at_prime_powers():
     for N, p in ((2, 2), (3, 3), (5, 5), (4, 2)):
         for y in enumerate_sl(2, N):
             local = _decompose_local(y.rows, N, p)
-            assert decompose_mod(y).gens == tuple(
-                ElementaryGen(i + 1, j + 1, a % N) for i, j, a in local
-            )
+            assert decompose_mod(y).gens == tuple((i + 1, j + 1, a % N) for i, j, a in local)
 
 
 def test_decompose_mod_and_lift_three_crt_factors():
@@ -223,33 +228,47 @@ def test_lift_example():
 
 
 def test_reduction_covers_whole_group():
-    # the reduced lifts hit every element, i.e. reduction is onto
-    for N in (2, 3, 4, 5):
+    # the reduced lifts hit every element, i.e. reduction is onto; each lift
+    # is the word of decompose_mod read over Z, as lift_to_int promises
+    for N in (2, 3, 4, 5, 12):
         els = enumerate_sl(2, N)
-        image = {ModMatrix(lift_to_int(y).rows, N) for y in els}
+        lifts = [lift_to_int(y) for y in els]
+        for y, lifted in zip(els, lifts):
+            assert lifted == ElementaryWord(y.n, decompose_mod(y).gens).evaluate()
+        image = {ModMatrix(lifted.rows, N) for lifted in lifts}
         assert len(image) == sl_order_formula(2, N)
 
 
 def test_word_text_roundtrip():
-    w = ElementaryWord(2, (ElementaryGen(1, 2, 5), ElementaryGen(2, 1, -1)))
+    w = ElementaryWord(2, ((1, 2, 5), (2, 1, -1)))
     assert w.to_text() == "E(1,2,5);E(2,1,-1) | Z"
     assert ElementaryWord.from_text(w.to_text()) == w
-    wm = ElementaryWord(2, (ElementaryGen(1, 2, 5),), modulus=6)
+    wm = ElementaryWord(2, ((1, 2, 5),), modulus=6)
     assert wm.to_text() == "E(1,2,5) | Z/6"
     assert ElementaryWord.from_text(wm.to_text()) == wm
     empty = ElementaryWord(2, ())
     assert ElementaryWord.from_text(empty.to_text(), n=2) == empty
+    for word in (w, wm, empty):
+        for twin in (pickle.loads(pickle.dumps(word)), copy.deepcopy(word)):
+            assert twin == word and twin.to_text() == word.to_text()
+            assert [g.a for g in twin.gens] == [g.a for g in word.gens]
+
+
+_BAD_WORDS = [
+    ("E(1,2,5)", None), ("E(1,1,5) | Z", None), ("E(1,2) | Z", None), ("| Q", None),
+    ("E(1,2,5) | Z/x", None), ("E(1,2,1) | Z/\u00b2", None), ("| Z", None),
+    ("E(0,1,5) | Z", None), ("| Z", 0), ("| Z", -1),
+]  # fmt: skip
 
 
 @pytest.mark.parametrize(
-    "bad",
-    ["E(1,2,5)", "E(1,1,5) | Z", "E(1,2) | Z", "| Q", "E(1,2,5) | Z/x", "E(1,2,1) | Z/\u00b2", "| Z"],
+    "bad, n", _BAD_WORDS, ids=[text if n is None else f"{text} n={n}" for text, n in _BAD_WORDS]
 )
-def test_word_text_errors(bad):
+def test_word_text_errors(bad, n):
     with pytest.raises(ParseError):
-        ElementaryWord.from_text(bad)
+        ElementaryWord.from_text(bad, n)
 
 
 def test_word_coefficients_reduced_mod_n():
-    w = ElementaryWord(2, (ElementaryGen(1, 2, 7),), modulus=6)
+    w = ElementaryWord(2, ((1, 2, 7),), modulus=6)
     assert w.gens[0].a == 1
