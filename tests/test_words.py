@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 
 import hypothesis.strategies as st
@@ -272,3 +273,33 @@ def test_word_text_errors(bad, n):
 def test_word_coefficients_reduced_mod_n():
     w = ElementaryWord(2, ((1, 2, 7),), modulus=6)
     assert w.gens[0].a == 1
+
+
+def test_words_are_pinned_by_snapshot():
+    # the bytes of every word and lift over seeded samples, n = 1..6, at
+    # moduli with one, two and three prime-power factors: a rewrite of the
+    # elimination must give the same words, not just correct ones
+    h = hashlib.sha256()
+    for n in range(1, 7):
+        for seed in range(60):
+            x = sample_sl(n, 3 + seed % 25, seed)
+            h.update((decompose_int(x).to_text() + "\n").encode())
+            for N in (8, 12, 27, 30, 49, 360):
+                y = ModMatrix(x.rows, N)
+                h.update((decompose_mod(y).to_text() + "\n").encode())
+                h.update((lift_to_int(y).to_text() + "\n").encode())
+    assert h.hexdigest() == "85c0829e7114e6e6fb936dc15e5caba1a06669feb028537017e1c3903b483f8f"
+
+
+@given(
+    st.sampled_from([3, 4]).flatmap(unimodular_matrices),
+    st.sampled_from([8, 9, 25, 27, 49]),
+)
+@settings(deadline=None)
+def test_decompose_mod_and_lift_at_prime_powers_dim3_and_dim4(x, q):
+    # at n >= 3 the local pivot search needs column swaps whenever the first
+    # entry of a row is a non-unit, which small prime powers make common
+    y = ModMatrix(x.rows, q)
+    assert decompose_mod(y).evaluate() == y
+    lifted = lift_to_int(y)
+    assert lifted.det() == 1 and ModMatrix(lifted.rows, q) == y
