@@ -1,17 +1,22 @@
 """Elementary-generator words and constructive decomposition into them.
 
 A word is an ordered product of elementary matrices 1 + a*e_ij, each given
-by its 1-based (i, j, a) and checked once, by ElementaryWord. Two
-decomposition routines produce such certificates:
+by its 1-based (i, j, a) and checked once, by ElementaryWord. One
+elimination, _word_ops, produces every such certificate, over Z or over a
+local ring Z/q (q a prime power). It reduces a determinant-1 matrix to the
+identity by elementary row and column operations and replays their inverses
+as the word. The two rings differ only in how a row finds its pivot:
 
-* decompose_int reduces a determinant-1 integer matrix to the identity by
-  euclidean row/column operations and replays the inverse operations as a
-  word over Z.
-* decompose_mod splits Z/N into prime-power factors Z/q, decomposes each
-  local image by unit pivoting (any entry outside (p) is a unit there and
-  can pivot directly), and multiplies each local coefficient by the CRT
-  idempotent of its factor, so it acts trivially in every other factor.
-  One path serves every N; at a prime power the idempotent is 1.
+* decompose_int shrinks the row by euclidean division with remainder until
+  one entry, necessarily +-1, is left;
+* decompose_mod splits Z/N into prime-power factors Z/q and pivots on any
+  entry prime to q, which is a unit there. Each local coefficient is
+  multiplied by the CRT idempotent of its factor, so it acts trivially in
+  every other factor. One path serves every N; at a prime power the
+  idempotent is 1.
+
+Over Z the euclidean pivot is +-1, its own inverse, and leaves its row
+clear, so the clearing shared with Z/q adds no operation to an integer word.
 
 lift_to_int multiplies the operations of that mod-N word out over Z, which
 makes the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable
@@ -22,8 +27,9 @@ Column swaps needed during reduction are emitted as three elementary
 operations realizing the signed swap (c_k, c_j) -> (c_j, -c_k), so every
 certificate consists of elementary generators only. No attempt is made to
 minimize word length; a decomposition is a certificate, not an optimizer.
-Reduction keeps pivot choices deterministic (smallest absolute value, then
-smallest index), so equal inputs always yield identical words.
+Pivot choices are deterministic (over Z smallest absolute value, then
+smallest index; over Z/q the first unit), so equal inputs always yield
+identical words.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from math import gcd
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -146,148 +153,103 @@ class ElementaryWord:
             raise ParseError(str(e)) from None
 
 
-class _Reducer:
-    """Mutable working matrix that records the row/column operations applied.
+def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
+    """The 0-based (i, j, a), a unreduced, of a word for the rows of a
+    determinant-1 matrix: over Z when q is None, else over Z/q for a prime
+    power q, where the rows may be given unreduced. The caller has checked
+    the determinant.
 
-    add_row(dst, src, c) performs row_dst += c*row_src, i.e. multiplies by
-    1 + c*e_{dst,src} on the left; add_col(dst, src, c) performs
-    col_dst += c*col_src, i.e. multiplies by 1 + c*e_{src,dst} on the right.
-    Once the matrix is reduced to the identity, word_ops() replays the
-    inverses as the 0-based (i, j, a), a unreduced, of the word that
-    reconstructs the original matrix.
-    """
+    One elimination serves both rings. For each k < n - 1 a pivot of row k
+    is found in columns k.., moved onto the diagonal by a signed column swap,
+    and its row and column are cleared by unit divisions. Only the pivot rule
+    differs:
 
-    def __init__(self, rows, modulus: int | None = None):
-        self.m = [list(r) for r in _reduce(rows, modulus)]
-        self.n = len(self.m)
-        self.modulus = modulus
-        self._lefts: list[tuple[int, int, int]] = []  # (i, j, c) for E_ij(c) on the left
-        self._rights: list[tuple[int, int, int]] = []  # (i, j, c) for E_ij(c) on the right
+    * over Z, euclidean column steps shrink row k to one entry (the gcd of
+      the row divides the determinant of the active block, so the entry is
+      +-1), which leaves nothing of the row to clear;
+    * over the local ring Z/q, any entry prime to q is a unit and pivots
+      directly (one exists, else the determinant would lie in the maximal
+      ideal).
 
-    def _norm(self, c: int) -> int:
-        return c if self.modulus is None else c % self.modulus
-
-    def add_row(self, dst: int, src: int, c: int) -> None:
-        c = self._norm(c)
-        if c == 0:
-            return
-        m = self.m
-        for col in range(self.n):
-            m[dst][col] = self._norm(m[dst][col] + c * m[src][col])
-        self._lefts.append((dst, src, c))
-
-    def add_col(self, dst: int, src: int, c: int) -> None:
-        c = self._norm(c)
-        if c == 0:
-            return
-        m = self.m
-        for row in range(self.n):
-            m[row][dst] = self._norm(m[row][dst] + c * m[row][src])
-        self._rights.append((src, dst, c))
-
-    def swap_cols_signed(self, k: int, j: int) -> None:
-        """(col_k, col_j) -> (col_j, -col_k) as three elementary column operations."""
-        self.add_col(k, j, 1)
-        self.add_col(j, k, -1)
-        self.add_col(k, j, 1)
-
-    def is_identity(self) -> bool:
-        return [tuple(r) for r in self.m] == list(identity_rows(self.n))
-
-    def word_ops(self) -> list[tuple[int, int, int]]:
-        # The recorded operations give L * X * R = 1 with L the left ops
-        # composed last-to-first and R the right ops composed first-to-last,
-        # so X = (inverses of lefts, in order) * (inverses of rights, reversed).
-        return [(i, j, -c) for i, j, c in self._lefts + self._rights[::-1]]
-
-
-def _cleanup_diagonal(red: _Reducer, inv) -> None:
-    """Turn a diagonal matrix of unit entries and determinant 1 into the identity.
-
-    Works on adjacent slots (k, k+1) in ascending order, each time converting
-    diag(a, b) into diag(1, a*b):
+    The unit diagonal left over is swept to the identity on slots (k, k+1)
+    in turn, each time turning diag(a, b) into diag(1, ab):
 
         (a 0; 0 b) -> (a a; 0 b) -> (1 a; (a^-1 - 1)b b) -> (1 a; 0 ab) -> (1 0; 0 ab)
+
+    Every step is a row operation row_dst += c*row_src, the left factor
+    1 + c*e_{dst,src}, or a column operation col_dst += c*col_src, the right
+    factor 1 + c*e_{src,dst}. With L the lefts composed last-to-first and R
+    the rights first-to-last, L * X * R = 1, so X is the inverses of the
+    lefts in order, then the inverses of the rights reversed.
     """
-    m, n = red.m, red.n
+    norm = operator.pos if q is None else q.__rmod__
+    inv = operator.pos if q is None else lambda a: pow(a, -1, q)  # units of Z are self-inverse
+    m = [list(r) for r in _reduce(rows, q)]
+    n = len(m)
+    lefts: list[tuple[int, int, int]] = []
+    rights: list[tuple[int, int, int]] = []
+
+    def add_row(dst: int, src: int, c: int) -> None:
+        if c := norm(c):
+            row, other = m[dst], m[src]
+            for col in range(n):
+                row[col] = norm(row[col] + c * other[col])
+            lefts.append((dst, src, c))
+
+    def add_col(dst: int, src: int, c: int) -> None:
+        if c := norm(c):
+            for row in m:
+                row[dst] = norm(row[dst] + c * row[src])
+            rights.append((src, dst, c))
+
+    for k in range(n - 1):
+        row = m[k]
+        if q is None:
+            while True:
+                nz = [j for j in range(k, n) if row[j] != 0]
+                piv = min(nz, key=lambda j: (abs(row[j]), j))
+                rest = [j for j in nz if j != piv]
+                if not rest:
+                    break
+                for j in rest:
+                    add_col(j, piv, -(row[j] // row[piv]))
+        else:
+            piv = next((j for j in range(k, n) if gcd(row[j], q) == 1), None)
+            assert piv is not None, "a det-1 row over a local ring must contain a unit"
+        if piv != k:  # (col_k, col_piv) -> (col_piv, -col_k)
+            add_col(k, piv, 1)
+            add_col(piv, k, -1)
+            add_col(k, piv, 1)
+        ainv = inv(row[k])
+        for j in range(k + 1, n):
+            if row[j]:
+                add_col(j, k, -row[j] * ainv)
+        for i in range(k + 1, n):
+            if m[i][k]:
+                add_row(i, k, -m[i][k] * ainv)
     for k in range(n - 1):
         a = m[k][k]
         if a == 1:
             continue
         b = m[k + 1][k + 1]
         ainv = inv(a)
-        red.add_col(k + 1, k, 1)
-        red.add_col(k, k + 1, ainv - 1)
-        red.add_row(k + 1, k, -(ainv - 1) * b)
-        red.add_col(k + 1, k, -a)
+        add_col(k + 1, k, 1)
+        add_col(k, k + 1, ainv - 1)
+        add_row(k + 1, k, -(ainv - 1) * b)
+        add_col(k + 1, k, -a)
+    assert list(map(tuple, m)) == list(identity_rows(n))
+    return [(i, j, -c) for i, j, c in lefts + rights[::-1]]
 
 
 def decompose_int(x: IntMatrix) -> ElementaryWord:
     """Certificate of elementary generation for x in SL_n(Z).
 
-    Euclidean reduction: repeated division with remainder shrinks the active
-    row to a single entry (necessarily +-1, since the gcd of the row divides
-    the determinant of the active block), a signed column swap moves it onto
-    the diagonal, and row operations clear the column below. The final
-    diagonal of +-1 entries is swept to the identity via _cleanup_diagonal.
+    The euclidean elimination of _word_ops, replayed as a word over Z.
     Raises NotUnimodular unless det(x) == 1. The returned word evaluates to
     x exactly.
     """
     require_det_one(x)
-    n = x.n
-    red = _Reducer(x.rows)
-    m = red.m
-    for k in range(n - 1):
-        while True:
-            nz = [j for j in range(k, n) if m[k][j] != 0]
-            piv = min(nz, key=lambda j: (abs(m[k][j]), j))
-            rest = [j for j in nz if j != piv]
-            if not rest:
-                break
-            for j in rest:
-                q = m[k][j] // m[k][piv]
-                red.add_col(j, piv, -q)
-        if piv != k:
-            red.swap_cols_signed(k, piv)
-        a = m[k][k]
-        assert abs(a) == 1, "pivot of a unimodular block must be a unit"
-        for i in range(k + 1, n):
-            if m[i][k]:
-                red.add_row(i, k, -m[i][k] * a)
-    _cleanup_diagonal(red, lambda a: a)  # units of Z are self-inverse
-    assert red.is_identity()
-    return ElementaryWord(n, tuple((i + 1, j + 1, a) for i, j, a in red.word_ops()))
-
-
-def _decompose_local(rows, q: int, p: int) -> list[tuple[int, int, int]]:
-    """The 0-based (i, j, a) of a word over Z/q, q = p^k with p prime, for
-    the rows of an element of SL_n(Z/q); the rows may be given unreduced,
-    and so are the returned coefficients.
-
-    Over the local ring Z/p^k any entry not divisible by p is invertible, so
-    no euclidean loop is needed: pick a unit in the active row (such an entry
-    exists, else the determinant would be divisible by p), swap it onto the
-    diagonal, and clear its row and column with exact unit divisions. The
-    caller has checked that the determinant is 1 mod q.
-    """
-    n = len(rows)
-    red = _Reducer(rows, modulus=q)
-    m = red.m
-    for k in range(n - 1):
-        piv = next((j for j in range(k, n) if m[k][j] % p != 0), None)
-        assert piv is not None, "a det-1 row over a local ring must contain a unit"
-        if piv != k:
-            red.swap_cols_signed(k, piv)
-        ainv = pow(m[k][k], -1, q)
-        for j in range(k + 1, n):
-            if m[k][j]:
-                red.add_col(j, k, -m[k][j] * ainv)
-        for i in range(k + 1, n):
-            if m[i][k]:
-                red.add_row(i, k, -m[i][k] * ainv)
-    _cleanup_diagonal(red, lambda a: pow(a, -1, q))
-    assert red.is_identity()
-    return red.word_ops()
+    return ElementaryWord(x.n, tuple((i + 1, j + 1, a) for i, j, a in _word_ops(x.rows)))
 
 
 def _mod_ops(y: ModMatrix) -> list[tuple[int, int, int]]:
@@ -297,7 +259,7 @@ def _mod_ops(y: ModMatrix) -> list[tuple[int, int, int]]:
     ops = []
     for p, s in factorize(N):
         q = p**s
-        e, local = crt_idempotent(q, N), _decompose_local(y.rows, q, p)
+        e, local = crt_idempotent(q, N), _word_ops(y.rows, q)
         ops += [(i, j, a * e % N) for i, j, a in local]
     return ops
 
