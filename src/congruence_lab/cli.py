@@ -10,8 +10,12 @@ entry parses and |SL_120(Z/2)| prints exactly, and then restores the
 caller's limit. --plain switches to human-readable output. --cap overrides
 the enumeration cap; only enumerate and spectrum enumerate, so only they
 accept it, and on any other subcommand it is a usage error (exit 2).
-Usage and help text wrap at 78 columns whatever the terminal's width, so
-the same argv always gives the same bytes.
+Usage and help text wrap at 78 columns whatever the terminal's width, and
+the subcommands show in usage as one short "command" placeholder, so that
+no Python version splits the line differently: the same argv gives the same
+bytes. The one exception is the top-level --help, whose column of
+subcommand help is aligned by argparse in a way that follows the Python
+version (3.13 sets it two columns wider than 3.10-3.12).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_FORMATTER,
     )
     add = functools.partial(
-        parser.add_subparsers(dest="command", required=True).add_parser,
+        parser.add_subparsers(dest="command", metavar="command", required=True).add_parser,
         parents=[common],
         formatter_class=_FORMATTER,
     )

@@ -12,8 +12,9 @@ pin the range of exact factoring and primality: the index mod the prime
 primes next to 10^12 (past the rho budget) and the prime 2^89 - 1 (past
 psi_13, where 13 Miller-Rabin bases stop proving primality) are BadModulus.
 A change that moves any byte of it changes the CLI's contract. The CLI wraps
-usage text at a fixed width, so the usage errors replay the same bytes at any
-terminal width.
+usage text at a fixed width and names the subcommands by one placeholder, so
+the usage errors replay the same bytes at any terminal width and on every
+supported Python version.
 """
 
 import json
