@@ -6,25 +6,32 @@ over Z and Z/N, lifting mod-N matrices to integer matrices of determinant 1,
 principal congruence subgroup levels and indices, exact torsion orders and
 spectra, and explicit finite-quotient witnesses that separate matrices from
 the identity.
-"""
 
-from .errors import *
-from .gamma import *
-from .intmat import *
-from .modular import *
-from .torsion import *
-from .witnesses import *
-from .words import *
+Importing the package is free until a name is used: it imports no submodule
+(PEP 562). The first use of a public name, or of __all__, imports the modules
+below and binds every public name at once, each the same object as in its
+module; from then on they are plain module attributes.
+"""
 
 __version__ = "0.1.0"
 
-# The public names are exactly the __all__ lists of the modules star-imported above.
-__all__ = sorted(
-    errors.__all__
-    + gamma.__all__
-    + intmat.__all__
-    + modular.__all__
-    + torsion.__all__
-    + witnesses.__all__
-    + words.__all__
-)
+# The public names are exactly the __all__ lists of these modules.
+_MODULES = ("errors", "gamma", "intmat", "modular", "torsion", "witnesses", "words")
+
+
+def __getattr__(name: str):
+    if name.startswith("__") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    public = {}
+    for short in _MODULES:
+        module = import_module(f"{__name__}.{short}")
+        public.update((n, getattr(module, n)) for n in module.__all__)
+    if name not in public and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals().update(public, __all__=sorted(public))
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -15,7 +15,9 @@ the subcommands show in usage as one short "command" placeholder, so that
 no Python version splits the line differently: the same argv gives the same
 bytes. The one exception is the top-level --help, whose column of
 subcommand help is aligned by argparse in a way that follows the Python
-version (3.13 sets it two columns wider than 3.10-3.12).
+version (3.13 sets it two columns wider than 3.10-3.12). Start-up is part of
+every call's cost, so a subcommand imports only the modules it runs: this
+module imports just errors, and each branch of _dispatch imports the rest.
 """
 
 from __future__ import annotations
@@ -27,25 +29,15 @@ import os
 import sys
 
 from .errors import CongruenceLabError, CounterexampleFound, ParseError
-from .gamma import gamma_level, gamma_member
-from .intmat import IntMatrix
-from .modular import ModMatrix, enumerate_sl, sl_order_formula
-from .selfcheck import run_selfcheck
-from .torsion import matrix_order, mod_spectrum
-from .witnesses import phi_k, witness_p, witness_rf
-from .words import decompose_int, decompose_mod, lift_to_int
 
 __all__ = ["run", "main"]
-
-def _any_matrix(text: str) -> IntMatrix | ModMatrix:
-    return ModMatrix.from_text(text) if "mod" in text else IntMatrix.from_text(text)
-
 
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # Fixed width, or add_argument's formatter imports shutil to read the terminal size.
+    common = argparse.ArgumentParser(add_help=False, formatter_class=_FORMATTER)
     common.add_argument("--plain", action="store_true", help="human-readable output instead of JSON")
 
     parser = argparse.ArgumentParser(
@@ -119,30 +111,37 @@ def _dispatch(args) -> tuple[int, object, str]:
         raise ParseError("--k must be >= 1")
 
     if cmd == "decompose":
-        m = _any_matrix(args.matrix)
-        word = decompose_mod(m) if isinstance(m, ModMatrix) else decompose_int(m)
+        from .modular import ModMatrix
+        from .words import decompose_int, decompose_mod
+        m = args.matrix
+        word = decompose_mod(ModMatrix.from_text(m)) if "mod" in m else decompose_int(_int_matrix(m))
         text = word.to_text()
         return 0, {"word": text, "n": word.n, "length": len(word)}, text
 
     if cmd == "lift":
-        y = ModMatrix(IntMatrix.from_text(args.matrix).rows, args.mod)
-        lifted = lift_to_int(y)
+        from .modular import ModMatrix
+        from .words import lift_to_int
+        lifted = lift_to_int(ModMatrix(_int_matrix(args.matrix).rows, args.mod))
         return 0, {"matrix": lifted.to_text(), "mod": args.mod}, lifted.to_text()
 
     if cmd == "level":
-        lvl = gamma_level(IntMatrix.from_text(args.matrix))
+        from .gamma import gamma_level
+        lvl = gamma_level(_int_matrix(args.matrix))
         payload = {"level": "infinite" if lvl == 0 else lvl}
         return 0, payload, "infinite" if lvl == 0 else str(lvl)
 
     if cmd == "member":
-        ok = gamma_member(IntMatrix.from_text(args.matrix), args.mod)
+        from .gamma import gamma_member
+        ok = gamma_member(_int_matrix(args.matrix), args.mod)
         return 0, {"member": ok}, "yes" if ok else "no"
 
     if cmd == "index":
+        from .modular import sl_order_formula
         value = sl_order_formula(args.n, args.mod)
         return 0, value, str(value)
 
     if cmd == "enumerate":
+        from .modular import enumerate_sl
         matrices = enumerate_sl(args.n, args.mod, cap=args.cap)
         if args.count_only:
             return 0, {"count": len(matrices)}, str(len(matrices))
@@ -150,29 +149,35 @@ def _dispatch(args) -> tuple[int, object, str]:
         return 0, {"count": len(texts), "matrices": texts}, "\n".join(texts)
 
     if cmd == "order":
-        result = matrix_order(IntMatrix.from_text(args.matrix))
+        from .torsion import matrix_order
+        result = matrix_order(_int_matrix(args.matrix))
         if result.is_finite:
             return 0, {"kind": "finite", "value": result.value}, f"finite {result.value}"
         return 0, {"kind": "infinite"}, "infinite"
 
     if cmd == "spectrum":
+        from .torsion import mod_spectrum
         orders = sorted(mod_spectrum(args.n, args.mod, cap=args.cap))
         return 0, {"orders": orders}, " ".join(map(str, orders))
 
     if cmd == "phi":
-        image = phi_k(IntMatrix.from_text(args.matrix), args.prime, args.k)
+        from .witnesses import phi_k
+        image = phi_k(_int_matrix(args.matrix), args.prime, args.k)
         payload = {"prime": args.prime, "k": args.k, "image": image.to_text()}
         return 0, payload, image.to_text()
 
     if cmd == "witness-rf":
-        w = witness_rf(IntMatrix.from_text(args.matrix))
+        from .witnesses import witness_rf
+        w = witness_rf(_int_matrix(args.matrix))
         return 0, w.to_json(), _plain_witness(w)
 
     if cmd == "witness-p":
-        w = witness_p(IntMatrix.from_text(args.matrix), args.prime)
+        from .witnesses import witness_p
+        w = witness_p(_int_matrix(args.matrix), args.prime)
         return 0, w.to_json(), _plain_witness(w)
 
     if cmd == "selfcheck":
+        from .selfcheck import run_selfcheck
         report = run_selfcheck(quick=args.quick, seed=args.seed)
         lines = [
             f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']:<34} {c['detail']}"
@@ -182,6 +187,11 @@ def _dispatch(args) -> tuple[int, object, str]:
         return (0 if report["failed"] == 0 else 1), report, "\n".join(lines)
 
     raise AssertionError(f"unhandled command {cmd}")
+
+
+def _int_matrix(text: str):
+    from .intmat import IntMatrix
+    return IntMatrix.from_text(text)
 
 
 def _plain_witness(w) -> str:

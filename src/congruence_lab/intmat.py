@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from operator import add, index, mul
 
 from .errors import BadModulus, DimensionMismatch, NotUnimodular, ParseError
@@ -100,8 +99,39 @@ def det_of_rows(rows: Rows) -> int:
     return _det_bareiss(rows)
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
+def _refuse(verb: str, name: str):
+    from dataclasses import FrozenInstanceError  # on this error path only
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class Frozen:
+    """Base of the immutable value classes: equality, hashing and repr over
+    the fields named in __match_args__, and no assignment after __init__.
+    Written out by hand so that the package imports neither inspect nor ast;
+    reprs, messages and FrozenInstanceError match the standard library's."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__match_args__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__match_args__))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        _refuse("assign to", name)
+
+    def __delattr__(self, name):
+        _refuse("delete", name)
+
+
+class SquareMatrix(Frozen):
     """Immutable square matrix over Z (modulus None) or over Z/N, N >= 2.
 
     The one implementation behind IntMatrix, ModMatrix and TracelessMatrix,
@@ -112,20 +142,28 @@ class SquareMatrix:
     """
 
     __slots__ = ("rows", "modulus")
-    rows: Rows
-    modulus: int | None
+    __match_args__ = ("rows", "modulus")
 
-    def __post_init__(self):
+    def __init__(self, rows: Rows, modulus: int | None):
         # operator.index, not int: a float, str or Fraction is a TypeError, not truncated.
-        N = self.modulus
+        N = modulus
         if N is not None and (N := index(N)) < 2:
             raise BadModulus(f"modulus must be >= 2, got {N}")
-        rows = _reduce(tuple(tuple(map(index, r)) for r in self.rows), N)
+        rows = _reduce(tuple(tuple(map(index, r)) for r in rows), N)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError(f"{type(self).__name__} requires a non-empty square array of entries")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "modulus", N)
+
+    # Direct, not Frozen's generic ones: matrices are compared and hashed by the million.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.modulus) == (other.rows, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.modulus))
 
     @classmethod
     def _wrap(cls, rows: Rows, modulus: int | None = None):
@@ -136,7 +174,7 @@ class SquareMatrix:
         return m
 
     def __reduce__(self):
-        # Default unpickling and copying set slots by setattr, which frozen refuses.
+        # Default unpickling and copying set slots by setattr, which Frozen refuses.
         return self._wrap, (self.rows, self.modulus)
 
     @staticmethod
@@ -203,12 +241,11 @@ class SquareMatrix:
     __str__ = to_text
 
 
-@dataclass(frozen=True, init=False)
 class IntMatrix(SquareMatrix):
     """Immutable square matrix over Z."""
 
     __slots__ = ()
-    modulus: None = field(init=False, repr=False)
+    __match_args__ = ("rows",)  # the modulus is always None, and repr leaves it out
 
     def __init__(self, rows: Rows):
         SquareMatrix.__init__(self, rows, None)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .errors import BadModulus, CapExceeded, ParseError
 from .intmat import Rows, SquareMatrix, det_of_rows, identity_rows, parse_entries
@@ -41,7 +40,6 @@ def crt_idempotent(q: int, N: int) -> int:
     return N // q * pow(N // q, -1, q)
 
 
-@dataclass(frozen=True)
 class ModMatrix(SquareMatrix):
     """Immutable square matrix over Z/N with entries reduced into [0, N)."""
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import BadModulus, CounterexampleFound
 from .gamma import gamma_level, gamma_member
-from .intmat import IntMatrix, Rows, identity_rows, random_elementary_rows, require_det_one
+from .intmat import Frozen, IntMatrix, Rows, identity_rows, random_elementary_rows, require_det_one
 from .modular import ModMatrix, _check_enumeration, _sl_local
 from .primes import euler_phi, factorize
 
@@ -41,11 +40,13 @@ TORSION_ORDER_4 = IntMatrix(((0, -1), (1, 0)))
 TORSION_ORDER_6 = IntMatrix(((0, -1), (1, 1)))
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(Frozen):
     """Order of a matrix: value is the finite order, or None for infinite."""
 
-    value: int | None
+    __match_args__ = ("value",)
+
+    def __init__(self, value: int | None):
+        vars(self).update(value=value)
 
     @property
     def kind(self) -> str:

@@ -29,12 +29,11 @@ refuses products, which need not stay traceless.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import BadModulus, IdentityInput, NotInGamma
 from .gamma import _require_chain, gamma_level, gamma_member
-from .intmat import IntMatrix, Rows, SquareMatrix, elementary_product
+from .intmat import Frozen, IntMatrix, Rows, SquareMatrix, elementary_product
 from .modular import ModMatrix, sl_order_formula
 from .primes import next_prime
 
@@ -52,14 +51,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TracelessMatrix(SquareMatrix):
     """Element of sl_n(Z/m): entries reduced into [0, m), trace = 0 mod m."""
 
     __slots__ = ()
 
-    def __post_init__(self):
-        SquareMatrix.__post_init__(self)
+    def __init__(self, rows: Rows, modulus: int | None):
+        SquareMatrix.__init__(self, rows, modulus)
         if self.trace() != 0:
             raise ValueError("trace must vanish mod the modulus")
 
@@ -179,8 +177,7 @@ def phi_general_preimage(t: TracelessMatrix) -> IntMatrix:
     return _step_preimage(t, t.modulus)
 
 
-@dataclass(frozen=True)
-class CongruenceWitness:
+class CongruenceWitness(Frozen):
     """A finite quotient separating `target` from the identity.
 
     For kind "residual-finite" the quotient is SL_n(Z/p) and the image is the
@@ -189,12 +186,11 @@ class CongruenceWitness:
     nonzero value of the depth map phi_s in sl_n(Z/p).
     """
 
-    kind: str
-    prime: int
-    level: int
-    quotient_order: int
-    image: ModMatrix | TracelessMatrix
-    target: IntMatrix
+    __match_args__ = ("kind", "prime", "level", "quotient_order", "image", "target")
+
+    def __init__(self, kind: str, prime: int, level: int, quotient_order: int,
+                 image: ModMatrix | TracelessMatrix, target: IntMatrix):
+        vars(self).update(zip(self.__match_args__, (kind, prime, level, quotient_order, image, target)))
 
     def to_json(self) -> dict:
         return {

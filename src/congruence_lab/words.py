@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .errors import ParseError
-from .intmat import IntMatrix, _reduce, elementary_product, identity_rows, require_det_one
+from .intmat import Frozen, IntMatrix, _reduce, elementary_product, identity_rows, require_det_one
 from .modular import ModMatrix, crt_idempotent
 from .primes import factorize
 
@@ -55,16 +54,11 @@ __all__ = [
 _GEN_RE = re.compile(r"E\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(-?\d+)\s*\)$")
 
 
-class _Gen(NamedTuple):
-    """A checked generator 1 + a*e_ij of an ElementaryWord, i and j 1-based."""
-
-    i: int
-    j: int
-    a: int
+# A checked generator 1 + a*e_ij of an ElementaryWord, i and j 1-based.
+_Gen = namedtuple("_Gen", "i j a")
 
 
-@dataclass(frozen=True)
-class ElementaryWord:
+class ElementaryWord(Frozen):
     """An ordered product of elementary generators over Z or over Z/N.
 
     gens holds triples of ints (i, j, a), the generator 1 + a*e_ij with
@@ -74,19 +68,17 @@ class ElementaryWord:
     into [0, modulus). Evaluation is the left-to-right product.
     """
 
-    n: int
-    gens: tuple[tuple[int, int, int], ...]
-    modulus: int | None = None
+    __match_args__ = ("n", "gens", "modulus")
 
-    def __post_init__(self):
+    def __init__(self, n: int, gens: tuple[tuple[int, int, int], ...], modulus: int | None = None):
         # operator.index, as in the matrix core: n = 2.5, Z/5.5 or a = 0.5 is a TypeError.
         index = operator.index
-        n = index(self.n)
-        m = self.modulus
+        n = index(n)
+        m = modulus
         if m is not None and (m := index(m)) < 2:
             raise ValueError(f"word modulus must be >= 2, got {m}")
-        gens = []
-        for i, j, a in self.gens:
+        checked = []
+        for i, j, a in gens:
             i, j, a = index(i), index(j), index(a)
             if m is not None:
                 a %= m
@@ -96,12 +88,10 @@ class ElementaryWord:
                 raise ValueError("elementary generator requires i != j")
             if i > n or j > n:
                 raise ValueError(f"generator E({i},{j},{a}) out of range for n={n}")
-            gens.append(_Gen(i, j, a))
+            checked.append(_Gen(i, j, a))
         if n < 1:  # checked last: with n < 1 every generator fails above, with its own message
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "modulus", m)
+        vars(self).update(n=n, gens=tuple(checked), modulus=m)
 
     def __len__(self) -> int:
         return len(self.gens)
