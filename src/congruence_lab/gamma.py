@@ -8,7 +8,6 @@ divisibility: Gamma(M) contains Gamma(N) exactly when M divides N.
 from __future__ import annotations
 
 import math
-import random
 
 from .errors import BadModulus, NotPrime
 from .intmat import IntMatrix, random_elementary_rows, require_det_one
@@ -55,4 +54,5 @@ def sample_gamma(n: int, N: int, length: int, seed: int) -> IntMatrix:
     elementary matrices whose coefficients are multiples of N."""
     if N < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
+    import random  # here, not at the top: only the samplers draw
     return IntMatrix(random_elementary_rows(n, length, random.Random(seed), scale=N))

@@ -23,7 +23,7 @@ and negative entries are permitted.
 
 from __future__ import annotations
 
-import random
+import functools
 import re
 from operator import add, index, mul
 
@@ -39,6 +39,7 @@ _INT_RE = re.compile(r"-?\d+$")
 Rows = tuple[tuple[int, ...], ...]
 
 
+@functools.lru_cache(maxsize=16)  # immutable, so built once per n and shared
 def identity_rows(n: int) -> Rows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -153,8 +154,8 @@ class SquareMatrix(Frozen):
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError(f"{type(self).__name__} requires a non-empty square array of entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "modulus", N)
+        _set_rows(self, rows)
+        _set_modulus(self, N)
 
     # Direct, not Frozen's generic ones: matrices are compared and hashed by the million.
     def __eq__(self, other):
@@ -167,10 +168,10 @@ class SquareMatrix(Frozen):
 
     @classmethod
     def _wrap(cls, rows: Rows, modulus: int | None = None):
-        """Wrap a square tuple of tuples whose entries are already reduced."""
+        """Wrap already reduced square rows; the slot descriptors skip Frozen's __setattr__."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "modulus", modulus)
+        _set_rows(m, rows)
+        _set_modulus(m, modulus)
         return m
 
     def __reduce__(self):
@@ -239,6 +240,9 @@ class SquareMatrix(Frozen):
         return body if self.modulus is None else f"{body} mod {self.modulus}"
 
     __str__ = to_text
+
+
+_set_rows, _set_modulus = SquareMatrix.rows.__set__, SquareMatrix.modulus.__set__
 
 
 class IntMatrix(SquareMatrix):
@@ -322,7 +326,7 @@ def elementary_product(n: int, ops, N: int | None = None) -> Rows:
     return tuple(map(tuple, rows))
 
 
-def random_elementary_rows(n: int, length: int, rng: random.Random, scale: int = 1) -> Rows:
+def random_elementary_rows(n: int, length: int, rng, scale: int = 1) -> Rows:
     """Rows of a product of `length` random elementary matrices 1 + scale*a*e_ij.
 
     Coefficients satisfy 1 <= |a| <= _COEFF_BOUND. Used by sample_sl and by the
@@ -354,4 +358,5 @@ def sample_sl(n: int, length: int, seed: int) -> IntMatrix:
     Returns the product of `length` random elementary matrices with
     coefficients 1 <= |a| <= 5; the same seed always yields the same matrix.
     """
+    import random  # here, not at the top: only the samplers draw
     return IntMatrix(random_elementary_rows(n, length, random.Random(seed)))

@@ -8,8 +8,8 @@ of Z/N into its prime-power factors Z/q: enumerate_sl glues its factor lists
 with it, and words.decompose_mod lifts every local word with it.
 
 enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
-factors SL_n(Z/p^s), and each factor is built row by row, with the last row
-solved from the determinant instead of searched for. Its cost follows
+factors SL_n(Z/p^s), each listed sorted, with the last rows taken from a
+table of solutions of det = 1 and the rows shared. Its cost follows
 |SL_n(Z/N)| rather than N^(n^2), but the cap still bounds N^(n^2), so which
 inputs are refused does not depend on the route. sl_order_formula computes
 the same count in closed form; the test suite holds the two together and
@@ -19,7 +19,6 @@ checks the list against an exhaustive N^(n^2) walk.
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .errors import BadModulus, CapExceeded, ParseError
 from .intmat import Rows, SquareMatrix, det_of_rows, identity_rows, parse_entries
@@ -78,34 +77,44 @@ def _check_enumeration(n: int, N: int, cap: int | None) -> None:
 
 
 def _sl_local(n: int, p: int, s: int) -> list[Rows]:
-    """The entries of every element of SL_n(Z/p^s), in no particular order.
+    """The entries of every element of SL_n(Z/p^s), in lexicographic order.
 
-    The determinant is linear in the last row, with the cofactors c_j of the
-    top n-1 rows as coefficients. Z/p^s is a local ring, so the top rows
-    extend to SL_n exactly when some c_j is a unit (prime to p); the entry
-    x_j of the last row is then solved from the others, giving exactly
-    (p^s)^(n-1) completions, each of determinant 1.
+    The top n-1 rows run through `space`, the q^n rows in order. det is linear
+    in the last row x, with the cofactors c of the top rows as coefficients; a
+    table holds the sorted completions x of each c met, so every row of the
+    list is one of the tuples of `space`.
     """
     if n == 1:
         return [((1,),)]
     q = p**s
-    m = n - 1
-    out = []
-    for flat in itertools.product(range(q), repeat=m * n):
-        top = tuple(flat[r * n : (r + 1) * n] for r in range(m))
-        cof = [
-            (-1) ** (m + j) * det_of_rows(tuple(r[:j] + r[j + 1 :] for r in top)) % q
+    space = list(itertools.product(range(q), repeat=n))
+    completions: dict[tuple[int, ...], list] = {}
+    out: list[Rows] = []
+    for top in itertools.product(space, repeat=n - 1):
+        cof = tuple(
+            (-1) ** (n - 1 + j) * det_of_rows(tuple(r[:j] + r[j + 1 :] for r in top)) % q
             for j in range(n)
-        ]
-        j = next((j for j, c in enumerate(cof) if c % p), None)
-        if j is None:
-            continue
-        inv = pow(cof[j], -1, q)
-        rest = cof[:j] + cof[j + 1 :]
-        for free in itertools.product(range(q), repeat=m):
-            x = (1 - sum(map(operator.mul, rest, free))) * inv % q
-            out.append(top + (free[:j] + (x,) + free[j:],))
+        )
+        if (tails := completions.get(cof)) is None:
+            tails = completions[cof] = _completions(cof, p, q, space)
+        out += map(top.__add__, tails)
     return out
+
+
+def _completions(cof: tuple[int, ...], p: int, q: int, space: list) -> list:
+    """The rows x of space with cof.x = 1 mod q, sorted, as 1-tuples. Z/q is local, so
+    there are none unless some cof_j is a unit; then x_j is solved from the other entries."""
+    j = next((j for j, c in enumerate(cof) if c % p), None)
+    if j is None:
+        return []
+    inv, n = pow(cof[j], -1, q), len(cof)
+    at, xj = [0], [inv]  # the index in space of each x so far, and its x_j
+    for k, c in enumerate(cof):
+        if k != j:
+            d, w = c * inv, q ** (n - 1 - k)
+            at = [i + w * t for i in at for t in range(q)]
+            xj = [v - d * t for v in xj for t in range(q)]
+    return [(space[i],) for i in sorted([i + q ** (n - 1 - j) * (v % q) for i, v in zip(at, xj)])]
 
 
 def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
@@ -123,19 +132,20 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
         local = _sl_local(n, p, s)
         elements = _crt_glue(elements, M, local, p**s) if M > 1 else local
         M *= p**s
-    elements.sort()
-    return [ModMatrix._wrap(rows, N) for rows in elements]
+    elements.sort()  # one linear pass over a prime power's already sorted list
+    wrap = ModMatrix._wrap
+    return [wrap(rows, N) for rows in elements]
 
 
 def _crt_glue(xs: list[Rows], a: int, ys: list[Rows], b: int) -> list[Rows]:
-    """Every pair (x mod a, y mod b) joined entrywise by CRT, for coprime a and b."""
+    """Every pair (x mod a, y mod b) joined entrywise by CRT, for coprime a and b.
+    Each pair of rows (rx, ry) is joined once, so the glued rows are shared too."""
     ab = a * b
     ea, eb = crt_idempotent(a, ab), crt_idempotent(b, ab)
-    return [
-        tuple(tuple((u * ea + v * eb) % ab for u, v in zip(rx, ry)) for rx, ry in zip(x, y))
-        for x in xs
-        for y in ys
-    ]
+    rows_x, rows_y = {r for x in xs for r in x}, {r for y in ys for r in y}
+    glued = {(rx, ry): tuple((u * ea + v * eb) % ab for u, v in zip(rx, ry))
+             for rx in rows_x for ry in rows_y}
+    return [tuple(map(glued.__getitem__, zip(x, y))) for x in xs for y in ys]
 
 
 def sl_order_formula(n: int, N: int) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 
 from .errors import BadModulus, CounterexampleFound
 from .gamma import gamma_level, gamma_member
@@ -197,6 +196,7 @@ def minkowski_probe(N: int, trials: int, seed: int) -> dict:
         raise BadModulus(f"probe level must be >= 3, got {N}")
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    import random  # here, not at the top: only the samplers draw
     rng = random.Random(seed)
     pool = _torsion_pool()
     ident = IntMatrix.identity(2)

@@ -9,7 +9,7 @@ from congruence_lab import (
     ParseError,
     sample_sl,
 )
-from congruence_lab.intmat import _det_bareiss, det_of_rows
+from congruence_lab.intmat import _det_bareiss, det_of_rows, identity_rows
 
 from tests.helpers import det_permutation_oracle, int_matrices, unimodular_matrices
 
@@ -58,6 +58,15 @@ def test_det_examples(rows, expected):
 def test_det_identity_any_n():
     for n in range(1, 8):
         assert IntMatrix.identity(n).det() == 1
+
+
+def test_identity_rows_built_once_per_n():
+    for n in range(1, 7):
+        assert identity_rows(n) is identity_rows(n)
+        unit = [[0] * n for _ in range(n)]
+        for i in range(n):
+            unit[i][i] = 1
+        assert identity_rows(n) == tuple(map(tuple, unit))
 
 
 @given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, bound=7)))

@@ -13,10 +13,10 @@ from congruence_lab import (
     sl_order_formula,
 )
 
-from congruence_lab.modular import crt_idempotent
+from congruence_lab.modular import _sl_local, crt_idempotent
 from congruence_lab.primes import factorize
 
-from tests.helpers import brute_force_sl, unimodular_matrices
+from tests.helpers import brute_force_sl, det_permutation_oracle, unimodular_matrices
 
 
 @pytest.mark.parametrize(
@@ -90,6 +90,34 @@ def test_cap_exceeded_carries_required_value():
 @pytest.mark.parametrize("n,N", [(2, N) for N in range(2, 13)] + [(3, N) for N in (2, 3, 4)])
 def test_enumerate_sl_matches_brute_force(n, N):
     assert enumerate_sl(n, N) == brute_force_sl(n, N)
+
+
+@pytest.mark.parametrize(
+    "n,p,s",
+    [(2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 2, 3), (2, 3, 2), (2, 11, 1),
+     (3, 2, 1), (3, 3, 1), (3, 2, 2)],
+)
+def test_sl_local_is_sorted_and_matches_brute_force(n, p, s):
+    # each prime-power factor comes out strictly increasing, so enumerate_sl's
+    # sort is one linear pass; the brute-force walk is in lexicographic order too
+    local = _sl_local(n, p, s)
+    assert all(a < b for a, b in zip(local, local[1:]))
+    assert local == [y.rows for y in brute_force_sl(n, p**s)]
+
+
+def test_sl_local_n4_is_sorted_with_det_one():
+    # 2^16 entry tuples: the closed-form count and the Leibniz det are the oracle
+    local = _sl_local(4, 2, 1)
+    assert all(a < b for a, b in zip(local, local[1:]))
+    assert all(det_permutation_oracle(rows) % 2 == 1 for rows in local)
+    assert len(local) == sl_order_formula(4, 2)
+
+
+@pytest.mark.parametrize("n,N", [(3, 4), (2, 12), (2, 30)])
+def test_enumerate_sl_shares_rows(n, N):
+    # one tuple per distinct row, not one per element: at most N^n row objects
+    els = enumerate_sl(n, N)
+    assert len({id(r) for y in els for r in y.rows}) <= N**n < len(els) * n
 
 
 def test_enumerate_sl_three_crt_factors():

@@ -4,11 +4,12 @@ Each test runs a child `python -I -S` (no site-packages, no environment)
 with src on sys.path, the way the CLI starts. For one corpus entry of each
 subcommand the child must replay the entry byte for byte while loading only
 that subcommand's modules, and never dataclasses, inspect, typing or
-shutil. A cold, per-subcommand load order can expose an import cycle that
-the in-process corpus, which runs after everything is imported, never
-meets. The package itself loads no submodule until a public name is used,
-and then binds all of them at once: bench/tracer.py swaps hooks by identity
-over vars(package), so a name bound later would keep a tracer's wrapper.
+shutil; only the subcommands that sample load random. A cold,
+per-subcommand load order can expose an import cycle that the in-process
+corpus, which runs after everything is imported, never meets. The package
+itself loads no submodule until a public name is used, and then binds all
+of them at once: bench/tracer.py swaps hooks by identity over
+vars(package), so a name bound later would keep a tracer's wrapper.
 """
 
 import json
@@ -44,6 +45,8 @@ LOADS = {
 # dataclasses imports inspect and ast; shutil (with bz2 and lzma) is what argparse
 # imports to measure a terminal when a parser has no fixed width.
 HEAVY = ("dataclasses", "inspect", "typing", "shutil")
+# random (with bisect and _sha512) is imported inside the samplers, which only selfcheck runs.
+SAMPLES = {"selfcheck"}
 
 # The child runs BODY, which sets `code`, then writes the names of the
 # modules it has loaded, as JSON, to the file named by its second argument.
@@ -89,6 +92,7 @@ def test_cold_subcommand_loads_only_its_modules(command, tmp_path):
     assert (proc.stdout, proc.stderr, proc.returncode) == (case["stdout"], case["stderr"], case["code"])
     assert _ours(modules) == LOADS[command]
     assert not modules & set(HEAVY)
+    assert ("random" in modules) == (command in SAMPLES)
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
@@ -96,7 +100,7 @@ def test_bare_import_loads_no_submodule(tmp_path):
     proc, modules = _child(tmp_path, body)
     assert proc.stdout == congruence_lab.__version__ + "\n", proc.stderr
     assert "congruence_lab" in modules and not _ours(modules)
-    assert not modules & set(HEAVY)
+    assert not modules & {*HEAVY, "random"}
 
 
 def test_star_import_gives_the_public_names_as_defined(tmp_path):
