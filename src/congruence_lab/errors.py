@@ -47,14 +47,20 @@ class IdentityInput(CongruenceLabError):
 
 
 class CapExceeded(CongruenceLabError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """Exhaustive enumeration would exceed the configured cap.
 
-    def __init__(self, requested: int, cap: int):
+    requested is the size of the search space, the least cap that admits it,
+    or None for a size of over 4300 digits (CPython's default int -> str
+    limit), which is never built; the message then names it by `size`, a
+    power such as "2^4000000"."""
+
+    def __init__(self, requested: int | None, cap: int, size: str | None = None):
         self.requested = requested
         self.cap = cap
+        size = size or str(requested)
         super().__init__(
-            f"search space of size {requested} exceeds enumeration cap {cap}; "
-            f"required cap: {requested}"
+            f"search space of size {size} exceeds enumeration cap {cap}; "
+            f"required cap: {size}"
         )
 
 

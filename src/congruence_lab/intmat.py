@@ -1,14 +1,14 @@
 """Exact arithmetic for square matrices over Z and over Z/N.
 
+The row kernel, which every algorithm calls, works on tuples of rows over Z
+or Z/N: product_of_rows, det_of_rows, cofactors (det(top + (x,)) = c.x) and
+elementary_product (products of 1 + a*e_ij). The classes wrap its results.
+
 SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
 meaning Z (the convention of ElementaryWord). It alone validates rows and
 holds the product, power, det, trace, identity test and text. IntMatrix
 (here), ModMatrix (modular.py) and TracelessMatrix (witnesses.py) are thin
 subclasses that add only what differs between the rings.
-
-elementary_product is the one kernel for products of elementary matrices
-1 + a*e_ij: word evaluation, the samplers and the depth-map preimages all
-reduce to its column operations.
 
 Entries are plain Python ints, so products, determinants, and inverses are
 computed without overflow or rounding. Matrices are immutable and hashable;
@@ -87,17 +87,33 @@ def _det_bareiss(rows: Rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def product_of_rows(a: Rows, b: Rows, N: int | None = None) -> Rows:
+    """Rows of the product a*b, over Z, or over Z/N reduced into [0, N) when N is given."""
+    cols = tuple(zip(*b))
+    if N is None:
+        return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
+    return tuple(tuple(sum(map(mul, r, c)) % N for c in cols) for r in a)
+
+
 def det_of_rows(rows: Rows) -> int:
-    """Exact determinant; closed forms up to 3x3, Bareiss above."""
+    """Exact determinant; closed forms up to 3x3, Bareiss above; 1 for no rows."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    if n <= 1:
+        return rows[0][0] if n else 1
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return _det_bareiss(rows)
+
+
+def cofactors(top: Rows) -> tuple[int, ...]:
+    """The c with det(top + (x,)) = c.x for every row x, where top holds n - 1
+    rows of length n: the signed minors of top. cofactors(()) is (1,)."""
+    n = len(top) + 1
+    minors = (det_of_rows(tuple(r[:j] + r[j + 1 :] for r in top)) for j in range(n))
+    return tuple((-1) ** (n - 1 + j) * d for j, d in enumerate(minors))
 
 
 def _refuse(verb: str, name: str):
@@ -157,15 +173,6 @@ class SquareMatrix(Frozen):
         _set_rows(self, rows)
         _set_modulus(self, N)
 
-    # Direct, not Frozen's generic ones: matrices are compared and hashed by the million.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.modulus) == (other.rows, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.modulus))
-
     @classmethod
     def _wrap(cls, rows: Rows, modulus: int | None = None):
         """Wrap already reduced square rows; the slot descriptors skip Frozen's __setattr__."""
@@ -177,13 +184,6 @@ class SquareMatrix(Frozen):
     def __reduce__(self):
         # Default unpickling and copying set slots by setattr, which Frozen refuses.
         return self._wrap, (self.rows, self.modulus)
-
-    @staticmethod
-    def _product(a: Rows, b: Rows, N: int | None) -> Rows:
-        cols = tuple(zip(*b))
-        if N is None:
-            return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
-        return tuple(tuple(sum(map(mul, r, c)) % N for c in cols) for r in a)
 
     @property
     def n(self) -> int:
@@ -201,7 +201,7 @@ class SquareMatrix(Frozen):
         if not isinstance(other, type(self)):
             return NotImplemented
         self._require_peer(other, "multiply", "by")
-        return self._wrap(self._product(self.rows, other.rows, self.modulus), self.modulus)
+        return self._wrap(product_of_rows(self.rows, other.rows, self.modulus), self.modulus)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -218,9 +218,9 @@ class SquareMatrix(Frozen):
         result, base = identity_rows(self.n), self.rows
         while e:
             if e & 1:
-                result = self._product(result, base, N)
+                result = product_of_rows(result, base, N)
             if e > 1:
-                base = self._product(base, base, N)
+                base = product_of_rows(base, base, N)
             e >>= 1
         return self._wrap(result, N)
 
@@ -284,19 +284,9 @@ class IntMatrix(SquareMatrix):
         """Integer inverse via the adjugate; requires det == 1."""
         require_det_one(self)
         n, rows = self.n, self.rows
-        if n == 1:
-            return self  # det 1 makes it the identity
-        # entry (i, j) is the signed minor with row j and column i struck out
-        return self._wrap(
-            tuple(
-                tuple(
-                    (-1) ** (i + j)
-                    * det_of_rows(tuple(r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
+        # column j of the adjugate: the cofactors of the other rows, signed for moving row j last
+        cols = [[(-1) ** (n - 1 - j) * c for c in cofactors(rows[:j] + rows[j + 1 :])] for j in range(n)]
+        return self._wrap(tuple(zip(*cols)))
 
 
 def require_det_one(x: SquareMatrix) -> None:

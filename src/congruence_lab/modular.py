@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BadModulus, CapExceeded, ParseError
-from .intmat import Rows, SquareMatrix, det_of_rows, identity_rows, parse_entries
+from .intmat import Rows, SquareMatrix, cofactors, identity_rows, parse_entries
 from .primes import factorize
 
 __all__ = [
@@ -64,37 +64,39 @@ def _check_enumeration(n: int, N: int, cap: int | None) -> None:
 
     The cap bounds N^(n^2), the size of the entry space, and is checked on N
     itself before any per-factor work, so the inputs refused are the same
-    whatever route the caller takes through the group.
+    whatever route the caller takes through the group. N^(n^2) has over
+    (bits of N - 1) * n^2 bits, so a space past both the cap and 10^4300
+    (4301 digits, named as a power) is refused before the power is built.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if N < 2:
         raise BadModulus(f"modulus must be >= 2, got {N}")
-    effective_cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    size = N ** (n * n)
-    if size > effective_cap:
-        raise CapExceeded(size, effective_cap)
+    cap, e = DEFAULT_ENUMERATION_CAP if cap is None else cap, n * n
+    if (N.bit_length() - 1) * e < max(cap.bit_length(), 14285):  # 10^4300 has 14285 bits
+        if (size := N**e) <= cap:
+            return
+        if size < 10**4300:
+            raise CapExceeded(size, cap)
+    raise CapExceeded(None, cap, f"{N}^{e}")
 
 
 def _sl_local(n: int, p: int, s: int) -> list[Rows]:
     """The entries of every element of SL_n(Z/p^s), in lexicographic order.
 
     The top n-1 rows run through `space`, the q^n rows in order. det is linear
-    in the last row x, with the cofactors c of the top rows as coefficients; a
-    table holds the sorted completions x of each c met, so every row of the
-    list is one of the tuples of `space`.
+    in the last row x, with intmat.cofactors of the top rows, reduced mod q, as
+    coefficients; a table holds the sorted completions x of each c met, so
+    every row of the list is one of the tuples of `space`.
     """
-    if n == 1:
+    if n == 1:  # directly: the general route would build all q one-entry rows
         return [((1,),)]
     q = p**s
     space = list(itertools.product(range(q), repeat=n))
     completions: dict[tuple[int, ...], list] = {}
     out: list[Rows] = []
     for top in itertools.product(space, repeat=n - 1):
-        cof = tuple(
-            (-1) ** (n - 1 + j) * det_of_rows(tuple(r[:j] + r[j + 1 :] for r in top)) % q
-            for j in range(n)
-        )
+        cof = tuple(c % q for c in cofactors(top))
         if (tails := completions.get(cof)) is None:
             tails = completions[cof] = _completions(cof, p, q, space)
         out += map(top.__add__, tails)
@@ -122,8 +124,8 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
 
     Lists each CRT factor SL_n(Z/p^s) with _sl_local and glues the factors
     together entrywise, so the cost follows |SL_n(Z/N)|. Raises CapExceeded
-    (carrying the required cap) when the entry space N^(n^2) is larger than
-    `cap` (default DEFAULT_ENUMERATION_CAP).
+    (carrying the required cap, or None past 4300 digits) when the entry
+    space N^(n^2) is larger than `cap` (default DEFAULT_ENUMERATION_CAP).
     """
     _check_enumeration(n, N, cap)
     elements: list[Rows] = []

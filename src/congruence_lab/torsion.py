@@ -21,8 +21,9 @@ import math
 
 from .errors import BadModulus, CounterexampleFound
 from .gamma import gamma_level, gamma_member
-from .intmat import Frozen, IntMatrix, Rows, identity_rows, random_elementary_rows, require_det_one
-from .modular import ModMatrix, _check_enumeration, _sl_local
+from .intmat import (Frozen, IntMatrix, Rows, identity_rows, product_of_rows,
+                     random_elementary_rows, require_det_one)
+from .modular import _check_enumeration, _sl_local
 from .primes import euler_phi, factorize
 
 __all__ = [
@@ -100,7 +101,7 @@ def _charpoly(rows: Rows) -> tuple[int, ...]:
     coeffs = [0] * n + [1]
     m = identity_rows(n)
     for k in range(1, n + 1):
-        am = IntMatrix._product(rows, m, None)
+        am = product_of_rows(rows, m)
         c = coeffs[n - k] = -sum(am[i][i] for i in range(n)) // k
         m = tuple(tuple(e + c * (i == j) for j, e in enumerate(r)) for i, r in enumerate(am))
     return tuple(coeffs)
@@ -134,22 +135,21 @@ def matrix_order(x: IntMatrix) -> OrderResult:
 def _local_spectrum(n: int, p: int, s: int) -> set[int]:
     """Element orders of SL_n(Z/p^s), one cyclic subgroup at a time.
 
-    From each element x whose order is not known yet, multiply out x, x^2,
-    ... up to the identity; that gives o = |<x>|, and x^k has order
+    From each element x whose order is not known yet, multiply out the rows
+    of x, x^2, ... up to the identity; that gives o = |<x>|, and x^k has order
     o / gcd(o, k). A walk started at x also settles every generator of <x>,
     so the multiplies total at most the sum of |C| over cyclic subgroups C.
     """
     q = p**s
     ident = identity_rows(n)
     orders: dict[Rows, int] = {}
-    for rows in _sl_local(n, p, s):
-        if rows in orders:
+    for x in _sl_local(n, p, s):
+        if x in orders:
             continue
-        x = y = ModMatrix._wrap(rows, q)
-        powers = [rows]
-        while y.rows != ident:
-            y = y * x
-            powers.append(y.rows)
+        y, powers = x, [x]
+        while y != ident:
+            y = product_of_rows(y, x, q)
+            powers.append(y)
         o = len(powers)
         for k, z in enumerate(powers, 1):
             orders.setdefault(z, o // math.gcd(o, k))

@@ -243,12 +243,11 @@ def witness_p(x: IntMatrix, p: int) -> CongruenceWitness:
         s += 1
     image = phi_k(x, p, s)
     assert not image.is_zero()
-    quotient_order = sl_order_formula(x.n, p ** (s + 1)) // sl_order_formula(x.n, p)
     return CongruenceWitness(
         kind="residual-p-finite",
         prime=p,
         level=p ** (s + 1),
-        quotient_order=quotient_order,
+        quotient_order=p ** (s * (x.n * x.n - 1)),  # |SL_n(Z/p^(s+1))| / |SL_n(Z/p)|
         image=image,
         target=x,
     )

@@ -10,7 +10,10 @@ order 105) pin answers that need the characteristic polynomial. Four inputs
 pin the range of exact factoring and primality: the index mod the prime
 10^18 + 3 and a witness-p at it (NotInGamma) answer, while a product of two
 primes next to 10^12 (past the rho budget) and the prime 2^89 - 1 (past
-psi_13, where 13 Miller-Rabin bases stop proving primality) are BadModulus.
+psi_13, where 13 Miller-Rabin bases stop proving primality) are BadModulus;
+a witness-p at depth one in Gamma(10^18 + 3) answers without factoring again.
+enumerate and spectrum at n = 2000 are refused at once, the size named as
+2^4000000 rather than printed in full.
 A change that moves any byte of it changes the CLI's contract. The CLI wraps
 usage text at a fixed width and names the subcommands by one placeholder, so
 the usage errors replay the same bytes at any terminal width and on every

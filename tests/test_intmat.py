@@ -9,7 +9,7 @@ from congruence_lab import (
     ParseError,
     sample_sl,
 )
-from congruence_lab.intmat import _det_bareiss, det_of_rows, identity_rows
+from congruence_lab.intmat import _det_bareiss, cofactors, det_of_rows, identity_rows, product_of_rows
 
 from tests.helpers import det_permutation_oracle, int_matrices, unimodular_matrices
 
@@ -96,10 +96,41 @@ def test_inverse_requires_det_one():
         IntMatrix([[0, 1], [1, 0]]).inverse()
 
 
-@given(unimodular_matrices(3))
-def test_inverse_roundtrip(x):
-    assert x * x.inverse() == IntMatrix.identity(3)
+@pytest.mark.parametrize("n", range(2, 7))
+@given(data=st.data())
+def test_inverse_roundtrip(n, data):
+    x = data.draw(unimodular_matrices(n))
+    assert x * x.inverse() == IntMatrix.identity(n)
     assert x.inverse().inverse() == x
+
+
+def _naive_product(a, b, N):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(tuple(e if N is None else e % N for e in r) for r in out)
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda n: st.tuples(int_matrices(n, bound=50), int_matrices(n, bound=50))),
+    st.none() | st.integers(2, 60),
+)
+def test_product_of_rows_matches_triple_loop(pair, N):
+    a, b = (m.rows for m in pair)
+    assert product_of_rows(a, b, N) == _naive_product(a, b, N)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, bound=7)))
+def test_cofactors_give_det_linear_in_the_last_row(x):
+    # n = 1 is the empty top: cofactors(()) == (1,), as det_of_rows(()) == 1
+    assert det_of_rows(()) == 1
+    top, last = x.rows[:-1], x.rows[-1]
+    c = cofactors(top)
+    assert len(c) == x.n
+    assert sum(map(int.__mul__, c, last)) == det_permutation_oracle(top + (last,))
 
 
 def test_long_product_roundtrips_exactly():

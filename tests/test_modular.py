@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from congruence_lab import (
     sl_order_formula,
 )
 
-from congruence_lab.modular import _sl_local, crt_idempotent
+from congruence_lab.modular import _check_enumeration, _sl_local, crt_idempotent
 from congruence_lab.primes import factorize
 
 from tests.helpers import brute_force_sl, det_permutation_oracle, unimodular_matrices
@@ -160,6 +162,56 @@ def test_walks_reject_bad_arguments(walk):
     for n, N in [(0, 5), (-1, 5), (0, 1)]:
         with pytest.raises(ValueError):
             walk(n, N)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_sl1_of_a_large_prime_builds_no_rows(walk):
+    # SL_1 is trivial; listing the q one-entry rows of Z/q would take about 1 GB here
+    tracemalloc.start()
+    try:
+        walk(1, 9999991)
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_huge_entry_space_is_refused_without_its_digits(walk):
+    # 2^4000000 has 1.2M digits; it is named as a power and never built
+    with pytest.raises(CapExceeded) as exc:
+        walk(2000, 2)
+    assert exc.value.requested is None and exc.value.cap == 10_000_000
+    assert len(str(exc.value)) < 200 and "size 2^4000000 exceeds" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "n,N,exact",
+    [(119, 2, True), (120, 2, False), (94, 3, True), (95, 3, False),
+     (2, 10**1075 - 1, True), (2, 10**1075, False)],
+    ids=["2^14161", "2^14400", "3^8836", "3^9025", "(10^1075-1)^4", "10^4300"],
+)
+def test_cap_exceeded_digits_bound(n, N, exact):
+    # exact up to 4300 digits (CPython's default int -> str limit), a power above;
+    # 3^9025 has 4306 digits although its bit-length bound does not show it
+    with pytest.raises(CapExceeded) as exc:
+        _check_enumeration(n, N, None)
+    size = N ** (n * n)
+    assert (size < 10**4300) is exact
+    assert exc.value.requested == (size if exact else None)
+    assert f"size {size if exact else f'{N}^{n * n}'} exceeds" in str(exc.value)
+
+
+def test_cap_past_the_digit_bound_is_compared_exactly():
+    # a cap this long prints only with the int -> str limit lifted, as cli.run does
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _check_enumeration(120, 2, 2**14400)
+        with pytest.raises(CapExceeded) as exc:
+            _check_enumeration(120, 2, 2**14400 - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.requested is None
 
 
 def test_cap_override():

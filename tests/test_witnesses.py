@@ -18,6 +18,7 @@ from congruence_lab import (
     sample_sl,
     sl_basis,
     sl_elements,
+    sl_order_formula,
     witness_p,
     witness_rf,
 )
@@ -226,6 +227,15 @@ def test_witness_p_quotient_is_p_power():
             while q % p == 0:
                 q //= p
             assert q == 1
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 5), (4, 3)])
+def test_witness_p_quotient_order_is_the_ratio_of_group_orders(n, p):
+    # |Gamma(p) / Gamma(p^(s+1))| = |SL_n(Z/p^(s+1))| / |SL_n(Z/p)| at the depth s of x
+    for s in (1, 2, 3):
+        w = witness_p(sample_gamma(n, p**s, 6, seed=s), p)
+        assert w.level % p ** (s + 1) == 0
+        assert w.quotient_order == sl_order_formula(n, w.level) // sl_order_formula(n, p)
 
 
 def test_witness_json_wire_format():
