@@ -8,12 +8,14 @@ of Z/N into its prime-power factors Z/q: enumerate_sl glues its factor lists
 with it, and words.decompose_mod lifts every local word with it.
 
 enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
-factors SL_n(Z/p^s), each listed sorted, with the last rows taken from a
-table of solutions of det = 1 and the rows shared. Its cost follows
-|SL_n(Z/N)| rather than N^(n^2), but the cap still bounds N^(n^2), so which
-inputs are refused does not depend on the route. sl_order_formula computes
-the same count in closed form; the test suite holds the two together and
-checks the list against an exhaustive N^(n^2) walk.
+factors SL_n(Z/p^s), each listed in order with the rows shared. Per head of
+n-2 rows, one product_of_rows gives the cofactor vectors of every last top
+row, and the last rows come from a table of the solutions of det = 1
+(_completions); only a list glued from several factors is sorted. Its cost
+follows |SL_n(Z/N)| rather than N^(n^2), but the cap still bounds N^(n^2),
+so which inputs are refused does not depend on the route. sl_order_formula
+computes the same count in closed form; the test suite holds the two together
+and checks the list against an exhaustive N^(n^2) walk.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import BadModulus, CapExceeded, ParseError
-from .intmat import Rows, SquareMatrix, cofactors, identity_rows, parse_entries
+from .intmat import Rows, SquareMatrix, cofactors, identity_rows, parse_entries, product_of_rows
 from .primes import factorize
 
 __all__ = [
@@ -84,22 +86,28 @@ def _check_enumeration(n: int, N: int, cap: int | None) -> None:
 def _sl_local(n: int, p: int, s: int) -> list[Rows]:
     """The entries of every element of SL_n(Z/p^s), in lexicographic order.
 
-    The top n-1 rows run through `space`, the q^n rows in order. det is linear
-    in the last row x, with intmat.cofactors of the top rows, reduced mod q, as
-    coefficients; a table holds the sorted completions x of each c met, so
-    every row of the list is one of the tuples of `space`.
+    The top n-1 rows are a head of n-2 rows and a last top row x, each run
+    through `space`, the q^n rows in order. det is linear in the last row,
+    with intmat.cofactors(head + (x,)) as coefficients, and those are linear
+    in x: x times the table whose row k is cofactors(head + (e_k,)). So one
+    product_of_rows per head gives the cofactor vectors of all its tops,
+    reduced mod q, in the order of `space`. A second table holds the sorted
+    completions of each vector met (_completions), so every row of the list
+    is one of the tuples of `space`.
     """
     if n == 1:  # directly: the general route would build all q one-entry rows
         return [((1,),)]
     q = p**s
     space = list(itertools.product(range(q), repeat=n))
+    basis = identity_rows(n)
     completions: dict[tuple[int, ...], list] = {}
     out: list[Rows] = []
-    for top in itertools.product(space, repeat=n - 1):
-        cof = tuple(c % q for c in cofactors(top))
-        if (tails := completions.get(cof)) is None:
-            tails = completions[cof] = _completions(cof, p, q, space)
-        out += map(top.__add__, tails)
+    for head in itertools.product(space, repeat=n - 2):
+        table = tuple(cofactors(head + (e,)) for e in basis)
+        for x, cof in zip(space, product_of_rows(space, table, q)):
+            if (tails := completions.get(cof)) is None:
+                tails = completions[cof] = _completions(cof, p, q, space)
+            out += map((head + (x,)).__add__, tails)
     return out
 
 
@@ -130,11 +138,13 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
     _check_enumeration(n, N, cap)
     elements: list[Rows] = []
     M = 1
-    for p, s in factorize(N):
+    factors = factorize(N)
+    for p, s in factors:
         local = _sl_local(n, p, s)
         elements = _crt_glue(elements, M, local, p**s) if M > 1 else local
         M *= p**s
-    elements.sort()  # one linear pass over a prime power's already sorted list
+    if len(factors) > 1:  # a prime power's list is already in order; a glued one is not
+        elements.sort()
     wrap = ModMatrix._wrap
     return [wrap(rows, N) for rows in elements]
 

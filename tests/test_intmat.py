@@ -131,6 +131,11 @@ def test_cofactors_give_det_linear_in_the_last_row(x):
     c = cofactors(top)
     assert len(c) == x.n
     assert sum(map(int.__mul__, c, last)) == det_permutation_oracle(top + (last,))
+    if x.n >= 2:
+        # and linear in the last top row r: r times the table of cofactors(head + (e_k,))
+        head, r = top[:-1], top[-1]
+        table = tuple(cofactors(head + (e,)) for e in identity_rows(x.n))
+        assert c == product_of_rows((r,), table)[0]
 
 
 def test_long_product_roundtrips_exactly():

@@ -100,8 +100,8 @@ def test_enumerate_sl_matches_brute_force(n, N):
      (3, 2, 1), (3, 3, 1), (3, 2, 2)],
 )
 def test_sl_local_is_sorted_and_matches_brute_force(n, p, s):
-    # each prime-power factor comes out strictly increasing, so enumerate_sl's
-    # sort is one linear pass; the brute-force walk is in lexicographic order too
+    # each prime-power factor comes out strictly increasing, so enumerate_sl returns
+    # it as listed and sorts only a glued list; the brute-force walk is in order too
     local = _sl_local(n, p, s)
     assert all(a < b for a, b in zip(local, local[1:]))
     assert local == [y.rows for y in brute_force_sl(n, p**s)]
