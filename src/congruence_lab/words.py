@@ -1,11 +1,13 @@
 """Elementary-generator words and constructive decomposition into them.
 
 A word is an ordered product of elementary matrices 1 + a*e_ij, each given
-by its 1-based (i, j, a) and checked once, by ElementaryWord. One
-elimination, _word_ops, produces every such certificate, over Z or over a
-local ring Z/q (q a prime power). It reduces a determinant-1 matrix to the
-identity by elementary row and column operations and replays their inverses
-as the word. The two rings differ only in how a row finds its pivot:
+by its 1-based (i, j, a) and checked once, by ElementaryWord, at the cost of
+one comparison chain per generator. One elimination, _word_ops, produces
+every such certificate, over Z or over a local ring Z/q (q a prime power).
+It reduces a determinant-1 matrix to the identity by elementary row and
+column operations and replays their inverses as the word. Besides whether a
+step reduces its entries mod q, the two rings differ only in how a row finds
+its pivot:
 
 * decompose_int shrinks the row by euclidean division with remainder until
   one entry, necessarily +-1, is left;
@@ -40,7 +42,7 @@ from collections import namedtuple
 from math import gcd
 
 from .errors import ParseError
-from .intmat import Frozen, IntMatrix, _reduce, elementary_product, identity_rows, require_det_one
+from .intmat import Frozen, IntMatrix, elementary_product, identity_rows, require_det_one
 from .modular import ModMatrix, crt_idempotent
 from .primes import factorize
 
@@ -78,17 +80,18 @@ class ElementaryWord(Frozen):
         if m is not None and (m := index(m)) < 2:
             raise ValueError(f"word modulus must be >= 2, got {m}")
         checked = []
+        new = tuple.__new__
         for i, j, a in gens:
             i, j, a = index(i), index(j), index(a)
             if m is not None:
                 a %= m
-            if i < 1 or j < 1:
-                raise ValueError(f"generator position ({i},{j}) must be 1-based")
-            if i == j:
-                raise ValueError("elementary generator requires i != j")
-            if i > n or j > n:
+            if not (0 < i <= n and 0 < j <= n and i != j):
+                if i < 1 or j < 1:
+                    raise ValueError(f"generator position ({i},{j}) must be 1-based")
+                if i == j:
+                    raise ValueError("elementary generator requires i != j")
                 raise ValueError(f"generator E({i},{j},{a}) out of range for n={n}")
-            checked.append(_Gen(i, j, a))
+            checked.append(new(_Gen, (i, j, a)))
         if n < 1:  # checked last: with n < 1 every generator fails above, with its own message
             raise ValueError("dimension must be >= 1")
         vars(self).update(n=n, gens=tuple(checked), modulus=m)
@@ -151,8 +154,8 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
 
     One elimination serves both rings. For each k < n - 1 a pivot of row k
     is found in columns k.., moved onto the diagonal by a signed column swap,
-    and its row and column are cleared by unit divisions. Only the pivot rule
-    differs:
+    and its row and column are cleared by unit divisions. Apart from the step
+    functions (see below), only the pivot rule differs:
 
     * over Z, euclidean column steps shrink row k to one entry (the gcd of
       the row divides the determinant of the active block, so the entry is
@@ -171,26 +174,47 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
     factor 1 + c*e_{src,dst}. With L the lefts composed last-to-first and R
     the rights first-to-last, L * X * R = 1, so X is the inverses of the
     lefts in order, then the inverses of the rights reversed.
+
+    Each ring takes a step with its own pair of step functions. Over Z the
+    entries are left unreduced. Over Z/q the rows are reduced once on entry,
+    c is reduced first (a step with c = 0 mod q is skipped), and each entry
+    is reduced mod q as it changes.
     """
-    norm = operator.pos if q is None else q.__rmod__
-    inv = operator.pos if q is None else lambda a: pow(a, -1, q)  # units of Z are self-inverse
-    m = [list(r) for r in _reduce(rows, q)]
-    n = len(m)
+    n = len(rows)
     lefts: list[tuple[int, int, int]] = []
     rights: list[tuple[int, int, int]] = []
+    # Each step records its inverse, the operation the word replays.
+    if q is None:
+        m = [list(r) for r in rows]
 
-    def add_row(dst: int, src: int, c: int) -> None:
-        if c := norm(c):
-            row, other = m[dst], m[src]
-            for col in range(n):
-                row[col] = norm(row[col] + c * other[col])
-            lefts.append((dst, src, c))
+        def add_row(dst: int, src: int, c: int) -> None:
+            if c:
+                row, other = m[dst], m[src]
+                for col in range(n):
+                    row[col] += c * other[col]
+                lefts.append((dst, src, -c))
 
-    def add_col(dst: int, src: int, c: int) -> None:
-        if c := norm(c):
-            for row in m:
-                row[dst] = norm(row[dst] + c * row[src])
-            rights.append((src, dst, c))
+        def add_col(dst: int, src: int, c: int) -> None:
+            if c:
+                for row in m:
+                    row[dst] += c * row[src]
+                rights.append((src, dst, -c))
+
+    else:
+        m = [[e % q for e in r] for r in rows]
+
+        def add_row(dst: int, src: int, c: int) -> None:
+            if c := c % q:
+                row, other = m[dst], m[src]
+                for col in range(n):
+                    row[col] = (row[col] + c * other[col]) % q
+                lefts.append((dst, src, -c))
+
+        def add_col(dst: int, src: int, c: int) -> None:
+            if c := c % q:
+                for row in m:
+                    row[dst] = (row[dst] + c * row[src]) % q
+                rights.append((src, dst, -c))
 
     for k in range(n - 1):
         row = m[k]
@@ -204,13 +228,16 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
                 for j in rest:
                     add_col(j, piv, -(row[j] // row[piv]))
         else:
-            piv = next((j for j in range(k, n) if gcd(row[j], q) == 1), None)
-            assert piv is not None, "a det-1 row over a local ring must contain a unit"
+            for piv in range(k, n):
+                if gcd(row[piv], q) == 1:
+                    break
+            else:
+                raise AssertionError("a det-1 row over a local ring must contain a unit")
         if piv != k:  # (col_k, col_piv) -> (col_piv, -col_k)
             add_col(k, piv, 1)
             add_col(piv, k, -1)
             add_col(k, piv, 1)
-        ainv = inv(row[k])
+        ainv = row[k] if q is None else pow(row[k], -1, q)  # units of Z are self-inverse
         for j in range(k + 1, n):
             if row[j]:
                 add_col(j, k, -row[j] * ainv)
@@ -222,13 +249,13 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
         if a == 1:
             continue
         b = m[k + 1][k + 1]
-        ainv = inv(a)
+        ainv = a if q is None else pow(a, -1, q)
         add_col(k + 1, k, 1)
         add_col(k, k + 1, ainv - 1)
         add_row(k + 1, k, -(ainv - 1) * b)
         add_col(k + 1, k, -a)
     assert list(map(tuple, m)) == list(identity_rows(n))
-    return [(i, j, -c) for i, j, c in lefts + rights[::-1]]
+    return lefts + rights[::-1]
 
 
 def decompose_int(x: IntMatrix) -> ElementaryWord:

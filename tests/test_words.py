@@ -81,6 +81,17 @@ def test_generator_validation():
         ElementaryWord(2, ((0, 1, 3),))
     with pytest.raises(ValueError, match="out of range for n=2"):
         ElementaryWord(2, ((1, 3, 1),))
+    # the checks run in this order: 1-based, then i != j, then the range
+    # (against the reduced a), so a generator failing several gets the first
+    for n, gens, modulus, message in [
+        (2, ((0, 0, 1),), None, r"\(0,0\) must be 1-based"),
+        (2, ((3, 3, 1),), None, "requires i != j"),
+        (0, ((1, 2, 3),), None, r"E\(1,2,3\) out of range for n=0"),
+        (2, ((1, 3, 7),), 5, r"E\(1,3,2\) out of range for n=2"),
+        (-1, ((0, 5, 1),), None, r"\(0,5\) must be 1-based"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ElementaryWord(n, gens, modulus)
     for n in (0, -1):
         # "| Z" would print and parse back, and fail only in evaluate
         with pytest.raises(ValueError, match="dimension must be >= 1"):
@@ -184,9 +195,13 @@ def test_decompose_local_rejects_non_unimodular():
 def test_decompose_mod_agrees_with_local_at_prime_powers():
     # a single CRT factor has idempotent 1: the local operations, reduced, are the word
     for N in (2, 3, 5, 4):
-        for y in enumerate_sl(2, N):
+        for t, y in enumerate(enumerate_sl(2, N)):
             local = _word_ops(y.rows, N)
             assert decompose_mod(y).gens == tuple((i + 1, j + 1, a % N) for i, j, a in local)
+            # rows given unreduced, each entry shifted by its own multiple of N in -2N..2N
+            shift = [[(t + 3 * r + c) % 5 - 2 for c in range(2)] for r in range(2)]
+            shifted = [[e + N * k for e, k in zip(row, ks)] for row, ks in zip(y.rows, shift)]
+            assert _word_ops(shifted, N) == local
 
 
 def test_decompose_mod_and_lift_three_crt_factors():
@@ -275,20 +290,43 @@ def test_word_coefficients_reduced_mod_n():
     assert w.gens[0].a == 1
 
 
-def test_words_are_pinned_by_snapshot():
-    # the bytes of every word and lift over seeded samples, n = 1..6, at
-    # moduli with one, two and three prime-power factors: a rewrite of the
-    # elimination must give the same words, not just correct ones
-    h = hashlib.sha256()
+def _seeded_sample_lines():
+    # every word and lift over seeded samples, n = 1..6, at moduli with one,
+    # two and three prime-power factors
     for n in range(1, 7):
         for seed in range(60):
             x = sample_sl(n, 3 + seed % 25, seed)
-            h.update((decompose_int(x).to_text() + "\n").encode())
+            yield decompose_int(x).to_text()
             for N in (8, 12, 27, 30, 49, 360):
                 y = ModMatrix(x.rows, N)
-                h.update((decompose_mod(y).to_text() + "\n").encode())
-                h.update((lift_to_int(y).to_text() + "\n").encode())
-    assert h.hexdigest() == "85c0829e7114e6e6fb936dc15e5caba1a06669feb028537017e1c3903b483f8f"
+                yield decompose_mod(y).to_text()
+                yield lift_to_int(y).to_text()
+
+
+def _finite_quotient_lines():
+    # all of SL_2(Z/12), the group the finite-quotients benchmark decomposes
+    # and lifts, and every 37th element of SL_3(Z/4), where a row's first
+    # entry is often a non-unit and the pivot needs a column swap
+    for y in enumerate_sl(2, 12) + enumerate_sl(3, 4)[::37]:
+        yield decompose_mod(y).to_text()
+        yield lift_to_int(y).to_text()
+
+
+@pytest.mark.parametrize(
+    "lines, digest",
+    [
+        (_seeded_sample_lines, "85c0829e7114e6e6fb936dc15e5caba1a06669feb028537017e1c3903b483f8f"),
+        (_finite_quotient_lines, "858dc8d711a19d1d78f42081040101ae95a5bb0fddfdc04c3a0015c275396cea"),
+    ],
+    ids=["seeded-samples", "finite-quotients"],
+)
+def test_words_are_pinned_by_snapshot(lines, digest):
+    # the bytes of every line: a rewrite of the elimination must give the
+    # same words, not just correct ones
+    h = hashlib.sha256()
+    for line in lines():
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == digest
 
 
 @given(
