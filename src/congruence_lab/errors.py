@@ -52,16 +52,25 @@ class CapExceeded(CongruenceLabError):
     requested is the size of the search space, the least cap that admits it,
     or None for a size of over 4300 digits (CPython's default int -> str
     limit), which is never built; the message then names it by `size`, a
-    power such as "2^4000000"."""
+    power such as "2^4000000". A number past the int -> str limit in force
+    is named by its bit length, so the error itself never fails to print."""
 
     def __init__(self, requested: int | None, cap: int, size: str | None = None):
         self.requested = requested
         self.cap = cap
-        size = size or str(requested)
+        size = size or _digits(requested)
         super().__init__(
-            f"search space of size {size} exceeds enumeration cap {cap}; "
+            f"search space of size {size} exceeds enumeration cap {_digits(cap)}; "
             f"required cap: {size}"
         )
+
+
+def _digits(k: int) -> str:
+    """str(k), or "<b-bit integer>" when str(k) would pass the int -> str limit."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"<{k.bit_length()}-bit integer>"
 
 
 class CounterexampleFound(Exception):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import BadModulus, NotPrime
-from .intmat import IntMatrix, random_elementary_rows, require_det_one
+from .intmat import IntMatrix, Rows, random_elementary_rows, require_det_one
 from .primes import is_prime
 
 __all__ = [
@@ -28,14 +28,21 @@ def _require_chain(p: int, k: int = 1) -> None:
         raise ValueError("chain depth k must be >= 1")
 
 
+def is_one_mod(rows: Rows, N: int) -> bool:
+    """True iff N divides every entry of rows - 1; the caller has checked N and the det."""
+    for i, row in enumerate(rows):  # plain loops: no generator to set up on the probe's path
+        for j, e in enumerate(row):
+            if (e - (i == j)) % N:
+                return False
+    return True
+
+
 def gamma_member(x: IntMatrix, N: int) -> bool:
     """True iff N divides every entry of x - 1, i.e. x lies in Gamma(N)."""
     if N < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
     require_det_one(x)
-    return all(
-        (e - (i == j)) % N == 0 for i, row in enumerate(x.rows) for j, e in enumerate(row)
-    )
+    return is_one_mod(x.rows, N)
 
 
 def gamma_level(x: IntMatrix) -> int:

@@ -12,9 +12,10 @@ subclasses that add only what differs between the rings.
 
 Entries are plain Python ints, so products, determinants, and inverses are
 computed without overflow or rounding. Matrices are immutable and hashable;
-all operations return new values. require_det_one is the one statement of
-the determinant-1 precondition, shared by inverse, the Gamma(N) maps,
-matrix_order and the decompositions over Z and Z/N.
+all operations return new values. require_det_one (require_det_one_rows on
+bare rows) is the one statement of the determinant-1 precondition, shared by
+inverse, the Gamma(N) maps, matrix_order, minkowski_probe and the
+decompositions over Z and Z/N.
 
 Text format (used by the CLI and test fixtures): rows separated by ';',
 entries by ',', e.g. "1,2;0,1" for [[1,2],[0,1]]. Whitespace is insignificant
@@ -291,9 +292,16 @@ class IntMatrix(SquareMatrix):
 
 def require_det_one(x: SquareMatrix) -> None:
     """Raise NotUnimodular unless det(x) == 1, over Z/N when x has a modulus."""
-    d = x.det()
+    require_det_one_rows(x.rows, x.modulus)
+
+
+def require_det_one_rows(rows: Rows, N: int | None = None) -> None:
+    """require_det_one on bare rows, over Z/N when N is given."""
+    d = det_of_rows(rows)
+    if N is not None:
+        d %= N
     if d != 1:
-        where = "" if x.modulus is None else f" mod {x.modulus}"
+        where = "" if N is None else f" mod {N}"
         raise NotUnimodular(f"determinant is {d}{where}, expected 1")
 
 

@@ -12,6 +12,9 @@ minkowski_probe is a falsification probe for the classical fact (Minkowski,
 1887) that Gamma(N) is torsion-free for N >= 3 and that nontrivial torsion
 in Gamma(2) has order 2. It samples conjugates of known torsion elements and
 raises CounterexampleFound if one ever lands where none should ever land.
+Its trials run on bare rows, with the row kernel, the 2x2 det-1 check and
+the membership predicate gamma_member itself uses; matrices are built only
+for the report's examples and for a counterexample's message.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import functools
 import math
 
 from .errors import BadModulus, CounterexampleFound
-from .gamma import gamma_level, gamma_member
+from .gamma import gamma_level, is_one_mod
 from .intmat import (Frozen, IntMatrix, Rows, identity_rows, product_of_rows,
-                     random_elementary_rows, require_det_one)
+                     random_elementary_rows, require_det_one, require_det_one_rows)
 from .modular import _check_enumeration, _sl_local
 from .primes import euler_phi, factorize
 
@@ -198,27 +201,28 @@ def minkowski_probe(N: int, trials: int, seed: int) -> dict:
         raise ValueError("trials must be >= 0")
     import random  # here, not at the top: only the samplers draw
     rng = random.Random(seed)
-    pool = _torsion_pool()
-    ident = IntMatrix.identity(2)
+    pool = [t.rows for t in _torsion_pool()]
+    ident = identity_rows(2)
     examples = []
     for _ in range(trials):
         t = pool[rng.randrange(len(pool))]
-        g = IntMatrix(random_elementary_rows(2, rng.randrange(2, 10), rng))
-        conj = g * t * g.inverse()
-        if gamma_member(conj, N):
+        g = random_elementary_rows(2, rng.randrange(2, 10), rng)
+        require_det_one_rows(g)
+        (a, b), (c, d) = g
+        conj = product_of_rows(product_of_rows(g, t), ((d, -b), (-c, a)))  # g*t*adj(g)
+        require_det_one_rows(conj)
+        if is_one_mod(conj, N):
             raise CounterexampleFound(
-                f"torsion conjugate {conj} lies in Gamma({N}); this should be impossible"
+                f"torsion conjugate {IntMatrix._wrap(conj)} lies in Gamma({N}); "
+                "this should be impossible"
             )
-        if gamma_member(conj, 2) and conj * conj != ident:
+        if is_one_mod(conj, 2) and product_of_rows(conj, conj) != ident:
             raise CounterexampleFound(
-                f"finite-order element {conj} of Gamma(2) does not square to 1"
+                f"finite-order element {IntMatrix._wrap(conj)} of Gamma(2) does not square to 1"
             )
         if len(examples) < 5:
+            x = IntMatrix._wrap(conj)
             examples.append(
-                {
-                    "matrix": conj.to_text(),
-                    "order": matrix_order(conj).value,
-                    "level": gamma_level(conj),
-                }
+                {"matrix": x.to_text(), "order": matrix_order(x).value, "level": gamma_level(x)}
             )
     return {"trials": trials, "failures": 0, "examples": examples}

@@ -1,9 +1,12 @@
 """Elementary-generator words and constructive decomposition into them.
 
 A word is an ordered product of elementary matrices 1 + a*e_ij, each given
-by its 1-based (i, j, a) and checked once, by ElementaryWord, at the cost of
-one comparison chain per generator. One elimination, _word_ops, produces
-every such certificate, over Z or over a local ring Z/q (q a prime power).
+by its 1-based (i, j, a). A word from outside (the constructor, from_text,
++) is checked once, by ElementaryWord, at the cost of one comparison chain
+per generator; the words decompose_int and decompose_mod build from their
+own in-range, reduced operations are not checked again. One elimination,
+_word_ops, produces every such certificate, over Z or over a local ring Z/q
+(q a prime power).
 It reduces a determinant-1 matrix to the identity by elementary row and
 column operations and replays their inverses as the word. Besides whether a
 step reduces its entries mod q, the two rings differ only in how a row finds
@@ -56,7 +59,7 @@ __all__ = [
 _GEN_RE = re.compile(r"E\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(-?\d+)\s*\)$")
 
 
-# A checked generator 1 + a*e_ij of an ElementaryWord, i and j 1-based.
+# A generator 1 + a*e_ij of an ElementaryWord, i and j 1-based.
 _Gen = namedtuple("_Gen", "i j a")
 
 
@@ -64,10 +67,11 @@ class ElementaryWord(Frozen):
     """An ordered product of elementary generators over Z or over Z/N.
 
     gens holds triples of ints (i, j, a), the generator 1 + a*e_ij with
-    1 <= i, j <= n and i != j, checked here and nowhere else and stored as
-    named tuples with fields i, j and a (equal to the plain triples). modulus
-    None means the word lives over Z; otherwise coefficients are kept reduced
-    into [0, modulus). Evaluation is the left-to-right product.
+    1 <= i, j <= n and i != j, checked here (built in range, by _from_ops,
+    for the decompositions) and stored as named tuples with fields i, j and
+    a (equal to the plain triples). modulus None means the word lives over
+    Z; otherwise coefficients are kept reduced into [0, modulus). Evaluation
+    is the left-to-right product.
     """
 
     __match_args__ = ("n", "gens", "modulus")
@@ -95,6 +99,16 @@ class ElementaryWord(Frozen):
         if n < 1:  # checked last: with n < 1 every generator fails above, with its own message
             raise ValueError("dimension must be >= 1")
         vars(self).update(n=n, gens=tuple(checked), modulus=m)
+
+    @classmethod
+    def _from_ops(cls, n: int, ops, modulus: int | None = None) -> ElementaryWord:
+        """The word of 0-based (i, j, a) that this module built itself: in-range
+        off-diagonal positions, a already reduced over Z/modulus. Unchecked."""
+        w = object.__new__(cls)
+        new = tuple.__new__
+        gens = tuple([new(_Gen, (i + 1, j + 1, a)) for i, j, a in ops])
+        vars(w).update(n=n, gens=gens, modulus=modulus)
+        return w
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -266,7 +280,7 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
     x exactly.
     """
     require_det_one(x)
-    return ElementaryWord(x.n, tuple((i + 1, j + 1, a) for i, j, a in _word_ops(x.rows)))
+    return ElementaryWord._from_ops(x.n, _word_ops(x.rows))
 
 
 def _mod_ops(y: ModMatrix) -> list[tuple[int, int, int]]:
@@ -292,8 +306,7 @@ def decompose_mod(y: ModMatrix) -> ElementaryWord:
     e = 1, so the local word is the word. Raises NotUnimodular unless
     det(y) == 1 in Z/N.
     """
-    ops = _mod_ops(y)
-    return ElementaryWord(y.n, tuple((i + 1, j + 1, a) for i, j, a in ops), y.modulus)
+    return ElementaryWord._from_ops(y.n, _mod_ops(y), y.modulus)
 
 
 def lift_to_int(y: ModMatrix) -> IntMatrix:

@@ -214,6 +214,24 @@ def test_cap_past_the_digit_bound_is_compared_exactly():
     assert exc.value.requested is None
 
 
+def test_cap_past_the_digit_limit_is_named_by_its_bits():
+    # at CPython's default int -> str limit the cap cannot print; the error
+    # is still CapExceeded, and names the cap by its bit length
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_sl(120, 2, cap=2**14400 - 1)
+        message = str(exc.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.requested is None and exc.value.cap == 2**14400 - 1
+    assert message == (
+        "search space of size 2^14400 exceeds enumeration cap <14400-bit integer>; "
+        "required cap: 2^14400"
+    )
+
+
 def test_cap_override():
     assert len(enumerate_sl(2, 2, cap=16)) == 6
     with pytest.raises(CapExceeded):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from math import comb, lcm
 
@@ -7,6 +8,7 @@ from hypothesis import given
 
 from congruence_lab import (
     BadModulus,
+    CounterexampleFound,
     IntMatrix,
     ModMatrix,
     NotUnimodular,
@@ -24,6 +26,7 @@ from congruence_lab import (
 )
 
 from congruence_lab.primes import euler_phi, factorize
+from congruence_lab import torsion
 from congruence_lab.torsion import _charpoly
 from tests.helpers import (
     brute_force_spectrum,
@@ -280,6 +283,33 @@ def test_minkowski_probe_runs_clean():
         for ex in report["examples"]:
             assert ex["level"] in (1, 2)
             assert ex["order"] in (2, 3, 4, 6)
+
+
+def test_minkowski_probe_reports_are_pinned_by_snapshot():
+    # the bytes of every report: the draw order of the generator and every
+    # example (matrix, order, level) must survive a rewrite of the trial
+    h = hashlib.sha256()
+    for N in range(3, 8):
+        for seed in range(20):
+            report = minkowski_probe(N, 300, seed)
+            h.update((json.dumps(report, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == "5073685e3f517a50b1a7b2a3986890889e083f0f3b9b0c26d8357be9855a34c3"
+
+
+@pytest.mark.parametrize(
+    "t, N, message",
+    [
+        # the identity conjugates to itself, which lies in every Gamma(N)
+        (((1, 0), (0, 1)), 4, r"lies in Gamma\(4\)"),
+        # a conjugate of 1 + 2e_12 is 1 mod 2, not 1 mod 3, and of infinite order
+        (((1, 2), (0, 1)), 3, "does not square to 1"),
+    ],
+    ids=["identity", "unipotent"],
+)
+def test_minkowski_probe_falsification_checks_fire(monkeypatch, t, N, message):
+    monkeypatch.setattr(torsion, "_torsion_pool", lambda: [IntMatrix(t)])
+    with pytest.raises(CounterexampleFound, match=message):
+        minkowski_probe(N, 1, seed=0)
 
 
 def test_minkowski_probe_requires_level_3():

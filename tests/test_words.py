@@ -20,7 +20,7 @@ from congruence_lab import (
     sl_order_formula,
 )
 
-from congruence_lab.words import _word_ops
+from congruence_lab.words import _Gen, _word_ops
 
 from tests.helpers import elementary_words, unimodular_matrices
 
@@ -327,6 +327,26 @@ def test_words_are_pinned_by_snapshot(lines, digest):
     for line in lines():
         h.update((line + "\n").encode())
     assert h.hexdigest() == digest
+
+
+def _decomposed_words():
+    for n in range(1, 7):
+        for seed in range(20):
+            x = sample_sl(n, 3 + seed % 25, seed)
+            yield decompose_int(x)
+            for N in (8, 12, 30):
+                yield decompose_mod(ModMatrix(x.rows, N))
+    for y in enumerate_sl(2, 12) + enumerate_sl(3, 4):
+        yield decompose_mod(y)
+
+
+def test_decomposed_words_equal_their_checked_rebuild():
+    # the decompositions build their words without the constructor's checks;
+    # the constructor must accept each one as it is and build the same value
+    for w in _decomposed_words():
+        checked = ElementaryWord(w.n, w.gens, w.modulus)
+        assert w == checked and repr(w) == repr(checked)
+        assert all(type(g) is _Gen and all(type(e) is int for e in g) for g in w.gens)
 
 
 @given(
