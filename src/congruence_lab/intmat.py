@@ -1,8 +1,9 @@
 """Exact arithmetic for square matrices over Z and over Z/N.
 
 The row kernel, which every algorithm calls, works on tuples of rows over Z
-or Z/N: product_of_rows, det_of_rows, cofactors (det(top + (x,)) = c.x) and
-elementary_product (products of 1 + a*e_ij). The classes wrap its results.
+or Z/N: product_of_rows, power_of_rows, det_of_rows, cofactors
+(det(top + (x,)) = c.x) and elementary_product (products of 1 + a*e_ij).
+The classes wrap its results.
 
 SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
 meaning Z (the convention of ElementaryWord). It alone validates rows and
@@ -94,6 +95,19 @@ def product_of_rows(a: Rows, b: Rows, N: int | None = None) -> Rows:
     if N is None:
         return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)
     return tuple(tuple(sum(map(mul, r, c)) % N for c in cols) for r in a)
+
+
+def power_of_rows(a: Rows, e: int, N: int | None = None) -> Rows:
+    """Rows of a^e for e >= 0 by square-and-multiply, over Z or over Z/N as
+    product_of_rows; a must already be reduced when N is given."""
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else product_of_rows(result, a, N)
+        e >>= 1
+        if e:
+            a = product_of_rows(a, a, N)
+    return identity_rows(len(a)) if result is None else result
 
 
 def det_of_rows(rows: Rows) -> int:
@@ -215,15 +229,7 @@ class SquareMatrix(Frozen):
         """Square-and-multiply; negative exponents are refused here."""
         if e < 0:
             raise ValueError(f"negative powers of {type(self).__name__} are not supported")
-        N = self.modulus
-        result, base = identity_rows(self.n), self.rows
-        while e:
-            if e & 1:
-                result = product_of_rows(result, base, N)
-            if e > 1:
-                base = product_of_rows(base, base, N)
-            e >>= 1
-        return self._wrap(result, N)
+        return self._wrap(power_of_rows(self.rows, e, self.modulus), self.modulus)
 
     def det(self) -> int:
         d = det_of_rows(self.rows)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .gamma import gamma_level, gamma_member, sample_gamma
-from .intmat import IntMatrix, sample_sl
+from .gamma import gamma_member, sample_gamma
+from .intmat import IntMatrix, product_of_rows, require_det_one, sample_sl
 from .modular import ModMatrix, enumerate_sl, sl_order_formula
 from .primes import factorize
 from .torsion import (
@@ -161,12 +161,15 @@ def _check_minkowski(quick: bool, seed: int):
         if report["failures"] != 0:
             return False, f"probe failed at level {N}"
     # Full mode also checks each conjugate against every level at once: its
-    # exact level must be 1 or 2, which rules out Gamma(N) for all N >= 3.
+    # exact level, the gcd of the entries of x - 1, must be 1 or 2, which
+    # rules out Gamma(N) for all N >= 3. Rows only: g^-1 is the adjugate.
     for t in range(0 if quick else trials):
         g = sample_sl(2, 2 + t % 8, seed + t)
-        g_inv = g.inverse()
+        require_det_one(g)
+        (a, b), (c, d) = g.rows
         for torsion in (TORSION_ORDER_4, TORSION_ORDER_6):
-            if gamma_level(g * torsion * g_inv) not in (1, 2):
+            (w, x), (y, z) = product_of_rows(product_of_rows(g.rows, torsion.rows), ((d, -b), (-c, a)))
+            if math.gcd(w - 1, x, y, z - 1) not in (1, 2):
                 return False, f"conjugate of {torsion} by {g} has level >= 3"
     return True, f"{trials} conjugates per level, levels {levels}, zero hits"
 

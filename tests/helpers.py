@@ -7,7 +7,9 @@ import math
 import hypothesis.strategies as st
 
 from congruence_lab import ElementaryWord, IntMatrix, ModMatrix
-from congruence_lab.primes import euler_phi
+from congruence_lab.intmat import identity_rows, product_of_rows
+from congruence_lab.modular import _sl_local
+from congruence_lab.primes import euler_phi, factorize
 
 
 @functools.cache
@@ -52,6 +54,33 @@ def brute_force_spectrum(n: int, N: int) -> frozenset[int]:
             y, order = y * x, order + 1
         orders.add(order)
     return frozenset(orders)
+
+
+def cyclic_walk_spectrum(n: int, N: int) -> frozenset[int]:
+    """Element orders of SL_n(Z/N), one cyclic subgroup at a time.
+
+    Each CRT factor SL_n(Z/p^s) is listed in full. From each element x whose
+    order is not known yet, the rows of x, x^2, ... are multiplied out up to
+    the identity; that gives o = |<x>|, and x^k has order o / gcd(o, k). The
+    factors' spectra combine by lcm. Time and memory follow |SL_n(Z/N)|.
+    """
+    spectrum = {1}
+    for p, s in factorize(N):
+        q = p**s
+        ident = identity_rows(n)
+        orders = {}
+        for x in _sl_local(n, p, s):
+            if x in orders:
+                continue
+            y, powers = x, [x]
+            while y != ident:
+                y = product_of_rows(y, x, q)
+                powers.append(y)
+            o = len(powers)
+            for k, z in enumerate(powers, 1):
+                orders.setdefault(z, o // math.gcd(o, k))
+        spectrum = {math.lcm(a, b) for a in spectrum for b in orders.values()}
+    return frozenset(spectrum)
 
 
 def candidate_orders_walk(n: int) -> frozenset[int]:

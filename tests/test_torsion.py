@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from math import comb, lcm
 
 import hypothesis.strategies as st
@@ -31,6 +32,7 @@ from congruence_lab.torsion import _charpoly
 from tests.helpers import (
     brute_force_spectrum,
     candidate_orders_walk,
+    cyclic_walk_spectrum,
     det_permutation_oracle,
     int_matrices,
     order_by_candidate_powers,
@@ -233,9 +235,45 @@ def test_mod_spectrum_matches_brute_force(n, N):
     assert mod_spectrum(n, N) == brute_force_spectrum(n, N)
 
 
+# Every case the cyclic walk over the whole group finishes in about a second.
+SPECTRUM_ORACLE_CASES = (
+    [(1, N) for N in (2, 3, 12, 9999991)]
+    + [(2, N) for N in range(2, 33)]
+    + [(3, 2), (3, 3), (3, 4), (4, 2)]
+)
+
+
+@pytest.mark.parametrize("n,N", SPECTRUM_ORACLE_CASES)
+def test_mod_spectrum_matches_cyclic_walk(n, N):
+    assert mod_spectrum(n, N) == cyclic_walk_spectrum(n, N)
+
+
+def _divisors(m: int) -> set[int]:
+    return {d for d in range(1, m + 1) if m % d == 0}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+def test_sl2_of_a_prime_field_has_the_classical_spectrum(p):
+    # split and non-split tori give the divisors of p - 1 and p + 1; the
+    # unipotents +-(1 1; 0 1) give p and 2p
+    assert mod_spectrum(2, p) == _divisors(p - 1) | _divisors(p + 1) | {p, 2 * p}
+
+
+def test_mod_spectrum_memory_follows_the_fibre():
+    # the cyclic walk kept one dict entry per element: a 12 MB traced peak here
+    tracemalloc.start()
+    try:
+        mod_spectrum(3, 4)
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+
+
 def test_mod_spectrum_divisor_closed_and_lagrange_bounded():
-    for n, N in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]:
-        spec = mod_spectrum(n, N)
+    cases = [(2, 2, None), (2, 3, None), (2, 4, None), (2, 5, None), (3, 2, None),
+             (3, 5, None), (3, 7, 7**9), (4, 3, 3**16)]
+    for n, N, cap in cases:
+        spec = mod_spectrum(n, N, cap=cap)
         assert 1 in spec
         for d in spec:
             assert sl_order_formula(n, N) % d == 0
@@ -310,6 +348,20 @@ def test_minkowski_probe_falsification_checks_fire(monkeypatch, t, N, message):
     monkeypatch.setattr(torsion, "_torsion_pool", lambda: [IntMatrix(t)])
     with pytest.raises(CounterexampleFound, match=message):
         minkowski_probe(N, 1, seed=0)
+
+
+def test_full_minkowski_check_reports_a_conjugate_of_level_3(monkeypatch):
+    # with 1 + 3e_12 in place of the order-6 element, the first conjugate, by
+    # sample_sl(2, 2, 4) = (0 -1; 1 1), lies in Gamma(3); g's off-diagonal entries
+    # are not 0 mod 3, so a wrong sign in g^-1 would miss it. No probe is run.
+    monkeypatch.setattr(selfcheck, "minkowski_probe", lambda N, trials, seed: {"failures": 0})
+    fake = IntMatrix([[1, 3], [0, 1]])
+    monkeypatch.setattr(selfcheck, "TORSION_ORDER_6", fake)
+    g = sample_sl(2, 2, 4)
+    assert gamma_level(g * fake * g.inverse()) % 3 == 0
+    assert dict(selfcheck._CHECKS)["minkowski-probe"](False, 4) == (
+        False, f"conjugate of {fake} by {g} has level >= 3"
+    )
 
 
 def test_minkowski_probe_requires_level_3():
