@@ -2,8 +2,9 @@
 
 The row kernel, which every algorithm calls, works on tuples of rows over Z
 or Z/N: product_of_rows, power_of_rows, det_of_rows, cofactors
-(det(top + (x,)) = c.x) and elementary_product (products of 1 + a*e_ij).
-The classes wrap its results.
+(det(top + (x,)) = c.x) and elementary_product (products of 1 + a*e_ij,
+each given by the 1-based (i, j, a) of an elementary word). The classes wrap
+its results.
 
 SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
 meaning Z (the convention of ElementaryWord). It alone validates rows and
@@ -312,13 +313,16 @@ def require_det_one_rows(rows: Rows, N: int | None = None) -> None:
 
 
 def elementary_product(n: int, ops, N: int | None = None) -> Rows:
-    """Rows of the left-to-right product of 1 + a*e_ij over 0-based (i, j, a).
+    """Rows of the left-to-right product of 1 + a*e_ij over 1-based (i, j, a),
+    the generators of an elementary word as they are.
 
     Right-multiplying by 1 + a*e_ij adds a times column i to column j, so the
-    product costs n multiply-adds per factor. Over Z/N (N given) every entry
-    is reduced as it changes, so entries stay in [0, N) however long ops is.
+    product costs n multiply-adds per factor; each working row carries an
+    unused column 0, so i and j index it directly. Over Z/N (N given) every
+    entry is reduced as it changes, so entries stay in [0, N) however long
+    ops is.
     """
-    rows = [list(r) for r in identity_rows(n)]
+    rows = [[0, *r] for r in identity_rows(n)]
     if N is None:
         for i, j, a in ops:
             for r in rows:
@@ -327,7 +331,7 @@ def elementary_product(n: int, ops, N: int | None = None) -> Rows:
         for i, j, a in ops:
             for r in rows:
                 r[j] = (r[j] + a * r[i]) % N
-    return tuple(map(tuple, rows))
+    return tuple([tuple(r[1:]) for r in rows])
 
 
 def random_elementary_rows(n: int, length: int, rng, scale: int = 1) -> Rows:
@@ -345,8 +349,9 @@ def random_elementary_rows(n: int, length: int, rng, scale: int = 1) -> Rows:
         return identity_rows(1)
     ops = []
     for _ in range(length):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
+        # 1-based: randrange(1, n + 1) draws as randrange(n) does, shifted by one
+        i = rng.randrange(1, n + 1)
+        j = rng.randrange(1, n)
         if j >= i:
             j += 1
         a = rng.randint(1, _COEFF_BOUND) * scale

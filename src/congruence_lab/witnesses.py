@@ -142,11 +142,14 @@ def _step_preimage(t: TracelessMatrix, step: int) -> IntMatrix:
     """
     n, m = t.n, t.modulus
     ops = [
-        (i, j, a * step) for i, row in enumerate(t.rows) for j, a in enumerate(row) if i != j and a
+        (i, j, a * step)
+        for i, row in enumerate(t.rows, 1)
+        for j, a in enumerate(row, 1)
+        if i != j and a
     ]
     partial = 0
-    for k in range(n - 1):
-        partial = (partial + t.rows[k][k]) % m
+    for k in range(1, n):
+        partial = (partial + t.rows[k - 1][k - 1]) % m
         if partial:
             c = partial * step
             ops += [(k, k + 1, -1), (k + 1, k, -c), (k, k + 1, 1), (k, k + 1, -c), (k + 1, k, c)]

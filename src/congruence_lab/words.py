@@ -18,15 +18,18 @@ its pivot:
   entry prime to q, which is a unit there. Each local coefficient is
   multiplied by the CRT idempotent of its factor, so it acts trivially in
   every other factor. One path serves every N; at a prime power the
-  idempotent is 1.
+  idempotent is 1, so the local word is the word and nothing is lifted.
 
 Over Z the euclidean pivot is +-1, its own inverse, and leaves its row
 clear, so the clearing shared with Z/q adds no operation to an integer word.
 
 lift_to_int multiplies the operations of that mod-N word out over Z, which
 makes the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable
-sense. Evaluating a word, over Z or Z/N, and lifting are both
-intmat.elementary_product on 0-based (i, j, a).
+sense. Every operation, from the elimination through the word to its
+product, is the word's own 1-based (i, j, a), and over Z/N its a is
+already reduced: evaluating a word, over Z or Z/N, and lifting are both
+intmat.elementary_product on those triples as they are. The factors of N
+and their CRT idempotents are computed once per modulus (_crt_plan).
 
 Column swaps needed during reduction are emitted as three elementary
 operations realizing the signed swap (c_k, c_j) -> (c_j, -c_k), so every
@@ -39,9 +42,11 @@ identical words.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from collections import namedtuple
+from itertools import repeat
 from math import gcd
 
 from .errors import ParseError
@@ -102,11 +107,11 @@ class ElementaryWord(Frozen):
 
     @classmethod
     def _from_ops(cls, n: int, ops, modulus: int | None = None) -> ElementaryWord:
-        """The word of 0-based (i, j, a) that this module built itself: in-range
-        off-diagonal positions, a already reduced over Z/modulus. Unchecked."""
+        """The word of the 1-based (i, j, a) that this module built itself:
+        in-range off-diagonal positions, a already reduced over Z/modulus.
+        Unchecked."""
         w = object.__new__(cls)
-        new = tuple.__new__
-        gens = tuple([new(_Gen, (i + 1, j + 1, a)) for i, j, a in ops])
+        gens = tuple(map(tuple.__new__, repeat(_Gen), ops))
         vars(w).update(n=n, gens=gens, modulus=modulus)
         return w
 
@@ -122,7 +127,7 @@ class ElementaryWord(Frozen):
 
     def evaluate(self) -> IntMatrix | ModMatrix:
         N = self.modulus
-        rows = elementary_product(self.n, ((i - 1, j - 1, a) for i, j, a in self.gens), N)
+        rows = elementary_product(self.n, self.gens, N)
         return IntMatrix(rows) if N is None else ModMatrix(rows, N)
 
     def to_text(self) -> str:
@@ -161,10 +166,10 @@ class ElementaryWord(Frozen):
 
 
 def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
-    """The 0-based (i, j, a), a unreduced, of a word for the rows of a
-    determinant-1 matrix: over Z when q is None, else over Z/q for a prime
-    power q, where the rows may be given unreduced. The caller has checked
-    the determinant.
+    """The word, as its own 1-based (i, j, a), of the rows of a determinant-1
+    matrix: over Z when q is None, else over Z/q for a prime power q, where
+    the rows may be given unreduced and each a is recorded reduced into
+    [1, q). The caller has checked the determinant.
 
     One elimination serves both rings. For each k < n - 1 a pivot of row k
     is found in columns k.., moved onto the diagonal by a signed column swap,
@@ -173,10 +178,16 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
 
     * over Z, euclidean column steps shrink row k to one entry (the gcd of
       the row divides the determinant of the active block, so the entry is
-      +-1), which leaves nothing of the row to clear;
+      +-1), which leaves nothing of the row to clear. Each round scans the
+      row once for the pivot, the least |entry| and the first index on
+      ties, and for any other nonzero entry, which it then divides by the
+      pivot in ascending column order;
     * over the local ring Z/q, any entry prime to q is a unit and pivots
       directly (one exists, else the determinant would lie in the maximal
       ideal).
+
+    A row that is zero from column k on cannot occur after the determinant
+    check; in either ring it raises AssertionError.
 
     The unit diagonal left over is swept to the identity on slots (k, k+1)
     in turn, each time turning diag(a, b) into diag(1, ab):
@@ -189,10 +200,12 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
     the rights first-to-last, L * X * R = 1, so X is the inverses of the
     lefts in order, then the inverses of the rights reversed.
 
-    Each ring takes a step with its own pair of step functions. Over Z the
-    entries are left unreduced. Over Z/q the rows are reduced once on entry,
-    c is reduced first (a step with c = 0 mod q is skipped), and each entry
-    is reduced mod q as it changes.
+    Each ring takes a step with its own pair of step functions, which work
+    on 0-based rows and columns and record the inverse operation 1-based.
+    Over Z the entries are left unreduced. Over Z/q the rows are reduced
+    once on entry, c is reduced first (a step with c = 0 mod q is skipped,
+    and the inverse is recorded as q - c), and each entry is reduced mod q
+    as it changes.
     """
     n = len(rows)
     lefts: list[tuple[int, int, int]] = []
@@ -206,13 +219,13 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
                 row, other = m[dst], m[src]
                 for col in range(n):
                     row[col] += c * other[col]
-                lefts.append((dst, src, -c))
+                lefts.append((dst + 1, src + 1, -c))
 
         def add_col(dst: int, src: int, c: int) -> None:
             if c:
                 for row in m:
                     row[dst] += c * row[src]
-                rights.append((src, dst, -c))
+                rights.append((src + 1, dst + 1, -c))
 
     else:
         m = [[e % q for e in r] for r in rows]
@@ -222,25 +235,38 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
                 row, other = m[dst], m[src]
                 for col in range(n):
                     row[col] = (row[col] + c * other[col]) % q
-                lefts.append((dst, src, -c))
+                lefts.append((dst + 1, src + 1, q - c))
 
         def add_col(dst: int, src: int, c: int) -> None:
             if c := c % q:
                 for row in m:
                     row[dst] = (row[dst] + c * row[src]) % q
-                rights.append((src, dst, -c))
+                rights.append((src + 1, dst + 1, q - c))
 
     for k in range(n - 1):
         row = m[k]
         if q is None:
             while True:
-                nz = [j for j in range(k, n) if row[j] != 0]
-                piv = min(nz, key=lambda j: (abs(row[j]), j))
-                rest = [j for j in nz if j != piv]
-                if not rest:
+                piv = -1
+                more = False
+                for j in range(k, n):
+                    if e := row[j]:
+                        if e < 0:
+                            e = -e
+                        if piv < 0:
+                            piv, least = j, e
+                        else:
+                            more = True
+                            if e < least:
+                                piv, least = j, e
+                if not more:
                     break
-                for j in rest:
-                    add_col(j, piv, -(row[j] // row[piv]))
+                d = row[piv]
+                for j in range(k, n):
+                    if row[j] and j != piv:
+                        add_col(j, piv, -(row[j] // d))
+            if piv < 0:
+                raise AssertionError("a det-1 row over Z must be nonzero from the diagonal on")
         else:
             for piv in range(k, n):
                 if gcd(row[piv], q) == 1:
@@ -283,15 +309,28 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
     return ElementaryWord._from_ops(x.n, _word_ops(x.rows))
 
 
+@functools.lru_cache(maxsize=64)
+def _crt_plan(N: int) -> tuple[tuple[int, int], ...]:
+    """The (q, e) of each prime-power factor q of N, e its CRT idempotent
+    (1 mod q, 0 mod N/q). A tuple of tuples, so every caller can share it."""
+    return tuple((p**s, crt_idempotent(p**s, N)) for p, s in factorize(N))
+
+
 def _mod_ops(y: ModMatrix) -> list[tuple[int, int, int]]:
-    """The word of decompose_mod(y) as 0-based (i, j, a), each a in [0, N)."""
+    """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
+
+    The factors of N and their idempotents come from the cached _crt_plan.
+    At a prime power the local ops are the word as they are; only at a
+    composite N is each local a lifted to a*e mod N.
+    """
     require_det_one(y)
     N = y.modulus
+    plan = _crt_plan(N)
+    if len(plan) == 1:
+        return _word_ops(y.rows, N)
     ops = []
-    for p, s in factorize(N):
-        q = p**s
-        e, local = crt_idempotent(q, N), _word_ops(y.rows, q)
-        ops += [(i, j, a * e % N) for i, j, a in local]
+    for q, e in plan:
+        ops += [(i, j, a * e % N) for i, j, a in _word_ops(y.rows, q)]
     return ops
 
 

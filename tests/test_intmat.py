@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -9,7 +12,14 @@ from congruence_lab import (
     ParseError,
     sample_sl,
 )
-from congruence_lab.intmat import _det_bareiss, cofactors, det_of_rows, identity_rows, product_of_rows
+from congruence_lab.intmat import (
+    _det_bareiss,
+    cofactors,
+    det_of_rows,
+    identity_rows,
+    product_of_rows,
+    random_elementary_rows,
+)
 
 from tests.helpers import det_permutation_oracle, int_matrices, unimodular_matrices
 
@@ -198,6 +208,19 @@ def test_sample_seed_stability():
         (7, 0, 0, 0, -4, 27, 0, 1),
     )
     assert sample_sl(2, 10, 20240601) == sample_sl(2, 10, 20240601)
+
+
+def test_random_elementary_rows_and_rng_state_are_pinned():
+    # the rows drawn at n = 1..8, scales 1 and 3, and the generator's state
+    # after each run of draws: a rewrite of the sampler must draw the same
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for scale in (1, 3):
+            rng = random.Random(1000 * n + scale)
+            for length in (0, 1, 5, 17):
+                h.update(repr(random_elementary_rows(n, length, rng, scale)).encode())
+            h.update(repr(rng.getstate()).encode())
+    assert h.hexdigest() == "7a095577646fd8acd34e1632d82d78455e451e75e14a15756e5257592802f0f2"
 
 
 def test_sample_validates_arguments():

@@ -20,7 +20,8 @@ from congruence_lab import (
     sl_order_formula,
 )
 
-from congruence_lab.words import _Gen, _word_ops
+from congruence_lab import words
+from congruence_lab.words import _crt_plan, _Gen, _word_ops
 
 from tests.helpers import elementary_words, unimodular_matrices
 
@@ -193,15 +194,49 @@ def test_decompose_local_rejects_non_unimodular():
 
 
 def test_decompose_mod_agrees_with_local_at_prime_powers():
-    # a single CRT factor has idempotent 1: the local operations, reduced, are the word
+    # a single CRT factor has idempotent 1: the local operations, 1-based and
+    # already reduced, are the word as they are
     for N in (2, 3, 5, 4):
         for t, y in enumerate(enumerate_sl(2, N)):
             local = _word_ops(y.rows, N)
-            assert decompose_mod(y).gens == tuple((i + 1, j + 1, a % N) for i, j, a in local)
+            assert decompose_mod(y).gens == tuple(local)
             # rows given unreduced, each entry shifted by its own multiple of N in -2N..2N
             shift = [[(t + 3 * r + c) % 5 - 2 for c in range(2)] for r in range(2)]
             shifted = [[e + N * k for e, k in zip(row, ks)] for row, ks in zip(y.rows, shift)]
             assert _word_ops(shifted, N) == local
+
+
+def test_word_ops_refuse_a_row_that_vanishes_from_the_diagonal_on():
+    # the determinant check rules such a row out; reached anyway, both rings
+    # stop with AssertionError, not with an error from inside the pivot search
+    for rows in ([[0, 0], [0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]]):
+        for q in (None, 4, 5):
+            with pytest.raises(AssertionError, match="det-1 row"):
+                _word_ops(rows, q)
+
+
+def test_crt_plan_factors_each_modulus_once(monkeypatch):
+    factorize, calls = words.factorize, []
+
+    def counted(N):
+        calls.append(N)
+        return factorize(N)
+
+    N = 1000003 * 1000033
+    monkeypatch.setattr(words, "factorize", counted)
+    _crt_plan.cache_clear()
+    try:
+        x = sample_sl(3, 12, 5)
+        y = ModMatrix(x.rows, N)
+        for _ in range(10):
+            assert decompose_mod(y).evaluate() == y
+            assert ModMatrix(lift_to_int(y).rows, N) == y
+        assert calls == [N]
+        plan = _crt_plan(N)
+        assert [q for q, _ in plan] == [1000003, 1000033]
+        assert all(e % q == 1 and e % (N // q) == 0 for q, e in plan)
+    finally:
+        _crt_plan.cache_clear()
 
 
 def test_decompose_mod_and_lift_three_crt_factors():
@@ -312,13 +347,28 @@ def _finite_quotient_lines():
         yield lift_to_int(y).to_text()
 
 
+def _integer_exact_lines():
+    # the integer words at the lengths the integer-exact benchmark decomposes
+    # (entries well past those of the seeded samples), n = 2..8 with more
+    # seeds at n = 4, and each word's product, which must be the sample
+    for n in range(2, 9):
+        for seed in range(12 if n == 4 else 4):
+            x = sample_sl(n, 10 * n, seed)
+            w = decompose_int(x)
+            product = w.evaluate()
+            assert product == x
+            yield w.to_text()
+            yield product.to_text()
+
+
 @pytest.mark.parametrize(
     "lines, digest",
     [
         (_seeded_sample_lines, "85c0829e7114e6e6fb936dc15e5caba1a06669feb028537017e1c3903b483f8f"),
         (_finite_quotient_lines, "858dc8d711a19d1d78f42081040101ae95a5bb0fddfdc04c3a0015c275396cea"),
+        (_integer_exact_lines, "86ae0d67074ddfddcfdbabdfef825160f4b11227c8cb2265864ffcc9133d8be3"),
     ],
-    ids=["seeded-samples", "finite-quotients"],
+    ids=["seeded-samples", "finite-quotients", "integer-exact"],
 )
 def test_words_are_pinned_by_snapshot(lines, digest):
     # the bytes of every line: a rewrite of the elimination must give the
