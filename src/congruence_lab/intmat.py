@@ -318,9 +318,11 @@ def elementary_product(n: int, ops, N: int | None = None) -> Rows:
 
     Right-multiplying by 1 + a*e_ij adds a times column i to column j, so the
     product costs n multiply-adds per factor; each working row carries an
-    unused column 0, so i and j index it directly. Over Z/N (N given) every
-    entry is reduced as it changes, so entries stay in [0, N) however long
-    ops is.
+    unused column 0, so i and j index it directly. Every i and j must lie in
+    1..n: an index of 0 raises nothing and silently gives a wrong product
+    (i = 0 adds nothing, j = 0 writes into the discarded column). Over Z/N
+    (N given) every entry is reduced as it changes, so entries stay in
+    [0, N) however long ops is.
     """
     rows = [[0, *r] for r in identity_rows(n)]
     if N is None:

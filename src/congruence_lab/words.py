@@ -18,7 +18,7 @@ its pivot:
   entry prime to q, which is a unit there. Each local coefficient is
   multiplied by the CRT idempotent of its factor, so it acts trivially in
   every other factor. One path serves every N; at a prime power the
-  idempotent is 1, so the local word is the word and nothing is lifted.
+  idempotent is 1, so lifting leaves the local word as it is.
 
 Over Z the euclidean pivot is +-1, its own inverse, and leaves its row
 clear, so the clearing shared with Z/q adds no operation to an integer word.
@@ -319,17 +319,14 @@ def _crt_plan(N: int) -> tuple[tuple[int, int], ...]:
 def _mod_ops(y: ModMatrix) -> list[tuple[int, int, int]]:
     """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
 
-    The factors of N and their idempotents come from the cached _crt_plan.
-    At a prime power the local ops are the word as they are; only at a
-    composite N is each local a lifted to a*e mod N.
+    The factors of N and their idempotents come from the cached _crt_plan;
+    each local a, already in [0, q), is lifted to a*e mod N. At a prime power
+    e is 1 and the local ops are the word unchanged.
     """
     require_det_one(y)
     N = y.modulus
-    plan = _crt_plan(N)
-    if len(plan) == 1:
-        return _word_ops(y.rows, N)
     ops = []
-    for q, e in plan:
+    for q, e in _crt_plan(N):
         ops += [(i, j, a * e % N) for i, j, a in _word_ops(y.rows, q)]
     return ops
 

@@ -12,15 +12,21 @@ from congruence_lab import (
     ModMatrix,
     NotUnimodular,
     ParseError,
+    TracelessMatrix,
     decompose_int,
     decompose_mod,
     enumerate_sl,
     lift_to_int,
+    phi_general,
+    phi_general_preimage,
+    phi_k,
+    phi_preimage,
+    sample_gamma,
     sample_sl,
     sl_order_formula,
 )
 
-from congruence_lab import words
+from congruence_lab import intmat, witnesses, words
 from congruence_lab.words import _crt_plan, _Gen, _word_ops
 
 from tests.helpers import elementary_words, unimodular_matrices
@@ -213,6 +219,35 @@ def test_word_ops_refuse_a_row_that_vanishes_from_the_diagonal_on():
         for q in (None, 4, 5):
             with pytest.raises(AssertionError, match="det-1 row"):
                 _word_ops(rows, q)
+
+
+def test_every_op_handed_to_elementary_product_is_one_based(monkeypatch):
+    # elementary_product pads its rows with an unused column 0, so a stray
+    # 0-based op would give a wrong product without raising: every builder of
+    # ops (sampler, elimination, CRT lift, depth-map preimages) is checked here
+    product, seen = intmat.elementary_product, []
+
+    def checked(n, ops, N=None):
+        ops = list(ops)
+        assert all(1 <= i <= n and 1 <= j <= n and i != j for i, j, _ in ops)
+        seen.append(len(ops))
+        return product(n, ops, N)
+
+    for module in (intmat, words, witnesses):
+        monkeypatch.setattr(module, "elementary_product", checked)
+    for n in (2, 3, 4):
+        x = sample_sl(n, 6 * n, n)
+        assert decompose_int(x).evaluate() == x
+        g = sample_gamma(n, 6, 3 * n, n)
+        for N in (6, 9, 7):
+            y = ModMatrix(x.rows, N)
+            assert decompose_mod(y).evaluate() == y
+            assert ModMatrix(lift_to_int(y).rows, N) == y
+        t = phi_general(g, 6)
+        assert phi_general(phi_general_preimage(t), 6) == t
+    t = TracelessMatrix(((1, 2), (0, 2)), 3)
+    assert phi_k(phi_preimage(t, 3, 2), 3, 2) == t
+    assert len(seen) > 20
 
 
 def test_crt_plan_factors_each_modulus_once(monkeypatch):
