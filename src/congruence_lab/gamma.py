@@ -8,6 +8,7 @@ divisibility: Gamma(M) contains Gamma(N) exactly when M divides N.
 from __future__ import annotations
 
 import math
+from operator import index
 
 from .errors import BadModulus, NotPrime
 from .intmat import IntMatrix, Rows, random_elementary_rows, require_det_one
@@ -58,7 +59,9 @@ def gamma_level(x: IntMatrix) -> int:
 
 def sample_gamma(n: int, N: int, length: int, seed: int) -> IntMatrix:
     """Deterministic pseudo-random element of Gamma(N): a product of `length`
-    elementary matrices whose coefficients are multiples of N."""
+    elementary matrices whose coefficients are multiples of N, drawn from
+    random.Random(seed).getrandbits as random_elementary_rows says."""
+    n, length = index(n), index(length)
     if N < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
     import random  # here, not at the top: only the samplers draw

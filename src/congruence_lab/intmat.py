@@ -342,24 +342,30 @@ def random_elementary_rows(n: int, length: int, rng, scale: int = 1) -> Rows:
     Coefficients satisfy 1 <= |a| <= _COEFF_BOUND. Used by sample_sl and by the
     congruence-subgroup sampler (scale = N yields elements of Gamma(N)). At
     n = 1 there is no off-diagonal position, and no draw is made.
+
+    n and length pass through operator.index first. Each factor draws i in
+    1..n, j in 1..n-1 (shifted past i), |a| in 1.._COEFF_BOUND, then a sign,
+    each below its count w as randrange draws it on CPython 3.10-3.13: by
+    getrandbits(w.bit_length()) until < w (w = 1 spends a bit, w = 2 two).
     """
+    n, length = index(n), index(length)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if length < 0:
         raise ValueError("length must be >= 0")
     if n == 1:
         return identity_rows(1)
+    bits = rng.getrandbits
+    kn, kj, ka = n.bit_length(), (n - 1).bit_length(), _COEFF_BOUND.bit_length()
     ops = []
     for _ in range(length):
-        # 1-based: randrange(1, n + 1) draws as randrange(n) does, shifted by one
-        i = rng.randrange(1, n + 1)
-        j = rng.randrange(1, n)
+        while (i := bits(kn) + 1) > n: pass
+        while (j := bits(kj) + 1) >= n: pass
         if j >= i:
             j += 1
-        a = rng.randint(1, _COEFF_BOUND) * scale
-        if rng.randrange(2):
-            a = -a
-        ops.append((i, j, a))
+        while (a := bits(ka) + 1) > _COEFF_BOUND: pass
+        while (sign := bits(2)) >= 2: pass
+        ops.append((i, j, -a * scale if sign else a * scale))
     return elementary_product(n, ops)
 
 
@@ -367,7 +373,8 @@ def sample_sl(n: int, length: int, seed: int) -> IntMatrix:
     """Deterministic pseudo-random element of SL_n(Z).
 
     Returns the product of `length` random elementary matrices with
-    coefficients 1 <= |a| <= 5; the same seed always yields the same matrix.
+    coefficients 1 <= |a| <= 5; the same seed always yields the same matrix,
+    drawn from random.Random(seed).getrandbits as random_elementary_rows says.
     """
     import random  # here, not at the top: only the samplers draw
     return IntMatrix(random_elementary_rows(n, length, random.Random(seed)))

@@ -379,6 +379,8 @@ def minkowski_probe(N: int, trials: int, seed: int) -> dict:
     identity. Returns a JSON-ready report {trials, failures, examples};
     raises CounterexampleFound instead of ever reporting a failure, since one
     would contradict a theorem. This probe is evidence, not a proof.
+    A trial draws a pool index, a word length - 2 below 8, then the word's
+    factors, all from getrandbits by the rule of random_elementary_rows.
     """
     if N < 3:
         raise BadModulus(f"probe level must be >= 3, got {N}")
@@ -389,12 +391,14 @@ def minkowski_probe(N: int, trials: int, seed: int) -> dict:
     pool = [t.rows for t in _torsion_pool()]
     ident = identity_rows(2)
     examples = []
+    bits, kp = rng.getrandbits, len(pool).bit_length()
     for _ in range(trials):
-        t = pool[rng.randrange(len(pool))]
-        g = random_elementary_rows(2, rng.randrange(2, 10), rng)
+        while (p := bits(kp)) >= len(pool): pass
+        while (length := bits(4) + 2) >= 10: pass
+        g = random_elementary_rows(2, length, rng)
         require_det_one_rows(g)
         (a, b), (c, d) = g
-        conj = product_of_rows(product_of_rows(g, t), ((d, -b), (-c, a)))  # g*t*adj(g)
+        conj = product_of_rows(product_of_rows(g, pool[p]), ((d, -b), (-c, a)))  # g*t*adj(g)
         require_det_one_rows(conj)
         if is_one_mod(conj, N):
             raise CounterexampleFound(

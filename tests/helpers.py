@@ -7,7 +7,7 @@ import math
 import hypothesis.strategies as st
 
 from congruence_lab import ElementaryWord, IntMatrix, ModMatrix
-from congruence_lab.intmat import identity_rows, product_of_rows
+from congruence_lab.intmat import elementary_product, identity_rows, product_of_rows
 from congruence_lab.modular import _sl_local
 from congruence_lab.primes import euler_phi, factorize
 
@@ -129,6 +129,24 @@ def factorize_by_trial_division(n: int) -> list[tuple[int, int]]:
 
 def is_prime_by_trial_division(n: int) -> bool:
     return n > 1 and factorize_by_trial_division(n) == [(n, 1)]
+
+
+def random_elementary_rows_by_randrange(n: int, length: int, rng, scale: int = 1):
+    """The sampler's draws through randrange and randint, one call per value:
+    the rows random_elementary_rows must give, with rng left where it leaves it."""
+    if n == 1:
+        return identity_rows(1)
+    ops = []
+    for _ in range(length):
+        i = rng.randrange(1, n + 1)
+        j = rng.randrange(1, n)
+        if j >= i:
+            j += 1
+        a = rng.randint(1, 5) * scale
+        if rng.randrange(2):
+            a = -a
+        ops.append((i, j, a))
+    return elementary_product(n, ops)
 
 
 def int_matrices(n: int, bound: int = 9):

@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from congruence_lab import (
     sample_gamma,
     sample_sl,
 )
+from congruence_lab.intmat import random_elementary_rows
 
 from tests.helpers import unimodular_matrices
 
@@ -92,6 +95,31 @@ def test_samplers_state_the_same_preconditions():
             call()
     with pytest.raises(BadModulus):  # the level is still checked first
         sample_gamma(0, 0, -1, 1)
+
+
+def test_samplers_take_n_and_length_through_index():
+    # a TypeError on every Python, before the level check and before any draw;
+    # bool is an int, so True still means 1
+    rng = random.Random(0)
+    for call in (
+        lambda: sample_sl(1.0, 3, 1),
+        lambda: sample_sl(2.0, 3, 1),
+        lambda: sample_sl(0.5, 3, 1),
+        lambda: sample_sl(2, 3.0, 1),
+        lambda: sample_sl(1, -0.5, 1),
+        lambda: sample_gamma(1.5, 0, 3, 1),
+        lambda: sample_gamma(2.0, 3, 2, 1),
+        lambda: sample_gamma(2, 3, 2.0, 1),
+        lambda: random_elementary_rows(2.0, 3, rng),
+        lambda: random_elementary_rows(1, 0.0, rng),
+    ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    assert rng.getstate() == random.Random(0).getstate()
+    assert sample_sl(True, 3, 1) == IntMatrix.identity(1)
+    assert sample_sl(2, True, 5) == sample_sl(2, 1, 5)
+    assert sample_gamma(2, 3, True, 5) == sample_gamma(2, 3, 1, 5)
+    assert random_elementary_rows(True, 2, rng) == ((1,),)
 
 
 def test_sample_gamma_seed_stability():

@@ -21,7 +21,12 @@ from congruence_lab.intmat import (
     random_elementary_rows,
 )
 
-from tests.helpers import det_permutation_oracle, int_matrices, unimodular_matrices
+from tests.helpers import (
+    det_permutation_oracle,
+    int_matrices,
+    random_elementary_rows_by_randrange,
+    unimodular_matrices,
+)
 
 
 def test_product_example():
@@ -221,6 +226,22 @@ def test_random_elementary_rows_and_rng_state_are_pinned():
                 h.update(repr(random_elementary_rows(n, length, rng, scale)).encode())
             h.update(repr(rng.getstate()).encode())
     assert h.hexdigest() == "7a095577646fd8acd34e1632d82d78455e451e75e14a15756e5257592802f0f2"
+
+
+def test_random_elementary_rows_draw_as_randrange_does():
+    # rows and generator state against the randrange/randint oracle. The
+    # widths of i, j, |a| and the sign are 1..17, 5 and 2: n = 9 and 17 reject
+    # 4- and 5-bit draws, j at n = 2 spends one bit per attempt, the sign two
+    seed = 0
+    for n in range(1, 18):
+        for scale in (1, 3, 60):
+            for length in range(41):
+                for _ in range(2):
+                    seed += 1
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    rows = random_elementary_rows(n, length, rng, scale)
+                    assert rows == random_elementary_rows_by_randrange(n, length, ref, scale)
+                    assert rng.getstate() == ref.getstate()
 
 
 def test_sample_validates_arguments():

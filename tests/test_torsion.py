@@ -334,6 +334,27 @@ def test_minkowski_probe_reports_are_pinned_by_snapshot():
     assert h.hexdigest() == "5073685e3f517a50b1a7b2a3986890889e083f0f3b9b0c26d8357be9855a34c3"
 
 
+def test_minkowski_probe_tests_the_same_conjugates(monkeypatch):
+    # every conjugate the probe tests against Gamma(N), not just the first 5
+    # examples of each report: a drift in the draws at any trial shows here
+    h, count = hashlib.sha256(), 0
+    is_one_mod = torsion.is_one_mod
+
+    def record(rows, N):
+        nonlocal count
+        if N != 2:
+            h.update(repr(rows).encode())
+            count += 1
+        return is_one_mod(rows, N)
+
+    monkeypatch.setattr(torsion, "is_one_mod", record)
+    for N in range(3, 7):
+        for seed in (0, 7, 123):
+            minkowski_probe(N, 2000, seed)
+    assert count == 24000
+    assert h.hexdigest() == "c47e749868212b36a4eaba21891e09997547341ea0120e9ae3970ff24029c8d9"
+
+
 @pytest.mark.parametrize(
     "t, N, message",
     [
