@@ -40,6 +40,7 @@ def is_one_mod(rows: Rows, N: int) -> bool:
 
 def gamma_member(x: IntMatrix, N: int) -> bool:
     """True iff N divides every entry of x - 1, i.e. x lies in Gamma(N)."""
+    N = index(N)
     if N < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
     require_det_one(x)

@@ -21,6 +21,7 @@ and checks the list against an exhaustive N^(n^2) walk.
 from __future__ import annotations
 
 import itertools
+from operator import index
 
 from .errors import BadModulus, CapExceeded, ParseError
 from .intmat import Rows, SquareMatrix, cofactors, identity_rows, parse_entries, product_of_rows
@@ -61,8 +62,9 @@ class ModMatrix(SquareMatrix):
         return cls(parse_entries(body.strip()), int(mod_text))
 
 
-def _check_enumeration(n: int, N: int, cap: int | None) -> None:
-    """Argument and cap checks shared by everything that walks SL_n(Z/N).
+def _check_enumeration(n: int, N: int, cap: int | None) -> tuple[int, int]:
+    """Argument and cap checks shared by everything that walks SL_n(Z/N);
+    returns n and N as ints, taken through operator.index like the cap.
 
     The cap bounds N^(n^2), the size of the entry space, and is checked on N
     itself before any per-factor work, so the inputs refused are the same
@@ -70,14 +72,15 @@ def _check_enumeration(n: int, N: int, cap: int | None) -> None:
     (bits of N - 1) * n^2 bits, so a space past both the cap and 10^4300
     (4301 digits, named as a power) is refused before the power is built.
     """
+    n, N = index(n), index(N)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if N < 2:
         raise BadModulus(f"modulus must be >= 2, got {N}")
-    cap, e = DEFAULT_ENUMERATION_CAP if cap is None else cap, n * n
+    cap, e = DEFAULT_ENUMERATION_CAP if cap is None else index(cap), n * n
     if (N.bit_length() - 1) * e < max(cap.bit_length(), 14285):  # 10^4300 has 14285 bits
         if (size := N**e) <= cap:
-            return
+            return n, N
         if size < 10**4300:
             raise CapExceeded(size, cap)
     raise CapExceeded(None, cap, f"{N}^{e}")
@@ -135,7 +138,7 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
     (carrying the required cap, or None past 4300 digits) when the entry
     space N^(n^2) is larger than `cap` (default DEFAULT_ENUMERATION_CAP).
     """
-    _check_enumeration(n, N, cap)
+    n, N = _check_enumeration(n, N, cap)
     elements: list[Rows] = []
     M = 1
     factors = factorize(N)
@@ -166,6 +169,7 @@ def sl_order_formula(n: int, N: int) -> int:
     Multiplicative over the prime factorization of N. For a prime power p^s
     the count is p^(n(n-1)/2 + (s-1)(n^2-1)) * prod_{k=2..n}(p^k - 1).
     """
+    n, N = index(n), index(N)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if N < 1:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import mul
+from operator import index, mul
 
 from .errors import BadModulus, CounterexampleFound
 from .gamma import gamma_level, is_one_mod
@@ -350,7 +350,7 @@ def mod_spectrum(n: int, N: int, cap: int | None = None) -> frozenset[int]:
     so the group is never listed. The cap is the one enumerate_sl applies,
     on N^(n^2), so the inputs refused do not depend on the route.
     """
-    _check_enumeration(n, N, cap)
+    n, N = _check_enumeration(n, N, cap)
     if n == 1:
         return frozenset({1})
     spectrum = {1}
@@ -382,6 +382,7 @@ def minkowski_probe(N: int, trials: int, seed: int) -> dict:
     A trial draws a pool index, a word length - 2 below 8, then the word's
     factors, all from getrandbits by the rule of random_elementary_rows.
     """
+    N, trials = index(N), index(trials)
     if N < 3:
         raise BadModulus(f"probe level must be >= 3, got {N}")
     if trials < 0:

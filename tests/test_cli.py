@@ -139,11 +139,22 @@ def test_selfcheck_failure_is_reported(capsys, monkeypatch):
     assert out.splitlines()[-1] == "12 passed, 1 failed (quick mode)"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["selfcheck", "--quick"], ["order", "0,-1;1,0"], ["index", "--n", "2", "--mod", "3"]],
-    ids=["selfcheck", "order", "index"],
-)
+# Every subcommand but enumerate and spectrum, with arguments that succeed without --cap.
+NO_CAP = [
+    ["decompose", "0,-1;1,0"],
+    ["lift", "0,1;4,0", "--mod", "5"],
+    ["level", "1,2;0,1"],
+    ["member", "1,4;0,1", "--mod", "4"],
+    ["index", "--n", "2", "--mod", "3"],
+    ["order", "0,-1;1,0"],
+    ["phi", "1,2;0,1", "--prime", "2", "--k", "1"],
+    ["witness-rf", "1,2;0,1"],
+    ["witness-p", "1,2;0,1", "--prime", "2"],
+    ["selfcheck", "--quick"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_CAP, ids=[argv[0] for argv in NO_CAP])
 def test_cap_is_a_usage_error_where_nothing_is_enumerated(argv, capsys):
     code, out, err = run_cli(capsys, *argv, "--cap", "1000")
     assert code == 2 and out == ""

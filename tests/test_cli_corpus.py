@@ -1,7 +1,8 @@
 """Golden CLI corpus: fixed invocations and their exact stdout, stderr and exit code.
 
 Every entry of data/cli_corpus.json was recorded through cli.run. The corpus
-covers every subcommand, JSON and --plain output, and the domain-error paths
+covers every subcommand, JSON and --plain output, each subcommand's --help
+(the last entries, identical on 3.10 to 3.13), and the domain-error paths
 (non-square input, a modulus given to an integer command, bad moduli, cap
 overrides, a composite prime, the identity as witness target), plus --cap as
 a usage error where nothing is enumerated. Two orders at n = 16 and n = 20

@@ -11,6 +11,8 @@ from congruence_lab import (
     IntMatrix,
     ModMatrix,
     enumerate_sl,
+    gamma_member,
+    minkowski_probe,
     mod_spectrum,
     sl_order_formula,
 )
@@ -236,6 +238,61 @@ def test_cap_override():
     assert len(enumerate_sl(2, 2, cap=16)) == 6
     with pytest.raises(CapExceeded):
         enumerate_sl(2, 2, cap=15)
+
+
+class _Index:
+    """An integer stand-in with __index__ and nothing else: no comparison, power or bit_length."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+_T = IntMatrix(((1, 5), (0, 1)))
+
+
+# (call, the same call with plain ints), or (call, None) where the call must raise TypeError
+@pytest.mark.parametrize(
+    "call,plain",
+    [
+        (lambda: gamma_member(_T, 2.5), None),
+        (lambda: gamma_member(_T, _Index(5)), lambda: gamma_member(_T, 5)),
+        (lambda: gamma_member(_T, True), lambda: gamma_member(_T, 1)),
+        (lambda: sl_order_formula(2, 2.5), None),
+        (lambda: sl_order_formula(2.0, 3), None),
+        (lambda: sl_order_formula(_Index(2), _Index(3)), lambda: sl_order_formula(2, 3)),
+        (lambda: sl_order_formula(True, 5), lambda: sl_order_formula(1, 5)),
+        (lambda: enumerate_sl(2, 2.5), None),
+        (lambda: enumerate_sl(2, 2, cap=16.0), None),
+        (lambda: enumerate_sl(_Index(2), _Index(3), _Index(81)), lambda: enumerate_sl(2, 3)),
+        (lambda: enumerate_sl(True, 2), lambda: enumerate_sl(1, 2)),
+        (lambda: mod_spectrum(2, 2.5), None),
+        (lambda: mod_spectrum(2, 3, cap=81.0), None),
+        (lambda: mod_spectrum(_Index(2), _Index(3), _Index(81)), lambda: mod_spectrum(2, 3)),
+        (lambda: minkowski_probe(3.5, 2, 1), None),
+        (lambda: minkowski_probe(3, 2.0, 1), None),
+        (lambda: minkowski_probe(_Index(3), _Index(2), 1), lambda: minkowski_probe(3, 2, 1)),
+        (lambda: minkowski_probe(3, True, 1), lambda: minkowski_probe(3, 1, 1)),
+    ],
+    ids=[
+        "member-N-float", "member-N-index", "member-N-True",
+        "index-N-float", "index-n-float", "index-index", "index-n-True",
+        "enumerate-N-float", "enumerate-cap-float", "enumerate-index", "enumerate-True",
+        "spectrum-N-float", "spectrum-cap-float", "spectrum-index",
+        "probe-N-float", "probe-trials-float", "probe-index", "probe-trials-True",
+    ],
+)  # fmt: skip
+def test_integer_arguments_go_through_index(call, plain):
+    # a float is a TypeError, not a wrong answer or an AttributeError; an __index__
+    # stand-in and True give the answer of the int they stand for, and ModMatrix
+    # equality compares moduli, so an enumeration must carry the int modulus
+    if plain is None:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    else:
+        assert call() == plain()
 
 
 @pytest.mark.parametrize(
