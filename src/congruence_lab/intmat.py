@@ -1,10 +1,11 @@
 """Exact arithmetic for square matrices over Z and over Z/N.
 
 The row kernel, which every algorithm calls, works on tuples of rows over Z
-or Z/N: product_of_rows, power_of_rows, det_of_rows, cofactors
-(det(top + (x,)) = c.x) and elementary_product (products of 1 + a*e_ij,
-each given by the 1-based (i, j, a) of an elementary word). The classes wrap
-its results.
+or Z/N: product_of_rows (m rows times an n x n b), power_of_rows,
+det_of_rows, cofactors (det(top + (x,)) = c.x) and elementary_product
+(products of 1 + a*e_ij, each given by the 1-based (i, j, a) of an
+elementary word). product_of_rows and det_of_rows use closed forms up to
+3x3 and a generic route above. The classes wrap its results.
 
 SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
 meaning Z (the convention of ElementaryWord). It alone validates rows and
@@ -91,7 +92,23 @@ def _det_bareiss(rows: Rows) -> int:
 
 
 def product_of_rows(a: Rows, b: Rows, N: int | None = None) -> Rows:
-    """Rows of the product a*b, over Z, or over Z/N reduced into [0, N) when N is given."""
+    """Rows of the product a*b of m rows of length n and n x n rows b, over Z,
+    or over Z/N reduced into [0, N) when N is given. For n = 2 and 3 a closed
+    form, as in det_of_rows: one comprehension over the rows of a; zip and
+    sum for the other n."""
+    n = len(b)
+    if n == 2:
+        (b0, b1), (b2, b3) = b
+        if N is None:
+            return tuple([(x * b0 + y * b2, x * b1 + y * b3) for x, y in a])
+        return tuple([((x * b0 + y * b2) % N, (x * b1 + y * b3) % N) for x, y in a])
+    if n == 3:
+        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+        if N is None:
+            return tuple([(x * b0 + y * b3 + z * b6, x * b1 + y * b4 + z * b7, x * b2 + y * b5 + z * b8)
+                          for x, y, z in a])
+        return tuple([((x * b0 + y * b3 + z * b6) % N, (x * b1 + y * b4 + z * b7) % N,
+                       (x * b2 + y * b5 + z * b8) % N) for x, y, z in a])
     cols = tuple(zip(*b))
     if N is None:
         return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a)

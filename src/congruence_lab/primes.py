@@ -18,12 +18,16 @@ undecided, and for a composite that does not split within the budget,
 which can happen when its least prime factor above 1000 is near 10^12 or
 larger. Running out the budget takes about 0.5 s on one core of an Intel
 Xeon server under CPython 3.11.
+
+Each entry point takes n through operator.index, so a float is a TypeError,
+not an answer in floats.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import index
 
 from .errors import BadModulus
 
@@ -37,6 +41,7 @@ _RHO_BATCH = 128
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, primes ascending."""
+    n = index(n)
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out = []
@@ -58,6 +63,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def is_prime(n: int) -> bool:
+    n = index(n)
     if n < 2:
         return False
     d = 2
@@ -70,14 +76,14 @@ def is_prime(n: int) -> bool:
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
-    c = n + 1
+    c = index(n) + 1
     while not is_prime(c):
         c += 1
     return c
 
 
 def euler_phi(n: int) -> int:
-    total = n
+    total = n = index(n)
     for p, _ in factorize(n):
         total = total // p * (p - 1)
     return total

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from operator import index
 
 from .errors import BadModulus, IdentityInput, NotInGamma
 from .gamma import _require_chain, gamma_level, gamma_member
@@ -158,6 +159,7 @@ def _step_preimage(t: TracelessMatrix, step: int) -> IntMatrix:
 
 def phi_preimage(t: TracelessMatrix, p: int, k: int) -> IntMatrix:
     """Constructive surjectivity of phi_k: an element of Gamma(p^k) mapping to t."""
+    p, k = index(p), index(k)
     _require_chain(p, k)
     if t.modulus != p:
         raise ValueError(f"target lives mod {t.modulus}, expected mod {p}")

@@ -17,6 +17,7 @@ from congruence_lab.intmat import (
     cofactors,
     det_of_rows,
     identity_rows,
+    power_of_rows,
     product_of_rows,
     random_elementary_rows,
 )
@@ -120,22 +121,45 @@ def test_inverse_roundtrip(n, data):
 
 
 def _naive_product(a, b, N):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
+    """The m x n by n x n product by the triple loop, reduced mod N when N is given."""
+    m, n = len(a), len(b)
+    out = [[0] * n for _ in range(m)]
+    for i in range(m):
         for j in range(n):
             for k in range(n):
                 out[i][j] += a[i][k] * b[k][j]
     return tuple(tuple(e if N is None else e % N for e in r) for r in out)
 
 
+def _rows(m, n, bound):
+    row = st.tuples(*[st.integers(-bound, bound)] * n)
+    return st.tuples(*[row] * m)
+
+
+# m = 1 and n + 3 rows as well as square: _sl_local multiplies q^n rows by an n x n table
 @given(
-    st.integers(1, 5).flatmap(lambda n: st.tuples(int_matrices(n, bound=50), int_matrices(n, bound=50))),
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.sampled_from((1, n, n + 3)).flatmap(lambda m: _rows(m, n, 50)), _rows(n, n, 50))
+    ),
     st.none() | st.integers(2, 60),
 )
 def test_product_of_rows_matches_triple_loop(pair, N):
-    a, b = (m.rows for m in pair)
+    a, b = pair
     assert product_of_rows(a, b, N) == _naive_product(a, b, N)
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda n: _rows(n, n, 3)),
+    st.integers(0, 40),
+    st.none() | st.integers(2, 60),
+)
+def test_power_of_rows_matches_repeated_triple_loop(a, e, N):
+    if N is not None:
+        a = tuple(tuple(x % N for x in r) for r in a)  # power_of_rows takes reduced rows over Z/N
+    expected = identity_rows(len(a))
+    for _ in range(e):
+        expected = _naive_product(expected, a, N)
+    assert power_of_rows(a, e, N) == expected
 
 
 @given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, bound=7)))

@@ -44,6 +44,15 @@ def test_agrees_with_trial_division_up_to_2e4():
         factorize(0)
 
 
+def test_float_arguments_are_type_errors():
+    # a float is refused, not answered in floats: factorize(12.0) gave [(2, 2), (3.0, 1)]
+    for call in (factorize, is_prime, next_prime, euler_phi):
+        for n in (12.0, 7.0, 0.5):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(n)
+    assert (factorize(True), is_prime(True), next_prime(True), euler_phi(True)) == ([], False, 2, 1)
+
+
 def test_euler_phi_counts_units():
     for n in range(1, 400):
         assert euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)

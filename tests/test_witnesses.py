@@ -117,6 +117,14 @@ def test_phi_preimage_modulus_must_match_prime():
         phi_preimage(E12_MOD2, 3, 1)
 
 
+def test_phi_preimage_takes_p_and_k_through_index():
+    # 2.0 or 1.0 gave an IntMatrix with float entries
+    for p, k in ((2.0, 1), (2, 1.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            phi_preimage(E12_MOD2, p, k)
+    assert phi_preimage(E12_MOD2, 2, True) == IntMatrix([[1, 2], [0, 1]])
+
+
 def test_phi_preimage_hits_every_element_small():
     for p, k in [(2, 1), (3, 1), (2, 2)]:
         images = set()
