@@ -11,7 +11,7 @@ import math
 from operator import index
 
 from .errors import BadModulus, NotPrime
-from .intmat import IntMatrix, Rows, random_elementary_rows, require_det_one
+from .intmat import IntMatrix, Rows, random_elementary_rows, require_det_one, require_ring
 from .primes import is_prime
 
 __all__ = [
@@ -43,6 +43,7 @@ def gamma_member(x: IntMatrix, N: int) -> bool:
     N = index(N)
     if N < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
+    require_ring(x, "gamma_member")
     require_det_one(x)
     return is_one_mod(x.rows, N)
 
@@ -50,6 +51,7 @@ def gamma_member(x: IntMatrix, N: int) -> bool:
 def gamma_level(x: IntMatrix) -> int:
     """Exact level of x: the largest N with x in Gamma(N), computed as
     gcd of the entries of x - 1. Returns 0 for the identity."""
+    require_ring(x, "gamma_level")
     require_det_one(x)
     g = 0
     for i, row in enumerate(x.rows):
@@ -62,7 +64,7 @@ def sample_gamma(n: int, N: int, length: int, seed: int) -> IntMatrix:
     """Deterministic pseudo-random element of Gamma(N): a product of `length`
     elementary matrices whose coefficients are multiples of N, drawn from
     random.Random(seed).getrandbits as random_elementary_rows says."""
-    n, length = index(n), index(length)
+    n, N, length = index(n), index(N), index(length)
     if N < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
     import random  # here, not at the top: only the samplers draw

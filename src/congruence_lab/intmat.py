@@ -18,7 +18,9 @@ computed without overflow or rounding. Matrices are immutable and hashable;
 all operations return new values. require_det_one (require_det_one_rows on
 bare rows) is the one statement of the determinant-1 precondition, shared by
 inverse, the Gamma(N) maps, matrix_order, minkowski_probe and the
-decompositions over Z and Z/N.
+decompositions over Z and Z/N. require_ring states their other precondition
+once: a matrix over the wrong ring is a TypeError, never an answer about a
+residue representative.
 
 Text format (used by the CLI and test fixtures): rows separated by ';',
 entries by ',', e.g. "1,2;0,1" for [[1,2],[0,1]]. Whitespace is insignificant
@@ -317,6 +319,13 @@ class IntMatrix(SquareMatrix):
 def require_det_one(x: SquareMatrix) -> None:
     """Raise NotUnimodular unless det(x) == 1, over Z/N when x has a modulus."""
     require_det_one_rows(x.rows, x.modulus)
+
+
+def require_ring(x: SquareMatrix, name: str, modular: bool = False, hint: str = "") -> None:
+    """Raise TypeError unless x lives over Z/N when modular is true, else over Z."""
+    if (x.modulus is not None) != modular:
+        ring = "Z" if x.modulus is None else f"Z/{x.modulus}"
+        raise TypeError(f"{name} works over {'Z/N' if modular else 'Z'}, not {ring}{hint}")
 
 
 def require_det_one_rows(rows: Rows, N: int | None = None) -> None:

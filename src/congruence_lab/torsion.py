@@ -20,8 +20,9 @@ class's block-diagonal representative and k in K = Gamma(p)/Gamma(p^s). Such
 an element has order ord(X mod p) * p^j, j < s, and 1 or p times its order
 mod p^(s-1), so the fibre is walked one level p^t at a time, each level
 bounding the orders the next one can show, and a walk stops as soon as every
-order it can still show is known. Time and memory follow the number of
-classes and |K| = p^((s-1)(n^2-1)), not |SL_n(Z/p^s)|.
+order it can still show is known. K is generated as it is walked, never
+listed: time follows the elements walked, at most |K| = p^((s-1)(n^2-1)) per
+class and level, and memory the number of classes plus one element.
 
 minkowski_probe is a falsification probe for the classical fact (Minkowski,
 1887) that Gamma(N) is torsion-free for N >= 3 and that nontrivial torsion
@@ -37,13 +38,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from operator import index, mul
 
 from .errors import BadModulus, CounterexampleFound
 from .gamma import gamma_level, is_one_mod
 from .intmat import (Frozen, IntMatrix, Rows, cofactors, det_of_rows, identity_rows,
                      power_of_rows, product_of_rows, random_elementary_rows,
-                     require_det_one, require_det_one_rows)
+                     require_det_one, require_det_one_rows, require_ring)
 from .modular import _check_enumeration
 from .primes import euler_phi, factorize
 
@@ -135,11 +137,7 @@ def matrix_order(x: IntMatrix) -> OrderResult:
     degree means infinite order, else x^m == 1 for m = lcm of the stripped d
     decides.
     """
-    if x.modulus is not None:
-        raise TypeError(
-            f"matrix_order works over Z, not Z/{x.modulus}; "
-            "the orders of SL_n(Z/N) are given by mod_spectrum"
-        )
+    require_ring(x, "matrix_order", hint="; the orders of SL_n(Z/N) are given by mod_spectrum")
     require_det_one(x)
     n = x.n
     if abs(x.trace()) > n:
@@ -269,22 +267,19 @@ def _lift(n: int, polys, p: int, q: int) -> Rows:
     return tuple((r[0] * inv % q,) + tuple(r[1:]) for r in rows)
 
 
-def _congruence_kernel(n: int, p: int, s: int) -> list[Rows]:
-    """The elements of SL_n(Z/p^s) that are 1 mod p: Gamma(p)/Gamma(p^s).
+def _congruence_kernel(n: int, p: int, s: int) -> Iterator[Rows]:
+    """Yield in walk order the elements of SL_n(Z/p^s) that are 1 mod p: Gamma(p)/Gamma(p^s).
 
     Every entry but the last is free in its class mod p. The last entry's
     cofactor is 1 mod p, a unit, so det = 1 solves for it.
     """
     q, steps = p**s, range(0, p**s, p)
-    ident = identity_rows(n)
-    free = [list(itertools.product(*[[e + a for a in steps] for e in r])) for r in ident[:-1]]
-    out = []
+    free = [list(itertools.product(*[[e + a for a in steps] for e in r])) for r in identity_rows(n)[:-1]]
     for top in itertools.product(*free):
         *cof, last = (c % q for c in cofactors(top))
         inv = pow(last, -1, q)
         for head in itertools.product(steps, repeat=n - 1):
-            out.append(top + (head + ((1 - sum(map(mul, cof, head))) * inv % q,),))
-    return out
+            yield top + (head + ((1 - sum(map(mul, cof, head))) * inv % q,),)
 
 
 def _kernel_order(z: Rows, q: int) -> int:
@@ -313,7 +308,6 @@ def _local_spectrum(n: int, p: int, s: int) -> set[int]:
     if s == 1:
         return {math.lcm(*[o for *_, o in c]) for c in _classes(n, p, blocks)}
     q, found = p**s, set()
-    kernels = {t: _congruence_kernel(n, p, t) for t in range(2, s + 1)}
     for chosen in _classes(n, p, blocks):
         o = math.lcm(*[o for *_, o in chosen])
         if {o * p**j for j in range(s)} <= found:
@@ -329,7 +323,7 @@ def _local_spectrum(n: int, p: int, s: int) -> set[int]:
                 need = {o * p**j for j in range(s) if o * p**j <= p * top} - found
             qt = p**t
             xt, orders = tuple(tuple(e % qt for e in r) for r in x), set()
-            for k in kernels[t]:
+            for k in _congruence_kernel(n, p, t):
                 orders.add(o * _kernel_order(power_of_rows(product_of_rows(xt, k, qt), o, qt), qt))
                 if need <= orders:
                     break

@@ -97,6 +97,7 @@ def sl_basis(n: int, modulus: int) -> tuple[TracelessMatrix, ...]:
 def sl_elements(n: int, modulus: int) -> Iterator[TracelessMatrix]:
     """All m^(n^2 - 1) elements of sl_n(Z/m); the last diagonal entry is
     forced by tracelessness. Intended for small exhaustive checks."""
+    modulus = index(modulus)
     if modulus < 2:
         raise BadModulus(f"modulus must be >= 2, got {modulus}")
     for flat in itertools.product(range(modulus), repeat=n * n - 1):
@@ -171,6 +172,7 @@ def phi_general(x: IntMatrix, N: int) -> TracelessMatrix:
 
     A homomorphism onto sl_n(Z/N) with kernel Gamma(N^2).
     """
+    N = index(N)
     if N < 2:
         raise BadModulus(f"level must be >= 2, got {N}")
     _require_member(x, N)

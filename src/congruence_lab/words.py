@@ -50,7 +50,7 @@ from itertools import repeat
 from math import gcd
 
 from .errors import ParseError
-from .intmat import Frozen, IntMatrix, elementary_product, identity_rows, require_det_one
+from .intmat import Frozen, IntMatrix, elementary_product, identity_rows, require_det_one, require_ring
 from .modular import ModMatrix, crt_idempotent
 from .primes import factorize
 
@@ -305,6 +305,7 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
     Raises NotUnimodular unless det(x) == 1. The returned word evaluates to
     x exactly.
     """
+    require_ring(x, "decompose_int")
     require_det_one(x)
     return ElementaryWord._from_ops(x.n, _word_ops(x.rows))
 
@@ -316,13 +317,15 @@ def _crt_plan(N: int) -> tuple[tuple[int, int], ...]:
     return tuple((p**s, crt_idempotent(p**s, N)) for p, s in factorize(N))
 
 
-def _mod_ops(y: ModMatrix) -> list[tuple[int, int, int]]:
+def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
 
     The factors of N and their idempotents come from the cached _crt_plan;
     each local a, already in [0, q), is lifted to a*e mod N. At a prime power
-    e is 1 and the local ops are the word unchanged.
+    e is 1 and the local ops are the word unchanged. name is the caller's,
+    for the error on a matrix over Z.
     """
+    require_ring(y, name, modular=True)
     require_det_one(y)
     N = y.modulus
     ops = []
@@ -342,7 +345,7 @@ def decompose_mod(y: ModMatrix) -> ElementaryWord:
     e = 1, so the local word is the word. Raises NotUnimodular unless
     det(y) == 1 in Z/N.
     """
-    return ElementaryWord._from_ops(y.n, _mod_ops(y), y.modulus)
+    return ElementaryWord._from_ops(y.n, _mod_ops(y, "decompose_mod"), y.modulus)
 
 
 def lift_to_int(y: ModMatrix) -> IntMatrix:
@@ -353,4 +356,4 @@ def lift_to_int(y: ModMatrix) -> IntMatrix:
     is a product of integer elementary matrices, hence has determinant
     exactly 1, and its reduction mod N is y.
     """
-    return IntMatrix._wrap(elementary_product(y.n, _mod_ops(y)))
+    return IntMatrix._wrap(elementary_product(y.n, _mod_ops(y, "lift_to_int")))

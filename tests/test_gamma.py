@@ -98,8 +98,8 @@ def test_samplers_state_the_same_preconditions():
 
 
 def test_samplers_take_n_and_length_through_index():
-    # a TypeError on every Python, before the level check and before any draw;
-    # bool is an int, so True still means 1
+    # the level N too: a TypeError on every Python, before the level check and
+    # before any draw; bool is an int, so True still means 1
     rng = random.Random(0)
     for call in (
         lambda: sample_sl(1.0, 3, 1),
@@ -110,6 +110,8 @@ def test_samplers_take_n_and_length_through_index():
         lambda: sample_gamma(1.5, 0, 3, 1),
         lambda: sample_gamma(2.0, 3, 2, 1),
         lambda: sample_gamma(2, 3, 2.0, 1),
+        lambda: sample_gamma(2, 0.5, 3, 0),
+        lambda: sample_gamma(2, 2.5, 3, 0),
         lambda: random_elementary_rows(2.0, 3, rng),
         lambda: random_elementary_rows(1, 0.0, rng),
     ):
@@ -119,6 +121,7 @@ def test_samplers_take_n_and_length_through_index():
     assert sample_sl(True, 3, 1) == IntMatrix.identity(1)
     assert sample_sl(2, True, 5) == sample_sl(2, 1, 5)
     assert sample_gamma(2, 3, True, 5) == sample_gamma(2, 3, 1, 5)
+    assert sample_gamma(2, True, 3, 5) == sample_gamma(2, 1, 3, 5)
     assert random_elementary_rows(True, 2, rng) == ((1,),)
 
 

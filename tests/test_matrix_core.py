@@ -18,8 +18,18 @@ from congruence_lab import (
     IntMatrix,
     ModMatrix,
     TracelessMatrix,
+    decompose_int,
+    decompose_mod,
     enumerate_sl,
+    gamma_level,
+    gamma_member,
+    lift_to_int,
+    matrix_order,
+    phi_general,
+    phi_k,
     sample_sl,
+    witness_p,
+    witness_rf,
 )
 
 R = ((0, 1), (0, 0))  # traceless, so every class accepts it
@@ -194,3 +204,32 @@ def test_text_of_each_class():
 def test_copies_and_pickles_are_equal_values(m):
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert type(twin) is type(m) and twin == m and hash(twin) == hash(m)
+
+
+_MOD5 = ModMatrix(((0, 1), (4, 0)), 5)  # det 1 mod 5; its rows have det -4 over Z
+_OVER_Z = IntMatrix(((1, 1), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: decompose_int(_MOD5), "decompose_int works over Z, not Z/5"),
+        (lambda: gamma_level(_MOD5), "gamma_level works over Z, not Z/5"),
+        (lambda: gamma_member(_MOD5, 2), "gamma_member works over Z, not Z/5"),
+        (lambda: phi_k(_MOD5, 2, 1), "gamma_member works over Z, not Z/5"),
+        (lambda: phi_general(_MOD5, 2), "gamma_member works over Z, not Z/5"),
+        (lambda: witness_rf(_MOD5), "gamma_level works over Z, not Z/5"),
+        (lambda: witness_p(_MOD5, 2), "gamma_level works over Z, not Z/5"),
+        (lambda: matrix_order(_MOD5), "matrix_order works over Z, not Z/5; "),
+        (lambda: decompose_mod(_OVER_Z), "decompose_mod works over Z/N, not Z$"),
+        (lambda: lift_to_int(_OVER_Z), "lift_to_int works over Z/N, not Z$"),
+    ],
+    ids=[
+        "decompose_int", "gamma_level", "gamma_member", "phi_k", "phi_general",
+        "witness_rf", "witness_p", "matrix_order", "decompose_mod", "lift_to_int",
+    ],
+)  # fmt: skip
+def test_a_matrix_over_the_wrong_ring_is_a_type_error(call, message):
+    # over Z, an answer about _MOD5 would be about one residue representative
+    with pytest.raises(TypeError, match="^" + message):
+        call()

@@ -14,6 +14,8 @@ from congruence_lab import (
     gamma_member,
     minkowski_probe,
     mod_spectrum,
+    phi_general,
+    sl_elements,
     sl_order_formula,
 )
 
@@ -275,6 +277,10 @@ _T = IntMatrix(((1, 5), (0, 1)))
         (lambda: minkowski_probe(3, 2.0, 1), None),
         (lambda: minkowski_probe(_Index(3), _Index(2), 1), lambda: minkowski_probe(3, 2, 1)),
         (lambda: minkowski_probe(3, True, 1), lambda: minkowski_probe(3, 1, 1)),
+        (lambda: phi_general(_T, 0.5), None),
+        (lambda: phi_general(_T, _Index(5)), lambda: phi_general(_T, 5)),
+        (lambda: list(sl_elements(2, 0.5)), None),
+        (lambda: list(sl_elements(2, _Index(2))), lambda: list(sl_elements(2, 2))),
     ],
     ids=[
         "member-N-float", "member-N-index", "member-N-True",
@@ -282,6 +288,7 @@ _T = IntMatrix(((1, 5), (0, 1)))
         "enumerate-N-float", "enumerate-cap-float", "enumerate-index", "enumerate-True",
         "spectrum-N-float", "spectrum-cap-float", "spectrum-index",
         "probe-N-float", "probe-trials-float", "probe-index", "probe-trials-True",
+        "phi-N-float", "phi-N-index", "sl-elements-m-float", "sl-elements-m-index",
     ],
 )  # fmt: skip
 def test_integer_arguments_go_through_index(call, plain):

@@ -260,18 +260,37 @@ def test_sl2_of_a_prime_field_has_the_classical_spectrum(p):
 
 
 def test_mod_spectrum_memory_follows_the_fibre():
-    # the cyclic walk kept one dict entry per element: a 12 MB traced peak here
+    # the cyclic walk kept one dict entry per element: a 12 MB traced peak at
+    # (3,4); a listed Gamma(2)/Gamma(4) of 2^15 elements, 5 MB at (4,4)
     tracemalloc.start()
     try:
-        mod_spectrum(3, 4)
-        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        for n, N, cap in ((3, 4, None), (4, 4, 4**16)):
+            tracemalloc.reset_peak()
+            mod_spectrum(n, N, cap=cap)
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000, (n, N)
     finally:
         tracemalloc.stop()
 
 
+# Fibre walks the cyclic walk cannot finish in a second, pinned from the route
+# that listed Gamma(p)/Gamma(p^t) before walking it.
+@pytest.mark.parametrize(
+    "n,N,orders",
+    [
+        (3, 8, {1, 2, 3, 4, 6, 7, 8, 12, 14, 16, 28}),
+        (3, 9, {1, 2, 3, 4, 6, 8, 9, 12, 13, 18, 24, 39}),
+        (4, 4, {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 30}),
+    ],
+)
+def test_mod_spectrum_pinned_fibre_walks(n, N, orders):
+    assert mod_spectrum(n, N, cap=N ** (n * n)) == orders
+
+
 def test_mod_spectrum_divisor_closed_and_lagrange_bounded():
     cases = [(2, 2, None), (2, 3, None), (2, 4, None), (2, 5, None), (3, 2, None),
-             (3, 5, None), (3, 7, 7**9), (4, 3, 3**16)]
+             (3, 5, None), (3, 7, 7**9), (4, 3, 3**16),
+             # Gamma(p)/Gamma(p^t) walked as it is generated: |K| = 3^15, 3^16, 2^24
+             (4, 9, 9**16), (3, 27, 27**9), (5, 4, 4**25)]
     for n, N, cap in cases:
         spec = mod_spectrum(n, N, cap=cap)
         assert 1 in spec
