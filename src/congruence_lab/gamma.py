@@ -2,7 +2,8 @@
 
 The level of a matrix is the gcd of the entries of X - 1, with 0 reserved
 for the identity (which lies in Gamma(N) for every N). Containment follows
-divisibility: Gamma(M) contains Gamma(N) exactly when M divides N.
+divisibility: Gamma(M) contains Gamma(N) exactly when M divides N. Only
+Gamma(N) is covered here; the p-chain's prime check is in witnesses.py.
 """
 
 from __future__ import annotations
@@ -10,23 +11,14 @@ from __future__ import annotations
 import math
 from operator import index
 
-from .errors import BadModulus, NotPrime
+from .errors import BadModulus
 from .intmat import IntMatrix, Rows, random_elementary_rows, require_det_one, require_ring
-from .primes import is_prime
 
 __all__ = [
     "gamma_member",
     "gamma_level",
     "sample_gamma",
 ]
-
-
-def _require_chain(p: int, k: int = 1) -> None:
-    """Refuse a p that is not prime, then a chain depth k below 1."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("chain depth k must be >= 1")
 
 
 def is_one_mod(rows: Rows, N: int) -> bool:
@@ -40,8 +32,7 @@ def is_one_mod(rows: Rows, N: int) -> bool:
 
 def gamma_member(x: IntMatrix, N: int) -> bool:
     """True iff N divides every entry of x - 1, i.e. x lies in Gamma(N)."""
-    N = index(N)
-    if N < 1:
+    if (N := index(N)) < 1:
         raise BadModulus(f"level must be >= 1, got {N}")
     require_ring(x, "gamma_member")
     require_det_one(x)

@@ -13,9 +13,11 @@ Two separation routes are made executable here:
   p-power quotient order (witnessing residual p-finiteness of Gamma(p)).
 
 phi_general is the same depth-one map at an arbitrary composite level N,
-with image in traceless matrices mod N and kernel Gamma(N^2). The laws of
-both maps, and the congruence x^p in Gamma(p^(k+1)) for x in Gamma(p^k),
-are checked in the selfcheck registry, not here.
+with image in traceless matrices mod N and kernel Gamma(N^2). Both maps,
+and witness_p, share one body (_depth_image), and this module owns the
+p-chain precondition (_require_chain: p prime, k >= 1). The laws of both
+maps, and the congruence x^p in Gamma(p^(k+1)) for x in Gamma(p^k), are
+checked in the selfcheck registry, not here.
 
 Preimages of both maps are single elementary words, multiplied out by
 intmat.elementary_product: 1 + a*step*e_ij for each off-diagonal entry, and
@@ -32,11 +34,11 @@ import itertools
 from collections.abc import Iterator
 from operator import index
 
-from .errors import BadModulus, IdentityInput, NotInGamma
-from .gamma import _require_chain, gamma_level, gamma_member
+from .errors import BadModulus, IdentityInput, NotInGamma, NotPrime
+from .gamma import gamma_level, gamma_member
 from .intmat import Frozen, IntMatrix, Rows, SquareMatrix, elementary_product
 from .modular import ModMatrix, sl_order_formula
-from .primes import next_prime
+from .primes import is_prime, next_prime
 
 __all__ = [
     "TracelessMatrix",
@@ -53,17 +55,18 @@ __all__ = [
 
 
 class TracelessMatrix(SquareMatrix):
-    """Element of sl_n(Z/m): entries reduced into [0, m), trace = 0 mod m."""
+    """Element of sl_n(Z/m), m required: entries reduced into [0, m), trace = 0 mod m."""
 
     __slots__ = ()
 
-    def __init__(self, rows: Rows, modulus: int | None):
-        SquareMatrix.__init__(self, rows, modulus)
+    def __init__(self, rows: Rows, modulus: int):
+        SquareMatrix.__init__(self, rows, index(modulus))
         if self.trace() != 0:
             raise ValueError("trace must vanish mod the modulus")
 
     @classmethod
     def zero(cls, n: int, modulus: int) -> TracelessMatrix:
+        n, modulus = _sl_shape(n, modulus)
         return cls(tuple((0,) * n for _ in range(n)), modulus)
 
     def is_zero(self) -> bool:
@@ -80,9 +83,19 @@ class TracelessMatrix(SquareMatrix):
     __pow__ = __mul__
 
 
+def _sl_shape(n: int, modulus: int) -> tuple[int, int]:
+    """n and m of sl_n(Z/m) through operator.index: m >= 2, then n >= 1."""
+    if (modulus := index(modulus)) < 2:
+        raise BadModulus(f"modulus must be >= 2, got {modulus}")
+    if (n := index(n)) < 1:
+        raise ValueError("dimension must be >= 1")
+    return n, modulus
+
+
 def sl_basis(n: int, modulus: int) -> tuple[TracelessMatrix, ...]:
     """The n^2 - 1 standard generators of sl_n(Z/m): off-diagonal matrix
     units e_ij plus the adjacent diagonal differences e_ii - e_(i+1)(i+1)."""
+    n, modulus = _sl_shape(n, modulus)
 
     def unit(*cells: tuple[int, int, int]) -> TracelessMatrix:
         rows = [[0] * n for _ in range(n)]
@@ -97,9 +110,7 @@ def sl_basis(n: int, modulus: int) -> tuple[TracelessMatrix, ...]:
 def sl_elements(n: int, modulus: int) -> Iterator[TracelessMatrix]:
     """All m^(n^2 - 1) elements of sl_n(Z/m); the last diagonal entry is
     forced by tracelessness. Intended for small exhaustive checks."""
-    modulus = index(modulus)
-    if modulus < 2:
-        raise BadModulus(f"modulus must be >= 2, got {modulus}")
+    n, modulus = _sl_shape(n, modulus)
     for flat in itertools.product(range(modulus), repeat=n * n - 1):
         # row-major, so the first n - 1 diagonal entries sit at i * (n + 1)
         entries = (*flat, -sum(flat[i * (n + 1)] for i in range(n - 1)) % modulus)
@@ -107,16 +118,21 @@ def sl_elements(n: int, modulus: int) -> Iterator[TracelessMatrix]:
         yield TracelessMatrix._wrap(tuple(entries[r * n : (r + 1) * n] for r in range(n)), modulus)
 
 
-def _require_member(x: IntMatrix, level: int) -> None:
-    if not gamma_member(x, level):
-        raise NotInGamma(f"matrix is not congruent to 1 mod {level}")
+def _require_chain(p: int, k: int = 1) -> None:
+    """Refuse a p that is not prime, then a chain depth k below 1."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("chain depth k must be >= 1")
 
 
-def _difference_quotient(x: IntMatrix, step: int) -> Rows:
-    """The integer matrix Y with x = 1 + step*Y; caller guarantees membership."""
-    return tuple(
-        tuple((e - (i == j)) // step for j, e in enumerate(row))
-        for i, row in enumerate(x.rows)
+def _depth_image(x: IntMatrix, step: int, m: int) -> TracelessMatrix:
+    """The depth map on Gamma(step): x = 1 + step*Y goes to Y mod m.
+    NotInGamma unless x lies in Gamma(step)."""
+    if not gamma_member(x, step):
+        raise NotInGamma(f"matrix is not congruent to 1 mod {step}")
+    return TracelessMatrix(
+        tuple(tuple((e - (i == j)) // step for j, e in enumerate(row)) for i, row in enumerate(x.rows)), m
     )
 
 
@@ -127,12 +143,13 @@ def phi_k(x: IntMatrix, p: int, k: int) -> TracelessMatrix:
     det x = 1) whose kernel is exactly Gamma(p^(k+1)).
     """
     _require_chain(p, k)
-    _require_member(x, p**k)
-    return TracelessMatrix(_difference_quotient(x, p**k), p)
+    return _depth_image(x, p**k, p)
 
 
-def _step_preimage(t: TracelessMatrix, step: int) -> IntMatrix:
-    """Element of Gamma(step) whose depth-map image is t, as one elementary word.
+def _step_preimage(t: TracelessMatrix, name: str, p: int | None = None, depth: int = 1) -> IntMatrix:
+    """Element of Gamma(step), step = m^depth for m = t.modulus, whose depth-map
+    image is t, as one elementary word. A t that is not a TracelessMatrix is a
+    TypeError naming the caller; then, when p is given, m != p is a ValueError.
 
     Built additively from generator preimages: 1 + a*step*e_ij hits a*e_ij.
     For the diagonal, the block (1+c, c; -c, 1-c) at slots (k, k+1), written
@@ -142,18 +159,20 @@ def _step_preimage(t: TracelessMatrix, step: int) -> IntMatrix:
     for the partial sums a of t's diagonal, the differences telescope to the
     right diagonal.
     """
+    if not isinstance(t, TracelessMatrix):
+        raise TypeError(f"{name} needs a TracelessMatrix, got {type(t).__name__}")
     n, m = t.n, t.modulus
+    if p is not None and m != p:
+        raise ValueError(f"target lives mod {m}, expected mod {p}")
+    step = m**depth
     ops = [
         (i, j, a * step)
         for i, row in enumerate(t.rows, 1)
         for j, a in enumerate(row, 1)
         if i != j and a
     ]
-    partial = 0
-    for k in range(1, n):
-        partial = (partial + t.rows[k - 1][k - 1]) % m
-        if partial:
-            c = partial * step
+    for k, partial in enumerate(itertools.accumulate(t.rows[i][i] for i in range(n - 1)), 1):
+        if c := partial % m * step:
             ops += [(k, k + 1, -1), (k + 1, k, -c), (k, k + 1, 1), (k, k + 1, -c), (k + 1, k, c)]
     return IntMatrix._wrap(elementary_product(n, ops))
 
@@ -162,9 +181,7 @@ def phi_preimage(t: TracelessMatrix, p: int, k: int) -> IntMatrix:
     """Constructive surjectivity of phi_k: an element of Gamma(p^k) mapping to t."""
     p, k = index(p), index(k)
     _require_chain(p, k)
-    if t.modulus != p:
-        raise ValueError(f"target lives mod {t.modulus}, expected mod {p}")
-    return _step_preimage(t, p**k)
+    return _step_preimage(t, "phi_preimage", p, k)
 
 
 def phi_general(x: IntMatrix, N: int) -> TracelessMatrix:
@@ -172,16 +189,14 @@ def phi_general(x: IntMatrix, N: int) -> TracelessMatrix:
 
     A homomorphism onto sl_n(Z/N) with kernel Gamma(N^2).
     """
-    N = index(N)
-    if N < 2:
+    if (N := index(N)) < 2:
         raise BadModulus(f"level must be >= 2, got {N}")
-    _require_member(x, N)
-    return TracelessMatrix(_difference_quotient(x, N), N)
+    return _depth_image(x, N, N)
 
 
 def phi_general_preimage(t: TracelessMatrix) -> IntMatrix:
     """Element of Gamma(N) mapping to t under phi_general, N = t.modulus."""
-    return _step_preimage(t, t.modulus)
+    return _step_preimage(t, "phi_general_preimage")
 
 
 class CongruenceWitness(Frozen):
@@ -209,25 +224,24 @@ class CongruenceWitness(Frozen):
         }
 
 
+def _separable_level(x: IntMatrix) -> int:
+    """gamma_level(x), refusing the identity (level 0) with IdentityInput."""
+    if level := gamma_level(x):
+        return level
+    raise IdentityInput("the identity is not separated from itself")
+
+
 def witness_rf(x: IntMatrix) -> CongruenceWitness:
     """Residual-finiteness witness: reduction mod the smallest prime that
     does not divide the level of x. Raises IdentityInput for x == 1."""
-    level = gamma_level(x)
-    if level == 0:
-        raise IdentityInput("the identity is not separated from itself")
+    level = _separable_level(x)
     p = 2
     while level % p == 0:
         p = next_prime(p)
     image = ModMatrix(x.rows, p)
     assert not image.is_identity()
-    return CongruenceWitness(
-        kind="residual-finite",
-        prime=p,
-        level=p,
-        quotient_order=sl_order_formula(x.n, p),
-        image=image,
-        target=x,
-    )
+    return CongruenceWitness(kind="residual-finite", prime=p, level=p,
+                             quotient_order=sl_order_formula(x.n, p), image=image, target=x)
 
 
 def witness_p(x: IntMatrix, p: int) -> CongruenceWitness:
@@ -238,23 +252,14 @@ def witness_p(x: IntMatrix, p: int) -> CongruenceWitness:
     whose order is a power of p, via the nonzero image phi_s(x).
     """
     _require_chain(p)
-    level = gamma_level(x)
-    if level == 0:
-        raise IdentityInput("the identity is not separated from itself")
+    level = _separable_level(x)
     if level % p != 0:
         raise NotInGamma(f"matrix is not congruent to 1 mod {p}")
-    s = 0
-    rest = level
-    while rest % p == 0:
-        rest //= p
-        s += 1
-    image = phi_k(x, p, s)
+    step = p  # p^s for the depth s
+    while level % (step * p) == 0:
+        step *= p
+    image = _depth_image(x, step, p)
     assert not image.is_zero()
-    return CongruenceWitness(
-        kind="residual-p-finite",
-        prime=p,
-        level=p ** (s + 1),
-        quotient_order=p ** (s * (x.n * x.n - 1)),  # |SL_n(Z/p^(s+1))| / |SL_n(Z/p)|
-        image=image,
-        target=x,
-    )
+    # |Gamma(p) / Gamma(p^(s+1))| = |SL_n(Z/p^(s+1))| / |SL_n(Z/p)| = p^(s(n^2 - 1))
+    return CongruenceWitness(kind="residual-p-finite", prime=p, level=step * p,
+                             quotient_order=step ** (x.n * x.n - 1), image=image, target=x)

@@ -323,9 +323,11 @@ def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     The factors of N and their idempotents come from the cached _crt_plan;
     each local a, already in [0, q), is lifted to a*e mod N. At a prime power
     e is 1 and the local ops are the word unchanged. name is the caller's,
-    for the error on a matrix over Z.
+    for the error on a matrix over Z or a TracelessMatrix, which is not in SL_n.
     """
     require_ring(y, name, modular=True)
+    if not isinstance(y, ModMatrix):
+        raise TypeError(f"{name} needs a ModMatrix, got {type(y).__name__}")
     require_det_one(y)
     N = y.modulus
     ops = []

@@ -208,6 +208,7 @@ def test_copies_and_pickles_are_equal_values(m):
 
 _MOD5 = ModMatrix(((0, 1), (4, 0)), 5)  # det 1 mod 5; its rows have det -4 over Z
 _OVER_Z = IntMatrix(((1, 1), (0, 1)))
+_SL5 = TracelessMatrix(((0, 1), (4, 0)), 5)  # additive sl_2(Z/5): its rows have det 1 mod 5
 
 
 @pytest.mark.parametrize(
@@ -223,10 +224,13 @@ _OVER_Z = IntMatrix(((1, 1), (0, 1)))
         (lambda: matrix_order(_MOD5), "matrix_order works over Z, not Z/5; "),
         (lambda: decompose_mod(_OVER_Z), "decompose_mod works over Z/N, not Z$"),
         (lambda: lift_to_int(_OVER_Z), "lift_to_int works over Z/N, not Z$"),
+        (lambda: decompose_mod(_SL5), "decompose_mod needs a ModMatrix, got TracelessMatrix$"),
+        (lambda: lift_to_int(_SL5), "lift_to_int needs a ModMatrix, got TracelessMatrix$"),
     ],
     ids=[
         "decompose_int", "gamma_level", "gamma_member", "phi_k", "phi_general",
         "witness_rf", "witness_p", "matrix_order", "decompose_mod", "lift_to_int",
+        "decompose_mod-traceless", "lift_to_int-traceless",
     ],
 )  # fmt: skip
 def test_a_matrix_over_the_wrong_ring_is_a_type_error(call, message):

@@ -27,7 +27,7 @@ CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_te
 
 # Stated here rather than derived from the imports, so that a new import shows up as a diff.
 _MOD = {"cli", "errors", "intmat", "modular", "primes"}
-_GAMMA = {"cli", "errors", "gamma", "intmat", "primes"}
+_GAMMA = {"cli", "errors", "gamma", "intmat"}
 LOADS = {
     "decompose": _MOD | {"words"},
     "lift": _MOD | {"words"},

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from congruence_lab import (
@@ -53,6 +55,22 @@ def test_sl_elements_match_the_validating_constructor():
             assert t == TracelessMatrix(t.rows, m)
     with pytest.raises(BadModulus):
         next(sl_elements(2, 1))
+
+
+def test_sl_constructors_take_n_and_the_modulus_through_index():
+    # a missing modulus was accepted, and sl_basis(0, 2) gave ()
+    for call in (lambda: TracelessMatrix(((0, 1), (0, 0)), None), lambda: sl_basis(2, None),
+                 lambda: sl_basis(1, None), lambda: next(sl_elements(2, None)), lambda: sl_basis(2.0, 3),
+                 lambda: next(sl_elements(2, 3.0)), lambda: TracelessMatrix.zero(2.0, 5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+    for call in (lambda: sl_basis(0, 2), lambda: next(sl_elements(0, 2)), lambda: sl_basis(-1, 5),
+                 lambda: TracelessMatrix.zero(0, 5)):
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            call()
+    with pytest.raises(BadModulus):
+        sl_basis(1, 1)
+    assert sl_basis(1, 5) == () and list(sl_elements(1, 5)) == [TracelessMatrix.zero(1, 5)]
 
 
 def test_phi_k_examples():
@@ -115,6 +133,22 @@ def test_phi_preimage_of_zero_is_identity():
 def test_phi_preimage_modulus_must_match_prime():
     with pytest.raises(ValueError):
         phi_preimage(E12_MOD2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: phi_general_preimage(ModMatrix(((1, 1), (0, 1)), 5)), "phi_general_preimage needs a TracelessMatrix, got ModMatrix$"),
+        (lambda: phi_general_preimage(IntMatrix(((1, 1), (0, 1)))), "phi_general_preimage needs a TracelessMatrix, got IntMatrix$"),
+        (lambda: phi_preimage(IntMatrix(((1, 1), (0, 1))), 2, 1), "phi_preimage needs a TracelessMatrix, got IntMatrix$"),
+        (lambda: phi_preimage(ModMatrix(((1, 1), (0, 1)), 3), 2, 1), "phi_preimage needs a TracelessMatrix, got ModMatrix$"),
+    ],
+    ids=["general-mod", "general-int", "chain-int", "chain-mod-other-prime"],
+)  # fmt: skip
+def test_a_preimage_target_that_is_not_traceless_is_a_type_error(call, message):
+    # the mod-5 target gave 381,80;100,21, whose depth image is not the target
+    with pytest.raises(TypeError, match="^" + message):
+        call()
 
 
 def test_phi_preimage_takes_p_and_k_through_index():
@@ -274,3 +308,35 @@ def test_two_prime_separation_forces_torsion_freeness():
         assert not witness_p(x, 2).image.is_zero()
         assert not witness_p(x, 3).image.is_zero()
     assert checked > 20
+
+
+def _traceless_from(x: IntMatrix, m: int) -> TracelessMatrix:
+    """x's rows mod m, with the last diagonal entry set to make the trace vanish."""
+    rows = [list(r) for r in x.rows]
+    rows[-1][-1] = -sum(rows[i][i] for i in range(x.n - 1))
+    return TracelessMatrix(tuple(map(tuple, rows)), m)
+
+
+def _witness_layer_lines():
+    for n in (2, 3, 4):
+        for p in (2, 3, 5):
+            for seed in range(8):
+                x = sample_sl(n, 3 + seed, seed)
+                yield str(witness_rf(x).to_json()) if not x.is_identity() else "identity"
+                for k in (1, 2):
+                    g = sample_gamma(n, p**k, 3, seed)
+                    yield phi_k(g, p, k).to_text()
+                    yield str(witness_p(g, p).to_json()) if not g.is_identity() else "identity"
+                    yield phi_preimage(_traceless_from(x, p), p, k).to_text()
+                for N in (p, 2 * p, p * p):
+                    yield phi_general(sample_gamma(n, N, 3, seed), N).to_text()
+                    yield phi_general_preimage(_traceless_from(x, N)).to_text()
+
+
+def test_witness_layer_is_pinned_by_snapshot():
+    # the bytes of every witness, depth image and preimage: a rewrite of the
+    # witness layer must give the same answers, not just correct ones
+    h = hashlib.sha256()
+    for line in _witness_layer_lines():
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == "d97f7061883dc8a883d0d19f10aae2d8e0bd862ea5bca5b8046e0c7447a1e5cf"
