@@ -12,22 +12,13 @@ import math
 from operator import index
 
 from .errors import BadModulus
-from .intmat import IntMatrix, Rows, random_elementary_rows, require_det_one, require_ring
+from .intmat import IntMatrix, is_one_mod, random_elementary_rows, require_det_one, require_ring
 
 __all__ = [
     "gamma_member",
     "gamma_level",
     "sample_gamma",
 ]
-
-
-def is_one_mod(rows: Rows, N: int) -> bool:
-    """True iff N divides every entry of rows - 1; the caller has checked N and the det."""
-    for i, row in enumerate(rows):  # plain loops: no generator to set up on the probe's path
-        for j, e in enumerate(row):
-            if (e - (i == j)) % N:
-                return False
-    return True
 
 
 def gamma_member(x: IntMatrix, N: int) -> bool:

@@ -316,6 +316,15 @@ class IntMatrix(SquareMatrix):
         return self._wrap(tuple(zip(*cols)))
 
 
+def is_one_mod(rows: Rows, N: int) -> bool:
+    """True iff N divides every entry of rows - 1; the caller has checked N and the det."""
+    for i, row in enumerate(rows):  # plain loops: no generator to set up on a hot path
+        for j, e in enumerate(row):
+            if (e - (i == j)) % N:
+                return False
+    return True
+
+
 def require_det_one(x: SquareMatrix) -> None:
     """Raise NotUnimodular unless det(x) == 1, over Z/N when x has a modulus."""
     require_det_one_rows(x.rows, x.modulus)

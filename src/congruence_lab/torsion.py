@@ -42,8 +42,8 @@ from collections.abc import Iterator
 from operator import index, mul
 
 from .errors import BadModulus, CounterexampleFound
-from .gamma import gamma_level, is_one_mod
-from .intmat import (Frozen, IntMatrix, Rows, cofactors, det_of_rows, identity_rows,
+from .gamma import gamma_level
+from .intmat import (Frozen, IntMatrix, Rows, cofactors, det_of_rows, identity_rows, is_one_mod,
                      power_of_rows, product_of_rows, random_elementary_rows,
                      require_det_one, require_det_one_rows, require_ring)
 from .modular import _check_enumeration
@@ -355,13 +355,8 @@ def mod_spectrum(n: int, N: int, cap: int | None = None) -> frozenset[int]:
 
 
 def _torsion_pool() -> list[IntMatrix]:
-    pool: dict[IntMatrix, None] = {}
-    for base in (TORSION_ORDER_4, TORSION_ORDER_6):
-        m = base
-        while not m.is_identity():
-            pool.setdefault(m, None)
-            m = m * base
-    return list(pool)
+    a, b = TORSION_ORDER_4, TORSION_ORDER_6  # every nontrivial power in order, -1 = a^2 = b^3 once
+    return list(dict.fromkeys([a, a**2, a**3, b, b**2, b**3, b**4, b**5]))
 
 
 def minkowski_probe(N: int, trials: int, seed: int) -> dict:

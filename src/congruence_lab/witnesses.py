@@ -14,10 +14,11 @@ Two separation routes are made executable here:
 
 phi_general is the same depth-one map at an arbitrary composite level N,
 with image in traceless matrices mod N and kernel Gamma(N^2). Both maps,
-and witness_p, share one body (_depth_image), and this module owns the
-p-chain precondition (_require_chain: p prime, k >= 1). The laws of both
-maps, and the congruence x^p in Gamma(p^(k+1)) for x in Gamma(p^k), are
-checked in the selfcheck registry, not here.
+and witness_p, share one body (_depth_map): the maps check membership in
+Gamma(step) first, while witness_p's level has already proved it (and det
+x = 1). This module owns the p-chain precondition (_require_chain: p prime,
+k >= 1). The laws of both maps, and the congruence x^p in Gamma(p^(k+1))
+for x in Gamma(p^k), are checked in the selfcheck registry, not here.
 
 Preimages of both maps are single elementary words, multiplied out by
 intmat.elementary_product: 1 + a*step*e_ij for each off-diagonal entry, and
@@ -126,14 +127,20 @@ def _require_chain(p: int, k: int = 1) -> None:
         raise ValueError("chain depth k must be >= 1")
 
 
-def _depth_image(x: IntMatrix, step: int, m: int) -> TracelessMatrix:
-    """The depth map on Gamma(step): x = 1 + step*Y goes to Y mod m.
-    NotInGamma unless x lies in Gamma(step)."""
-    if not gamma_member(x, step):
-        raise NotInGamma(f"matrix is not congruent to 1 mod {step}")
+def _depth_map(x: IntMatrix, step: int, m: int) -> TracelessMatrix:
+    """The depth map on Gamma(step): x = 1 + step*Y goes to Y mod m. The
+    caller has checked that x lies in Gamma(step)."""
     return TracelessMatrix(
         tuple(tuple((e - (i == j)) // step for j, e in enumerate(row)) for i, row in enumerate(x.rows)), m
     )
+
+
+def _power_text(p: int, k: int) -> str:
+    """p^k in full, or named "p^k" (and never built) past 4300 digits, as
+    the enumeration cap names a size."""
+    if (p.bit_length() - 1) * k < 14285 and (q := p**k) < 10**4300:  # 10^4300 has 14285 bits
+        return str(q)
+    return f"{p}^{k}"
 
 
 def phi_k(x: IntMatrix, p: int, k: int) -> TracelessMatrix:
@@ -141,9 +148,19 @@ def phi_k(x: IntMatrix, p: int, k: int) -> TracelessMatrix:
 
     A homomorphism into sl_n(Z/p) (the trace vanishes mod p because
     det x = 1) whose kernel is exactly Gamma(p^(k+1)).
+
+    An x != 1 in Gamma(p^k) has p^k <= max |x - 1| < 2^b, b the bit length
+    of that largest entry. As p^k >= 2^((bits of p - 1) * k), once that
+    exponent reaches b only the identity is left; Gamma(2^b) holds it and
+    nothing else, so it stands in for Gamma(p^k), and p^k is never built.
     """
     _require_chain(p, k)
-    return _depth_image(x, p**k, p)
+    p, k = index(p), index(k)
+    b = max(abs(e - (i == j)).bit_length() for i, row in enumerate(x.rows) for j, e in enumerate(row))
+    step = 1 << b if (p.bit_length() - 1) * k >= b else p**k
+    if not gamma_member(x, step):
+        raise NotInGamma(f"matrix is not congruent to 1 mod {_power_text(p, k)}")
+    return _depth_map(x, step, p)
 
 
 def _step_preimage(t: TracelessMatrix, name: str, p: int | None = None, depth: int = 1) -> IntMatrix:
@@ -191,7 +208,9 @@ def phi_general(x: IntMatrix, N: int) -> TracelessMatrix:
     """
     if (N := index(N)) < 2:
         raise BadModulus(f"level must be >= 2, got {N}")
-    return _depth_image(x, N, N)
+    if not gamma_member(x, N):
+        raise NotInGamma(f"matrix is not congruent to 1 mod {N}")
+    return _depth_map(x, N, N)
 
 
 def phi_general_preimage(t: TracelessMatrix) -> IntMatrix:
@@ -258,7 +277,7 @@ def witness_p(x: IntMatrix, p: int) -> CongruenceWitness:
     step = p  # p^s for the depth s
     while level % (step * p) == 0:
         step *= p
-    image = _depth_image(x, step, p)
+    image = _depth_map(x, step, p)  # the level has checked det x = 1 and x in Gamma(step)
     assert not image.is_zero()
     # |Gamma(p) / Gamma(p^(s+1))| = |SL_n(Z/p^(s+1))| / |SL_n(Z/p)| = p^(s(n^2 - 1))
     return CongruenceWitness(kind="residual-p-finite", prime=p, level=step * p,

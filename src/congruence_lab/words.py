@@ -8,9 +8,8 @@ own in-range, reduced operations are not checked again. One elimination,
 _word_ops, produces every such certificate, over Z or over a local ring Z/q
 (q a prime power).
 It reduces a determinant-1 matrix to the identity by elementary row and
-column operations and replays their inverses as the word. Besides whether a
-step reduces its entries mod q, the two rings differ only in how a row finds
-its pivot:
+column operations and replays their inverses as the word. The two rings
+differ only in how a row finds its pivot:
 
 * decompose_int shrinks the row by euclidean division with remainder until
   one entry, necessarily +-1, is left;
@@ -50,7 +49,8 @@ from itertools import repeat
 from math import gcd
 
 from .errors import ParseError
-from .intmat import Frozen, IntMatrix, elementary_product, identity_rows, require_det_one, require_ring
+from .intmat import (Frozen, IntMatrix, elementary_product, identity_rows, is_one_mod, require_det_one,
+                     require_ring)
 from .modular import ModMatrix, crt_idempotent
 from .primes import factorize
 
@@ -168,13 +168,13 @@ class ElementaryWord(Frozen):
 def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
     """The word, as its own 1-based (i, j, a), of the rows of a determinant-1
     matrix: over Z when q is None, else over Z/q for a prime power q, where
-    the rows may be given unreduced and each a is recorded reduced into
-    [1, q). The caller has checked the determinant.
+    the rows may be given unreduced and each a is recorded in (-q, 0). The
+    caller has checked the determinant.
 
     One elimination serves both rings. For each k < n - 1 a pivot of row k
     is found in columns k.., moved onto the diagonal by a signed column swap,
-    and its row and column are cleared by unit divisions. Apart from the step
-    functions (see below), only the pivot rule differs:
+    and its row and column are cleared by unit divisions. Only the pivot rule
+    and the pivot's inverse differ:
 
     * over Z, euclidean column steps shrink row k to one entry (the gcd of
       the row divides the determinant of the active block, so the entry is
@@ -198,50 +198,33 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
     1 + c*e_{dst,src}, or a column operation col_dst += c*col_src, the right
     factor 1 + c*e_{src,dst}. With L the lefts composed last-to-first and R
     the rights first-to-last, L * X * R = 1, so X is the inverses of the
-    lefts in order, then the inverses of the rights reversed.
-
-    Each ring takes a step with its own pair of step functions, which work
-    on 0-based rows and columns and record the inverse operation 1-based.
-    Over Z the entries are left unreduced. Over Z/q the rows are reduced
-    once on entry, c is reduced first (a step with c = 0 mod q is skipped,
-    and the inverse is recorded as q - c), and each entry is reduced mod q
-    as it changes.
+    lefts in order, then the inverses of the rights reversed. A step works
+    on 0-based rows and columns and records -c 1-based; over Z/q it reduces
+    c mod q first and skips c = 0. Entries are never reduced, so over Z/q the
+    unit test, the sweep's diagonal and the closing check read them mod q.
     """
     n = len(rows)
+    m = [list(r) for r in rows]
     lefts: list[tuple[int, int, int]] = []
     rights: list[tuple[int, int, int]] = []
+
     # Each step records its inverse, the operation the word replays.
-    if q is None:
-        m = [list(r) for r in rows]
+    def add_row(dst: int, src: int, c: int) -> None:
+        if q:
+            c %= q
+        if c:
+            row, other = m[dst], m[src]
+            for col in range(n):
+                row[col] += c * other[col]
+            lefts.append((dst + 1, src + 1, -c))
 
-        def add_row(dst: int, src: int, c: int) -> None:
-            if c:
-                row, other = m[dst], m[src]
-                for col in range(n):
-                    row[col] += c * other[col]
-                lefts.append((dst + 1, src + 1, -c))
-
-        def add_col(dst: int, src: int, c: int) -> None:
-            if c:
-                for row in m:
-                    row[dst] += c * row[src]
-                rights.append((src + 1, dst + 1, -c))
-
-    else:
-        m = [[e % q for e in r] for r in rows]
-
-        def add_row(dst: int, src: int, c: int) -> None:
-            if c := c % q:
-                row, other = m[dst], m[src]
-                for col in range(n):
-                    row[col] = (row[col] + c * other[col]) % q
-                lefts.append((dst + 1, src + 1, q - c))
-
-        def add_col(dst: int, src: int, c: int) -> None:
-            if c := c % q:
-                for row in m:
-                    row[dst] = (row[dst] + c * row[src]) % q
-                rights.append((src + 1, dst + 1, q - c))
+    def add_col(dst: int, src: int, c: int) -> None:
+        if q:
+            c %= q
+        if c:
+            for row in m:
+                row[dst] += c * row[src]
+            rights.append((src + 1, dst + 1, -c))
 
     for k in range(n - 1):
         row = m[k]
@@ -285,7 +268,7 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
             if m[i][k]:
                 add_row(i, k, -m[i][k] * ainv)
     for k in range(n - 1):
-        a = m[k][k]
+        a = m[k][k] if q is None else m[k][k] % q
         if a == 1:
             continue
         b = m[k + 1][k + 1]
@@ -294,7 +277,7 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
         add_col(k, k + 1, ainv - 1)
         add_row(k + 1, k, -(ainv - 1) * b)
         add_col(k + 1, k, -a)
-    assert list(map(tuple, m)) == list(identity_rows(n))
+    assert is_one_mod(m, q) if q else list(map(tuple, m)) == list(identity_rows(n))
     return lefts + rights[::-1]
 
 
@@ -321,8 +304,9 @@ def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
 
     The factors of N and their idempotents come from the cached _crt_plan;
-    each local a, already in [0, q), is lifted to a*e mod N. At a prime power
-    e is 1 and the local ops are the word unchanged. name is the caller's,
+    each local a, which lies in (-q, 0), is lifted to a*e mod N: q*e is 0
+    mod N, so that is (a + q)*e mod N too. At a prime power e is 1 and the
+    local ops, reduced mod q, are the word. name is the caller's,
     for the error on a matrix over Z or a TracelessMatrix, which is not in SL_n.
     """
     require_ring(y, name, modular=True)

@@ -14,7 +14,9 @@ primes next to 10^12 (past the rho budget) and the prime 2^89 - 1 (past
 psi_13, where 13 Miller-Rabin bases stop proving primality) are BadModulus;
 a witness-p at depth one in Gamma(10^18 + 3) answers without factoring again.
 enumerate and spectrum at n = 2000 are refused at once, the size named as
-2^4000000 rather than printed in full.
+2^4000000 rather than printed in full, and phi at depth k = 10^9 answers at
+once: the identity's image is zero, and any other matrix is refused with the
+level named as 2^1000000000.
 A change that moves any byte of it changes the CLI's contract. The CLI wraps
 usage text at a fixed width and names the subcommands by one placeholder, so
 the usage errors replay the same bytes at any terminal width and on every

@@ -25,6 +25,8 @@ from congruence_lab import (
     witness_rf,
 )
 
+from congruence_lab import intmat
+
 E12_MOD2 = TracelessMatrix(((0, 1), (0, 0)), 2)
 
 
@@ -46,7 +48,7 @@ def test_traceless_addition():
 def test_sl_basis_and_element_counts():
     for n, m in [(2, 2), (2, 3), (3, 2), (3, 5)]:
         assert len(sl_basis(n, m)) == n * n - 1
-        assert len(set(sl_elements(n, m))) == m ** (n * n - 1)
+        assert len({t.rows for t in sl_elements(n, m)}) == m ** (n * n - 1)
 
 
 def test_sl_elements_match_the_validating_constructor():
@@ -86,6 +88,42 @@ def test_phi_k_validates():
         phi_k(IntMatrix([[1, 4], [0, 1]]), 4, 1)
     with pytest.raises(ValueError):
         phi_k(IntMatrix([[1, 2], [0, 1]]), 2, 0)
+
+
+def test_phi_k_agrees_with_the_definition_at_every_depth():
+    # membership and image straight from x = 1 + p^k*Y, for k up to and past
+    # the bit length of the entries, where p^k is no longer built
+    for p in (2, 3, 5):
+        for seed in range(12):
+            x = sample_gamma(2 + seed % 3, p ** (1 + seed % 3), 4, seed)
+            bits = max(abs(e).bit_length() for row in x.rows for e in row) + 1
+            for k in range(1, bits + 3):
+                q = p**k
+                if gamma_member(x, q):
+                    y = (x - IntMatrix.identity(x.n)).rows
+                    assert phi_k(x, p, k).rows == tuple(tuple(e // q % p for e in row) for row in y)
+                else:
+                    with pytest.raises(NotInGamma, match=f"mod {q}$"):
+                        phi_k(x, p, k)
+
+
+def test_phi_k_at_a_huge_depth_builds_no_power():
+    # only the identity lies in Gamma(p^k) once p^k passes every entry of x - 1,
+    # and a level of more than 4300 digits is named as a power, not printed
+    with pytest.raises(NotInGamma, match=r"mod 2\^1000000000$"):
+        phi_k(IntMatrix([[1, 2], [0, 1]]), 2, 10**9)
+    assert phi_k(IntMatrix.identity(3), 3, 10**9) == TracelessMatrix.zero(3, 3)
+    with pytest.raises(TypeError):  # a depth that is not an integer, even where no power is built
+        phi_k(IntMatrix.identity(2), 2, 40.0)
+    with pytest.raises(NotInGamma, match=f"mod {2**14284}$"):  # 4300 digits
+        phi_k(IntMatrix([[1, 2], [0, 1]]), 2, 14284)
+    with pytest.raises(NotInGamma, match=r"mod 2\^14285$"):  # 4301 digits
+        phi_k(IntMatrix([[1, 2], [0, 1]]), 2, 14285)
+    # a level below the entries is built, and named by the same rule
+    x = IntMatrix([[1, 3 * 2**15000], [0, 1]])
+    assert phi_k(x, 2, 15000) == E12_MOD2
+    with pytest.raises(NotInGamma, match=r"mod 2\^15001$"):
+        phi_k(x, 2, 15001)
 
 
 def test_phi_k_kernel_is_next_level():
@@ -251,6 +289,23 @@ def test_witness_p_validates():
         witness_p(IntMatrix([[1, 1], [0, 1]]), 2)
     with pytest.raises(NotPrime):
         witness_p(IntMatrix([[1, 4], [0, 1]]), 4)
+
+
+def test_witness_p_computes_one_det(monkeypatch):
+    # the level proves det x = 1 and x in Gamma(p^s), so the depth map is
+    # taken without checking either again
+    det, calls = intmat.det_of_rows, []
+
+    def counted(rows):
+        calls.append(rows)
+        return det(rows)
+
+    monkeypatch.setattr(intmat, "det_of_rows", counted)
+    for n, p in [(2, 2), (3, 3), (4, 5), (8, 2)]:
+        x = sample_gamma(n, p * p, 3 * n, n)
+        calls.clear()
+        assert witness_p(x, p).level % p == 0
+        assert len(calls) == 1
 
 
 def test_witness_p_quotient_is_p_power():

@@ -201,11 +201,11 @@ def test_decompose_local_rejects_non_unimodular():
 
 def test_decompose_mod_agrees_with_local_at_prime_powers():
     # a single CRT factor has idempotent 1: the local operations, 1-based and
-    # already reduced, are the word as they are
+    # reduced mod N, are the word
     for N in (2, 3, 5, 4):
         for t, y in enumerate(enumerate_sl(2, N)):
             local = _word_ops(y.rows, N)
-            assert decompose_mod(y).gens == tuple(local)
+            assert decompose_mod(y).gens == tuple((i, j, a % N) for i, j, a in local)
             # rows given unreduced, each entry shifted by its own multiple of N in -2N..2N
             shift = [[(t + 3 * r + c) % 5 - 2 for c in range(2)] for r in range(2)]
             shifted = [[e + N * k for e, k in zip(row, ks)] for row, ks in zip(y.rows, shift)]
@@ -396,14 +396,27 @@ def _integer_exact_lines():
             yield product.to_text()
 
 
+def _large_modulus_lines():
+    # words and lifts past the seeded samples' n <= 6: n = 7..12 at moduli
+    # with three factors, a prime near 10^6, 3^20 and the prime 2^61 - 1
+    for n in range(7, 13):
+        for seed in range(10):
+            x = sample_sl(n, 10 * n, seed)
+            for N in (360, 999983, 3**20, 2**61 - 1):
+                y = ModMatrix(x.rows, N)
+                yield decompose_mod(y).to_text()
+                yield lift_to_int(y).to_text()
+
+
 @pytest.mark.parametrize(
     "lines, digest",
     [
         (_seeded_sample_lines, "85c0829e7114e6e6fb936dc15e5caba1a06669feb028537017e1c3903b483f8f"),
         (_finite_quotient_lines, "858dc8d711a19d1d78f42081040101ae95a5bb0fddfdc04c3a0015c275396cea"),
         (_integer_exact_lines, "86ae0d67074ddfddcfdbabdfef825160f4b11227c8cb2265864ffcc9133d8be3"),
+        (_large_modulus_lines, "9dd849a43bb3ebbb1519f4bd05e1561e7f9c0e0d7d922c3f85337c123c661fd4"),
     ],
-    ids=["seeded-samples", "finite-quotients", "integer-exact"],
+    ids=["seeded-samples", "finite-quotients", "integer-exact", "large-moduli"],
 )
 def test_words_are_pinned_by_snapshot(lines, digest):
     # the bytes of every line: a rewrite of the elimination must give the
@@ -428,9 +441,11 @@ def _decomposed_words():
 def test_decomposed_words_equal_their_checked_rebuild():
     # the decompositions build their words without the constructor's checks;
     # the constructor must accept each one as it is and build the same value
+    # and of the same types, which is what a repr would tell apart
     for w in _decomposed_words():
         checked = ElementaryWord(w.n, w.gens, w.modulus)
-        assert w == checked and repr(w) == repr(checked)
+        assert w == checked
+        assert type(w.n) is int and type(w.modulus) is type(checked.modulus)
         assert all(type(g) is _Gen and all(type(e) is int for e in g) for g in w.gens)
 
 
