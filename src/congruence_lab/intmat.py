@@ -4,8 +4,9 @@ The row kernel, which every algorithm calls, works on tuples of rows over Z
 or Z/N: product_of_rows (m rows times an n x n b), power_of_rows,
 det_of_rows, cofactors (det(top + (x,)) = c.x) and elementary_product
 (products of 1 + a*e_ij, each given by the 1-based (i, j, a) of an
-elementary word). product_of_rows and det_of_rows use closed forms up to
-3x3 and a generic route above. The classes wrap its results.
+elementary word). det_of_rows uses closed forms up to 4x4 and
+product_of_rows up to 3x3, each a generic route above. The classes wrap its
+results.
 
 SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
 meaning Z (the convention of ElementaryWord). It alone validates rows and
@@ -131,7 +132,10 @@ def power_of_rows(a: Rows, e: int, N: int | None = None) -> Rows:
 
 
 def det_of_rows(rows: Rows) -> int:
-    """Exact determinant; closed forms up to 3x3, Bareiss above; 1 for no rows."""
+    """Exact determinant; closed forms up to 4x4, Bareiss above; 1 for no rows.
+
+    At 4x4 the Laplace expansion along the first two rows: each 2x2 minor
+    of those rows times the complementary minor of the last two, signed."""
     n = len(rows)
     if n <= 1:
         return rows[0][0] if n else 1
@@ -140,6 +144,11 @@ def det_of_rows(rows: Rows) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
     return _det_bareiss(rows)
 
 

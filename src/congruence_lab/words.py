@@ -71,12 +71,13 @@ _Gen = namedtuple("_Gen", "i j a")
 class ElementaryWord(Frozen):
     """An ordered product of elementary generators over Z or over Z/N.
 
-    gens holds triples of ints (i, j, a), the generator 1 + a*e_ij with
-    1 <= i, j <= n and i != j, checked here (built in range, by _from_ops,
-    for the decompositions) and stored as named tuples with fields i, j and
-    a (equal to the plain triples). modulus None means the word lives over
-    Z; otherwise coefficients are kept reduced into [0, modulus). Evaluation
-    is the left-to-right product.
+    The generators are triples of ints (i, j, a), the generator 1 + a*e_ij
+    with 1 <= i, j <= n and i != j, checked here (built in range, by
+    _from_ops, for the decompositions) and stored as plain tuples. gens is a
+    read-only view of them as named tuples with fields i, j and a (equal to
+    the plain triples), built on first read and cached. modulus None means
+    the word lives over Z; otherwise coefficients are kept reduced into
+    [0, modulus). Evaluation is the left-to-right product.
     """
 
     __match_args__ = ("n", "gens", "modulus")
@@ -89,7 +90,6 @@ class ElementaryWord(Frozen):
         if m is not None and (m := index(m)) < 2:
             raise ValueError(f"word modulus must be >= 2, got {m}")
         checked = []
-        new = tuple.__new__
         for i, j, a in gens:
             i, j, a = index(i), index(j), index(a)
             if m is not None:
@@ -100,10 +100,10 @@ class ElementaryWord(Frozen):
                 if i == j:
                     raise ValueError("elementary generator requires i != j")
                 raise ValueError(f"generator E({i},{j},{a}) out of range for n={n}")
-            checked.append(new(_Gen, (i, j, a)))
+            checked.append((i, j, a))
         if n < 1:  # checked last: with n < 1 every generator fails above, with its own message
             raise ValueError("dimension must be >= 1")
-        vars(self).update(n=n, gens=tuple(checked), modulus=m)
+        vars(self).update(n=n, _ops=tuple(checked), modulus=m)
 
     @classmethod
     def _from_ops(cls, n: int, ops, modulus: int | None = None) -> ElementaryWord:
@@ -111,27 +111,44 @@ class ElementaryWord(Frozen):
         in-range off-diagonal positions, a already reduced over Z/modulus.
         Unchecked."""
         w = object.__new__(cls)
-        gens = tuple(map(tuple.__new__, repeat(_Gen), ops))
-        vars(w).update(n=n, gens=gens, modulus=modulus)
+        vars(w).update(n=n, _ops=tuple(ops), modulus=modulus)
         return w
 
+    @functools.cached_property  # writes the instance dict itself, past Frozen.__setattr__
+    def gens(self) -> tuple[_Gen, ...]:
+        return tuple(map(tuple.__new__, repeat(_Gen), self._ops))
+
+    # Frozen's equality and hash read gens; these read the stored triples,
+    # which give the same values without building the view.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self._ops, self.modulus) == (other.n, other._ops, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._ops, self.modulus))
+
+    def __reduce__(self):
+        # The stored triples alone, so a pickle does not depend on whether gens was read.
+        return self._from_ops, (self.n, self._ops, self.modulus)
+
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self._ops)
 
     def __add__(self, other: ElementaryWord) -> ElementaryWord:
         if not isinstance(other, ElementaryWord):
             return NotImplemented
         if (self.n, self.modulus) != (other.n, other.modulus):
             raise ValueError("can only concatenate words of equal dimension and ring")
-        return ElementaryWord(self.n, self.gens + other.gens, self.modulus)
+        return ElementaryWord(self.n, self._ops + other._ops, self.modulus)
 
     def evaluate(self) -> IntMatrix | ModMatrix:
         N = self.modulus
-        rows = elementary_product(self.n, self.gens, N)
+        rows = elementary_product(self.n, self._ops, N)
         return IntMatrix(rows) if N is None else ModMatrix(rows, N)
 
     def to_text(self) -> str:
-        body = ";".join(f"E({i},{j},{a})" for i, j, a in self.gens)
+        body = ";".join(f"E({i},{j},{a})" for i, j, a in self._ops)
         tag = "Z" if self.modulus is None else f"Z/{self.modulus}"
         return f"{body} | {tag}" if body else f"| {tag}"
 
@@ -200,8 +217,12 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
     the rights first-to-last, L * X * R = 1, so X is the inverses of the
     lefts in order, then the inverses of the rights reversed. A step works
     on 0-based rows and columns and records -c 1-based; over Z/q it reduces
-    c mod q first and skips c = 0. Entries are never reduced, so over Z/q the
-    unit test, the sweep's diagonal and the closing check read them mod q.
+    c mod q first and skips c = 0. The euclidean column step, the hot one
+    over Z, is add_col written inline. Over Z/q the active block, rows and
+    columns k.., is reduced mod q at the start of each round after the
+    first, which bounds the growth of the entries later steps read; every
+    decision depends on entries only mod q, so the unit test, the sweep's
+    diagonal and the closing check read them mod q.
     """
     n = len(rows)
     m = [list(r) for r in rows]
@@ -246,11 +267,17 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
                     break
                 d = row[piv]
                 for j in range(k, n):
-                    if row[j] and j != piv:
-                        add_col(j, piv, -(row[j] // d))
+                    if row[j] and j != piv:  # add_col(j, piv, -c); c != 0 as |row[j]| >= |d|
+                        c = row[j] // d
+                        for r in m:
+                            r[j] -= c * r[piv]
+                        rights.append((piv + 1, j + 1, c))
             if piv < 0:
                 raise AssertionError("a det-1 row over Z must be nonzero from the diagonal on")
         else:
+            if k:  # the first round reads the caller's entries as they are
+                for r in m[k:]:
+                    r[k:] = [e % q for e in r[k:]]
             for piv in range(k, n):
                 if gcd(row[piv], q) == 1:
                     break

@@ -92,8 +92,24 @@ def test_det_matches_permutation_oracle(x):
 
 @given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, bound=7)))
 def test_det_cofactor_and_bareiss_agree(x):
-    # det() takes closed forms up to 3x3, so test Bareiss itself at every n
+    # det() takes closed forms up to 4x4, so test Bareiss itself at every n
     assert _det_bareiss(x.rows) == det_permutation_oracle(x.rows)
+
+
+def test_det_closed_form_at_4x4_matches_the_permutation_oracle():
+    rng = random.Random(44)
+    cases = [tuple(tuple(rng.randint(-bound, bound) for _ in range(4)) for _ in range(4))
+             for bound in (1, 9, 10**6, 10**30) for _ in range(50)]
+    x = cases[-1]
+    cases += [
+        x[:2] + ((0, 0, 0, 0),) + x[3:],  # a zero row
+        x[:3] + (x[1],),  # two equal rows
+        # rank 2: the last two rows are combinations of the first two
+        x[:2] + (tuple(3 * a - b for a, b in zip(*x[:2])), tuple(-a + 10**29 * b for a, b in zip(*x[:2]))),
+    ]
+    for rows in cases:
+        assert det_of_rows(rows) == det_permutation_oracle(rows)
+    assert [det_of_rows(rows) for rows in cases[-3:]] == [0, 0, 0]
 
 
 def test_inverse_example():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import pickle
 
@@ -353,6 +354,39 @@ _BAD_WORDS = [
 def test_word_text_errors(bad, n):
     with pytest.raises(ParseError):
         ElementaryWord.from_text(bad, n)
+
+
+def _words_of_every_builder():
+    x = sample_sl(3, 12, 7)
+    built = ElementaryWord(3, ((1, 2, 5), (3, 1, -4)))
+    return [
+        built,
+        ElementaryWord.from_text("E(1,2,7);E(2,1,-3) | Z/6"),
+        built + decompose_int(x),
+        decompose_int(x),
+        decompose_mod(ModMatrix(x.rows, 12)),
+    ]
+
+
+def test_gens_is_a_cached_named_tuple_view_of_the_stored_triples():
+    # a word keeps plain triples and builds the _Gen view on its first read,
+    # which changes nothing else about it: compare with a twin built alike
+    for w, twin in zip(_words_of_every_builder(), _words_of_every_builder()):
+        text, h, r = w.to_text(), hash(w), repr(twin)
+        gens = w.gens
+        assert gens is w.gens and type(gens) is tuple and len(gens) == len(w)
+        assert all(type(t) is tuple for t in w._ops) and gens == w._ops
+        assert all(type(g) is _Gen and (g.i, g.j, g.a) == g for g in gens)
+        assert w.to_text() == text and hash(w) == h == hash(twin) and w == twin and repr(w) == r
+        assert h == hash((w.n, gens, w.modulus))  # Frozen's hash over the fields the repr shows
+        for other in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert type(other) is ElementaryWord and other == w and other.to_text() == text and other.gens == gens
+        assert pickle.dumps(w) == pickle.dumps(twin)  # the cached view is not part of the state
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'gens'"):
+            w.gens = ()
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'gens'"):
+            del w.gens
+        assert w.gens is gens
 
 
 def test_word_coefficients_reduced_mod_n():
