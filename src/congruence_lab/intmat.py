@@ -4,9 +4,10 @@ The row kernel, which every algorithm calls, works on tuples of rows over Z
 or Z/N: product_of_rows (m rows times an n x n b), power_of_rows,
 det_of_rows, cofactors (det(top + (x,)) = c.x) and elementary_product
 (products of 1 + a*e_ij, each given by the 1-based (i, j, a) of an
-elementary word). det_of_rows uses closed forms up to 4x4 and
-product_of_rows up to 3x3, each a generic route above. The classes wrap its
-results.
+elementary word). det_of_rows uses closed forms up to 4x4, product_of_rows
+up to 3x3 and elementary_product at 2x2, each a generic route above; the
+det over Z/N (_det_mod) reduces the closed forms and from 5x5 on eliminates
+mod N, so its entries stay below N. The classes wrap its results.
 
 SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
 meaning Z (the convention of ElementaryWord). It alone validates rows and
@@ -152,6 +153,32 @@ def det_of_rows(rows: Rows) -> int:
     return _det_bareiss(rows)
 
 
+def _det_mod(rows: Rows, N: int) -> int:
+    """det(rows) mod N, in [0, N). Up to 4x4 the closed forms of det_of_rows,
+    reduced; from 5x5 on euclidean row elimination mod N, so no entry
+    reaches N and N need not be factored. Each column is cleared below the
+    diagonal by repeated division: the row above loses a multiple of the row
+    below and the two swap, negating the sign, until the entry below is 0.
+    The diagonal left over then multiplies to the determinant."""
+    if len(rows) < 5:
+        return det_of_rows(rows) % N
+    m = [[e % N for e in r] for r in rows]
+    d = 1
+    while m:
+        top, *m = m
+        for i, row in enumerate(m):
+            while row[0]:
+                if t := top[0] // row[0]:
+                    top = [(x - t * y) % N for x, y in zip(top, row)]
+                top, row = row, top
+                d = -d
+            m[i] = row[1:]  # column 0 is clear; the block below drops it
+        if not top[0]:
+            return 0
+        d = d * top[0] % N
+    return d
+
+
 def cofactors(top: Rows) -> tuple[int, ...]:
     """The c with det(top + (x,)) = c.x for every row x, where top holds n - 1
     rows of length n: the signed minors of top. cofactors(()) is (1,)."""
@@ -261,8 +288,7 @@ class SquareMatrix(Frozen):
         return self._wrap(power_of_rows(self.rows, e, self.modulus), self.modulus)
 
     def det(self) -> int:
-        d = det_of_rows(self.rows)
-        return d if self.modulus is None else d % self.modulus
+        return det_of_rows(self.rows) if self.modulus is None else _det_mod(self.rows, self.modulus)
 
     def trace(self) -> int:
         t = sum(self.rows[i][i] for i in range(self.n))
@@ -348,9 +374,7 @@ def require_ring(x: SquareMatrix, name: str, modular: bool = False, hint: str = 
 
 def require_det_one_rows(rows: Rows, N: int | None = None) -> None:
     """require_det_one on bare rows, over Z/N when N is given."""
-    d = det_of_rows(rows)
-    if N is not None:
-        d %= N
+    d = det_of_rows(rows) if N is None else _det_mod(rows, N)
     if d != 1:
         where = "" if N is None else f" mod {N}"
         raise NotUnimodular(f"determinant is {d}{where}, expected 1")
@@ -361,13 +385,34 @@ def elementary_product(n: int, ops, N: int | None = None) -> Rows:
     the generators of an elementary word as they are.
 
     Right-multiplying by 1 + a*e_ij adds a times column i to column j, so the
-    product costs n multiply-adds per factor; each working row carries an
-    unused column 0, so i and j index it directly. Every i and j must lie in
-    1..n: an index of 0 raises nothing and silently gives a wrong product
-    (i = 0 adds nothing, j = 0 writes into the discarded column). Over Z/N
-    (N given) every entry is reduced as it changes, so entries stay in
+    product costs n multiply-adds per factor. At 2x2 a closed form on four
+    locals, as in product_of_rows: (1, 2, a) adds a times column 1 to column
+    2, any other op a times column 2 to column 1. Above it each working row
+    carries an unused column 0, so i and j index it directly. Every i != j
+    must lie in 1..n: an index of 0 raises nothing and silently gives a wrong
+    product (i = 0 adds nothing, j = 0 writes into the discarded column). Over
+    Z/N (N given) every entry is reduced as it changes, so entries stay in
     [0, N) however long ops is.
     """
+    if n == 2:  # the rows (a b; c d)
+        a, b, c, d = 1, 0, 0, 1
+        if N is None:
+            for i, _, t in ops:
+                if i == 1:
+                    b += t * a
+                    d += t * c
+                else:
+                    a += t * b
+                    c += t * d
+        else:
+            for i, _, t in ops:
+                if i == 1:
+                    b = (b + t * a) % N
+                    d = (d + t * c) % N
+                else:
+                    a = (a + t * b) % N
+                    c = (c + t * d) % N
+        return ((a, b), (c, d))
     rows = [[0, *r] for r in identity_rows(n)]
     if N is None:
         for i, j, a in ops:

@@ -4,9 +4,10 @@ A word is an ordered product of elementary matrices 1 + a*e_ij, each given
 by its 1-based (i, j, a). A word from outside (the constructor, from_text,
 +) is checked once, by ElementaryWord, at the cost of one comparison chain
 per generator; the words decompose_int and decompose_mod build from their
-own in-range, reduced operations are not checked again. One elimination,
-_word_ops, produces every such certificate, over Z or over a local ring Z/q
-(q a prime power).
+own in-range, reduced operations are not checked again. One elimination
+produces every such certificate, over Z or over a local ring Z/q (q a prime
+power): _word_ops, written out at n = 2 over Z/q as _local_word_2x2, with
+_word_ops as its oracle.
 It reduces a determinant-1 matrix to the identity by elementary row and
 column operations and replays their inverses as the word. The two rings
 differ only in how a row finds its pivot:
@@ -308,6 +309,54 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
     return lefts + rights[::-1]
 
 
+def _local_word_2x2(rows, q: int) -> list[tuple[int, int, int]]:
+    """_word_ops(rows, q) at n = 2 over a local ring Z/q, written out on the
+    four entries (a b; c d): the same steps in the same order, so the same
+    word, and _word_ops stays its oracle.
+
+    The pivot is the first entry of the top row prime to q, read unreduced;
+    the second is moved to the front by the signed column swap, the column
+    steps c = 1, -1, 1. Then one column clear, one row clear, and the sweep
+    (a 0; 0 d) -> (1 0; 0 ad) of _word_ops. Each step reduces c mod q, skips
+    c = 0 and records -c. Only the residues of the entries decide a step, so
+    after the swap (b, -a; d, -c) stands for the entries _word_ops holds,
+    which are equal to them mod q.
+    """
+    (a, b), (c, d) = rows
+    lefts, rights = [], []
+    if gcd(a, q) != 1:
+        if gcd(b, q) != 1:
+            raise AssertionError("a det-1 row over a local ring must contain a unit")
+        rights += [(2, 1, -1), (1, 2, 1 - q), (2, 1, -1)]
+        a, b, c, d = b, -a, d, -c
+    ainv = pow(a, -1, q)
+    if t := -b * ainv % q:  # col 2 += t*col 1
+        rights.append((1, 2, -t))
+        b += t * a
+        d += t * c
+    if t := -c * ainv % q:  # row 2 += t*row 1
+        lefts.append((2, 1, -t))
+        c += t * a
+        d += t * b
+    if (u := a % q) != 1:
+        # col 2 += col 1; col 1 += (a^-1 - 1)*col 2; row 2 += t*row 1; col 2 += (q - a)*col 1
+        s = ainv - 1
+        rights += [(1, 2, -1), (2, 1, -s)]
+        b += a
+        d += c
+        a += s * b
+        c += s * d
+        if t := -s * d % q:
+            lefts.append((2, 1, -t))
+            c += t * a
+            d += t * b
+        rights.append((1, 2, u - q))
+        b += (q - u) * a
+        d += (q - u) * c
+    assert a % q == 1 and b % q == 0 and c % q == 0 and d % q == 1
+    return lefts + rights[::-1]
+
+
 def decompose_int(x: IntMatrix) -> ElementaryWord:
     """Certificate of elementary generation for x in SL_n(Z).
 
@@ -330,7 +379,8 @@ def _crt_plan(N: int) -> tuple[tuple[int, int], ...]:
 def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
 
-    The factors of N and their idempotents come from the cached _crt_plan;
+    The factors of N and their idempotents come from the cached _crt_plan,
+    the local words from _local_word_2x2 at n = 2 and from _word_ops above;
     each local a, which lies in (-q, 0), is lifted to a*e mod N: q*e is 0
     mod N, so that is (a + q)*e mod N too. At a prime power e is 1 and the
     local ops, reduced mod q, are the word. name is the caller's,
@@ -341,9 +391,10 @@ def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
         raise TypeError(f"{name} needs a ModMatrix, got {type(y).__name__}")
     require_det_one(y)
     N = y.modulus
+    local = _local_word_2x2 if y.n == 2 else _word_ops
     ops = []
     for q, e in _crt_plan(N):
-        ops += [(i, j, a * e % N) for i, j, a in _word_ops(y.rows, q)]
+        ops += [(i, j, a * e % N) for i, j, a in local(y.rows, q)]
     return ops
 
 

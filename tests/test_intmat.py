@@ -8,12 +8,15 @@ from hypothesis import given
 from congruence_lab import (
     DimensionMismatch,
     IntMatrix,
+    ModMatrix,
     NotUnimodular,
     ParseError,
+    decompose_mod,
     sample_sl,
 )
 from congruence_lab.intmat import (
     _det_bareiss,
+    _det_mod,
     cofactors,
     det_of_rows,
     identity_rows,
@@ -110,6 +113,36 @@ def test_det_closed_form_at_4x4_matches_the_permutation_oracle():
     for rows in cases:
         assert det_of_rows(rows) == det_permutation_oracle(rows)
     assert [det_of_rows(rows) for rows in cases[-3:]] == [0, 0, 0]
+
+
+def test_det_mod_n_matches_the_permutation_oracle_and_the_exact_det():
+    # from 5x5 on the det mod N is a euclidean elimination mod N; random
+    # matrices are seldom det 1, and the structured ones below are singular mod N
+    # or det 1 exactly
+    rng = random.Random(61)
+    for N in (2, 4, 12, 360, 97, 3**20, 2**61 - 1):
+        for n in range(1, 10):
+            x = sample_sl(n, 3 * n, n).rows
+            cases = [tuple(tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n))
+                     for bound in (1, 9, 10**6)]
+            cases += [
+                x,  # det 1
+                (tuple(N * e for e in x[0]),) + x[1:],  # a row of multiples of N
+                x[:-1] + (tuple(a + 3 * b for a, b in zip(x[0], x[-1])),),  # det 1 again
+                x[:-1] + (tuple(a * (N + 1) for a in x[0]),),  # for n > 1 two rows equal mod N
+                (tuple(a * 5 for a in x[0]),) + x[1:],  # det 5
+            ]
+            for rows in cases:
+                d = _det_mod(rows, N)
+                assert d == det_of_rows(rows) % N
+                if n <= 6:
+                    assert d == det_permutation_oracle(rows) % N
+                assert ModMatrix(rows, N).det() == d
+    rows = ((9, -7, 6, -1, -8, -9), (-5, 9, 6, 2, 1, -9), (-1, 6, -3, 4, 8, 8),
+            (-6, -3, 9, 8, -1, -7), (4, 1, -7, 2, 4, -1), (5, -6, -3, 0, -6, -8))
+    assert det_permutation_oracle(rows) == 317440  # 280 mod 360
+    with pytest.raises(NotUnimodular, match=r"^determinant is 280 mod 360, expected 1$"):
+        decompose_mod(ModMatrix(rows, 360))
 
 
 def test_inverse_example():

@@ -28,7 +28,7 @@ from congruence_lab import (
 )
 
 from congruence_lab import intmat, witnesses, words
-from congruence_lab.words import _crt_plan, _Gen, _word_ops
+from congruence_lab.words import _crt_plan, _Gen, _local_word_2x2, _word_ops
 
 from tests.helpers import elementary_words, unimodular_matrices
 
@@ -56,9 +56,11 @@ def test_concatenation_is_product_mod(w1, w2):
     assert (w1 + w2).evaluate() == w1.evaluate() * w2.evaluate()
 
 
-@given(st.sampled_from([None, 6]).flatmap(lambda N: elementary_words(3, modulus=N)))
+@given(st.sampled_from([(3, None), (3, 6), (2, None), (2, 6), (2, 2**61 - 1)])
+       .flatmap(lambda ring: elementary_words(ring[0], modulus=ring[1])))
 def test_evaluate_is_the_product_of_its_generators(w):
-    # an independent route: each generator written out as 1 + a*e_ij, multiplied by `*`
+    # an independent route: each generator written out as 1 + a*e_ij, multiplied by `*`;
+    # at n = 2 it checks the closed form of elementary_product, at n = 3 the generic loop
     def matrix(cells):
         rows = [[int(r == c) for c in range(w.n)] for r in range(w.n)]
         for i, j, a in cells:
@@ -211,6 +213,27 @@ def test_decompose_mod_agrees_with_local_at_prime_powers():
             shift = [[(t + 3 * r + c) % 5 - 2 for c in range(2)] for r in range(2)]
             shifted = [[e + N * k for e, k in zip(row, ks)] for row, ks in zip(y.rows, shift)]
             assert _word_ops(shifted, N) == local
+
+
+def test_local_word_2x2_is_the_elimination_of_word_ops():
+    # the closed form must take the same steps as _word_ops, which stays the oracle:
+    # elements of SL_2(Z/N) at each prime-power factor q of N, whose entries in [0, N)
+    # are unreduced mod q when N is composite. Every element up to N = 12; from N = 25
+    # on (15000 to 115248 elements) every 11th, a stride prime to each N, so the
+    # sample does not keep falling on the same second rows.
+    for N in (2, 3, 4, 5, 8, 9, 12, 25, 27, 30, 49):
+        els = enumerate_sl(2, N)
+        for q, _ in _crt_plan(N):
+            for t, y in enumerate(els if N <= 12 else els[::11]):
+                word = _word_ops(y.rows, q)
+                assert _local_word_2x2(y.rows, q) == word
+                # rows given unreduced, the entries shifted by multiples of N in -2N..2N
+                s = N * (t % 5 - 2)
+                (a, b), (c, d) = y.rows
+                assert _local_word_2x2(((a + s, b - s), (c - s, d + s)), q) == word
+    for q in (4, 5):
+        with pytest.raises(AssertionError, match="det-1 row"):
+            _local_word_2x2([[0, 0], [0, 1]], q)
 
 
 def test_word_ops_refuse_a_row_that_vanishes_from_the_diagonal_on():
