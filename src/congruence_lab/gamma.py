@@ -8,11 +8,11 @@ Gamma(N) is covered here; the p-chain's prime check is in witnesses.py.
 
 from __future__ import annotations
 
-import math
 from operator import index
 
 from .errors import BadModulus
-from .intmat import IntMatrix, is_one_mod, random_elementary_rows, require_det_one, require_ring
+from .intmat import (IntMatrix, is_one_mod, level_of_rows, random_elementary_rows, require_det_one,
+                     require_ring)
 
 __all__ = [
     "gamma_member",
@@ -35,11 +35,7 @@ def gamma_level(x: IntMatrix) -> int:
     gcd of the entries of x - 1. Returns 0 for the identity."""
     require_ring(x, "gamma_level")
     require_det_one(x)
-    g = 0
-    for i, row in enumerate(x.rows):
-        for j, e in enumerate(row):
-            g = math.gcd(g, e - (i == j))
-    return g
+    return level_of_rows(x.rows)
 
 
 def sample_gamma(n: int, N: int, length: int, seed: int) -> IntMatrix:

@@ -7,7 +7,11 @@ det_of_rows, cofactors (det(top + (x,)) = c.x) and elementary_product
 elementary word). det_of_rows uses closed forms up to 4x4, product_of_rows
 up to 3x3 and elementary_product at 2x2, each a generic route above; the
 det over Z/N (_det_mod) reduces the closed forms and from 5x5 on eliminates
-mod N, so its entries stay below N. The classes wrap its results.
+mod N, so its entries stay below N. The classes wrap its results. Two
+integer helpers are stated here once for every module: level_of_rows, the
+gcd of the entries of rows - 1 (gamma_level, the kernel orders of
+mod_spectrum), and power_below, which builds b^e only below a bound (the
+enumeration cap, phi_k's depth and the sizes named as "b^e").
 
 SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
 meaning Z (the convention of ElementaryWord). It alone validates rows and
@@ -32,6 +36,7 @@ and negative entries are permitted.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from operator import add, index, mul
 
@@ -358,6 +363,24 @@ def is_one_mod(rows: Rows, N: int) -> bool:
             if (e - (i == j)) % N:
                 return False
     return True
+
+
+def level_of_rows(rows: Rows, N: int = 0) -> int:
+    """gcd of N and the entries of rows - 1: the level of rows over Z for N = 0
+    (0 for the identity), and the largest divisor of N it is 1 mod."""
+    return math.gcd(N, *[e - (i == j) for i, r in enumerate(rows) for j, e in enumerate(r)])
+
+
+def power_below(b: int, e: int, limit: int | None = None) -> int | None:
+    """b^e if it is below limit, else None. The default limit is 10^4300,
+    below which a power is written in full; past it (4301 digits pass
+    CPython's default int -> str limit) a size is named as "b^e". As
+    b^e >= 2^((bits of b - 1) * e), a power whose bound reaches the bit
+    length of limit is never built."""
+    bits = 14285 if limit is None else limit.bit_length()  # 10^4300 has 14285 bits
+    if (b.bit_length() - 1) * e < bits and (q := b**e) < (10**4300 if limit is None else limit):
+        return q
+    return None
 
 
 def require_det_one(x: SquareMatrix) -> None:

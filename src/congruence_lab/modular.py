@@ -24,7 +24,7 @@ import itertools
 from operator import index
 
 from .errors import BadModulus, CapExceeded, ParseError
-from .intmat import Rows, SquareMatrix, cofactors, identity_rows, parse_entries, product_of_rows
+from .intmat import Rows, SquareMatrix, cofactors, identity_rows, parse_entries, power_below, product_of_rows
 from .primes import factorize
 
 __all__ = [
@@ -78,12 +78,10 @@ def _check_enumeration(n: int, N: int, cap: int | None) -> tuple[int, int]:
     if N < 2:
         raise BadModulus(f"modulus must be >= 2, got {N}")
     cap, e = DEFAULT_ENUMERATION_CAP if cap is None else index(cap), n * n
-    if (N.bit_length() - 1) * e < max(cap.bit_length(), 14285):  # 10^4300 has 14285 bits
-        if (size := N**e) <= cap:
-            return n, N
-        if size < 10**4300:
-            raise CapExceeded(size, cap)
-    raise CapExceeded(None, cap, f"{N}^{e}")
+    if power_below(N, e, cap + 1) is None:
+        size = power_below(N, e)
+        raise CapExceeded(size, cap, None if size else f"{N}^{e}")
+    return n, N
 
 
 def _sl_local(n: int, p: int, s: int) -> list[Rows]:

@@ -12,9 +12,13 @@ mod_spectrum finds the element orders of SL_n(Z/N) from conjugacy classes,
 since conjugation keeps orders, and never lists the group. Over F_p a class
 of GL_n(F_p) is a multiset of primary blocks C(f^e), f monic irreducible and
 f != t, and the classes in SL_n(F_p) are those whose block dets multiply to
-1. The block C(f^e) has order ord(f) * p^a, p^a the least power of p that is
->= e (Lidl-Niederreiter, Finite Fields, Thm 3.8), and a class has the lcm of
-its blocks' orders, so at a prime no matrix is multiplied. Over Z/p^s every
+1. No polynomial is formed: F_(p^d)^* is cyclic (Lidl-Niederreiter, Finite
+Fields, Thm 2.8), so with c a generator whose norm is a primitive root w mod
+p, each f of degree d is the minimal polynomial of c^j for one Frobenius
+orbit {j, jp, jp^2, ...} of size d in Z/(p^d - 1). Then det C(f^e) =
+w^(j*e), and C(f^e) has order (p^d - 1)/gcd(j, p^d - 1) * p^a, p^a the
+least power of p that is >= e (Thm 3.8). A class has the lcm of its blocks'
+orders, so at a prime no matrix is multiplied. Over Z/p^s every
 order occurs in the fibre over a class: the X*k with X a det-1 lift of the
 class's block-diagonal representative and k in K = Gamma(p)/Gamma(p^s). Such
 an element has order ord(X mod p) * p^j, j < s, and 1 or p times its order
@@ -44,7 +48,7 @@ from operator import index, mul
 from .errors import BadModulus, CounterexampleFound
 from .gamma import gamma_level
 from .intmat import (Frozen, IntMatrix, Rows, cofactors, det_of_rows, identity_rows, is_one_mod,
-                     power_of_rows, product_of_rows, random_elementary_rows,
+                     level_of_rows, power_of_rows, product_of_rows, random_elementary_rows,
                      require_det_one, require_det_one_rows, require_ring)
 from .modular import _check_enumeration
 from .primes import euler_phi, factorize
@@ -151,118 +155,85 @@ def matrix_order(x: IntMatrix) -> OrderResult:
     return OrderResult(m if (x**m).is_identity() else None)
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """a*b over F_p; polynomials are coefficient tuples, lowest degree first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return tuple(c % p for c in out)
+def _blocks(n: int, p: int) -> list[tuple[int, int, int, int, int]]:
+    """Every primary block C(f^e) of size <= n over F_p, as (size, det, order,
+    d, j) with d = deg f, sorted by size; no polynomial is formed.
 
-
-def _irreducibles(n: int, p: int) -> list[tuple[int, ...]]:
-    """The monic irreducible f != t over F_p of degree <= n, in order of degree.
-
-    A sieve: the reducible monic polynomials of degree d are the products g*h
-    of a monic irreducible g of degree k <= d/2 (t included) and a monic h of
-    degree d - k, so no polynomial is tried for a factor.
+    F_(p^d)^* is cyclic of order q = p^d - 1. Fix a generator c of it whose
+    norm c^(q/(p-1)) is a primitive root w mod p (_generator). Each f of
+    degree d is then the minimal polynomial of c^j for the j of exactly one
+    orbit {j, jp, jp^2, ...} of size d in Z/q; j is its least element. The
+    roots of f multiply to w^j, so det C(f^e) = w^(j*e), kept as its
+    exponent j*e mod p - 1, and its order is ord(f) * p^a, ord(f) = q /
+    gcd(j, q) and p^a the least power of p that is >= e (Thm 3.8).
     """
-    monic, irr, out = {0: [(1,)]}, {}, []
+    out = []
     for d in range(1, n + 1):
-        monic[d] = [c + (1,) for c in itertools.product(range(p), repeat=d)]
-        composite = {_poly_mul(g, h, p) for k in range(1, d // 2 + 1) for g in irr[k] for h in monic[d - k]}
-        irr[d] = [f for f in monic[d] if f not in composite]
-        out += [f for f in irr[d] if f[0]]  # f(0) == 0 only for f = t
-    return out
-
-
-def _mulmod(a: list[int], b: list[int], f: tuple[int, ...], p: int) -> list[int]:
-    """a*b mod (f, p) for residues of d = deg f coefficients; f is monic."""
-    d, prod = len(f) - 1, list(_poly_mul(a, b, p))
-    for k in range(len(prod) - 1, d - 1, -1):  # t^k = t^(k-d) * (t^d - f)
-        if c := prod[k] % p:
-            for i, fi in enumerate(f[:d], k - d):
-                prod[i] -= c * fi
-    return [c % p for c in prod[:d]]
-
-
-def _poly_order(f: tuple[int, ...], p: int, primes: list[int]) -> int:
-    """ord(f), the least r with f | t^r - 1, for irreducible f != t over F_p.
-
-    t mod f generates F_p[t]/f = F_(p^d), so r divides p^d - 1, whose prime
-    factors are given. Each is removed from r while t^(r / prime) = 1 mod f
-    still holds. Powers of t are taken left to right: a square, then a
-    multiply by t, which is a shift.
-    """
-    d = len(f) - 1
-    one = [1] + [0] * (d - 1)
-
-    def t_power(e: int) -> list[int]:
-        x = [0, 1] + [0] * (d - 2) if d > 1 else [-f[0] % p]
-        for bit in bin(e)[3:]:
-            x = _mulmod(x, x, f, p)
-            if bit == "1":
-                c = x[-1]
-                x = [(u - c * v) % p for u, v in zip([0] + x[:-1], f)]
-        return x
-
-    r = p**d - 1
-    for prime in primes:
-        while r % prime == 0 and t_power(r // prime) == one:
-            r //= prime
-    return r
-
-
-def _blocks(n: int, p: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """Every primary block C(f^e) of size <= n over F_p, as (f^e, det, order),
-    sorted by size: det C(f^e) = ((-1)^deg f * f(0))^e, and the order is
-    ord(f^e) = ord(f) * p^a, f^e being its minimal polynomial (Thm 3.8)."""
-    out, primes = [], [[]] + [[l for l, _ in factorize(p**d - 1)] for d in range(1, n + 1)]
-    for f in _irreducibles(n, p):
-        d = len(f) - 1
-        det, order, g, pa = (-1) ** d * f[0] % p, _poly_order(f, p, primes[d]), f, 1
-        for e in range(1, n // d + 1):
-            if e > 1:
-                g = _poly_mul(g, f, p)
-            while pa < e:
-                pa *= p
-            out.append((g, det**e % p, order * pa))
-    return sorted(out, key=lambda block: len(block[0]))
+        q = p**d - 1
+        for j in range(q):
+            x = j
+            for _ in range(d - 1):  # x = j*p^i: j is not least (x < j) or the orbit is short (x = j)
+                if (x := x * p % q) <= j:
+                    break
+            else:
+                order, pa = q // math.gcd(j, q), 1
+                for e in range(1, n // d + 1):
+                    while pa < e:
+                        pa *= p
+                    out.append((d * e, j * e % (p - 1), order * pa, d, j))
+    return sorted(out)
 
 
 def _classes(n: int, p: int, blocks: list) -> list[tuple]:
-    """Each multiset of blocks whose sizes sum to n and whose dets multiply
-    to 1: the classes of GL_n(F_p) inside SL_n(F_p), by their primary
-    rational canonical forms. blocks are sorted by size, as _blocks gives them."""
+    """Each multiset of blocks whose sizes sum to n and whose det exponents
+    sum to 0 mod p - 1: the classes of GL_n(F_p) inside SL_n(F_p), by their
+    primary rational canonical forms. blocks are sorted by size, as _blocks
+    gives them."""
     out = []
 
     def extend(start: int, left: int, det: int, chosen: tuple) -> None:
         if not left:
-            if det == 1:
+            if not det:
                 out.append(chosen)
             return
         for i in range(start, len(blocks)):
-            g, block_det, _ = block = blocks[i]
-            if len(g) - 1 > left:
+            size, block_det, *_ = block = blocks[i]
+            if size > left:
                 return
-            extend(i, left - len(g) + 1, det * block_det % p, chosen + (block,))
+            extend(i, left - size, (det + block_det) % (p - 1), chosen + (block,))
 
-    extend(0, n, 1, ())
+    extend(0, n, 0, ())
     return out
 
 
-def _lift(n: int, polys, p: int, q: int) -> Rows:
-    """A det-1 lift to Z/q of the block diagonal of the companion matrices of
-    polys, whose det is 1 mod p: its first column is scaled by det^-1 mod q."""
+def _generator(d: int, p: int, w: int) -> Rows:
+    """The companion rows of the first monic f of degree d with f(0) =
+    (-1)^d * w whose order is p^d - 1: a generator c of F_(p^d)^* whose
+    norm det C(f) is w. The order is p^d - 1 only for a primitive f."""
+    q, one = p**d - 1, identity_rows(d)
+    primes = [l for l, _ in factorize(q)]
+    for tail in itertools.product(range(p), repeat=d - 1):
+        f = ((-1) ** d * w % p,) + tail
+        c = tuple(tuple([int(j == i - 1) for j in range(d - 1)] + [-f[i] % p]) for i in range(d))
+        if power_of_rows(c, q, p) == one and all(power_of_rows(c, q // l, p) != one for l in primes):
+            return c
+
+
+def _lift(n: int, chosen: tuple, p: int, q: int, gen) -> Rows:
+    """A det-1 lift to Z/q of a representative of the class chosen, whose
+    det is 1 mod p. A block (size, _, _, d, j) puts c^j, c = gen(d), on its
+    e = size/d diagonal blocks and 1 on the blocks just above them. f is
+    separable, so this has minimal polynomial f^e and is similar to C(f^e).
+    The first column is then scaled by det^-1 mod q."""
     rows, at = [[0] * n for _ in range(n)], 0
-    for g in polys:
-        m = len(g) - 1
-        for i in range(m):
-            if i:
-                rows[at + i][at + i - 1] = 1
-            rows[at + i][at + m - 1] = -g[i] % p
-        at += m
+    for size, _, _, d, j in chosen:
+        a = power_of_rows(gen(d), j, p)
+        for i in range(size):
+            start = at + i - i % d
+            rows[at + i][start:start + d] = a[i % d]
+            if i + d < size:
+                rows[at + i][at + i + d] = 1
+        at += size
     inv = pow(det_of_rows(rows), -1, q)
     return tuple((r[0] * inv % q,) + tuple(r[1:]) for r in rows)
 
@@ -289,7 +260,7 @@ def _kernel_order(z: Rows, q: int) -> int:
     when p is odd or a >= 2, so z has order q / p^a, and p^a is the gcd of q
     and the entries of z - 1. Only at p = 2, a = 1 is z squared first.
     """
-    g = math.gcd(q, *[e - (i == j) for i, r in enumerate(z) for j, e in enumerate(r)])
+    g = level_of_rows(z, q)
     return 2 * _kernel_order(product_of_rows(z, z, q), q) if g == 2 else q // g
 
 
@@ -306,13 +277,15 @@ def _local_spectrum(n: int, p: int, s: int) -> set[int]:
     """
     blocks = _blocks(n, p)
     if s == 1:
-        return {math.lcm(*[o for *_, o in c]) for c in _classes(n, p, blocks)}
+        return {math.lcm(*[o for _, _, o, *_ in c]) for c in _classes(n, p, blocks)}
+    w = next(g for g in range(1, p) if all(pow(g, (p - 1) // l, p) != 1 for l, _ in factorize(p - 1)))
+    gen = functools.cache(lambda d: _generator(d, p, w))  # one search per degree met
     q, found = p**s, set()
     for chosen in _classes(n, p, blocks):
-        o = math.lcm(*[o for *_, o in chosen])
+        o = math.lcm(*[o for _, _, o, *_ in chosen])
         if {o * p**j for j in range(s)} <= found:
             continue
-        x = _lift(n, [g for g, *_ in chosen], p, q)
+        x = _lift(n, chosen, p, q, gen)
         if o % p:  # x^a has order o for a = 0 mod q/p and a = 1 mod o
             x = power_of_rows(x, q // p * pow(q // p, -1, o), q)
         top = o  # the largest order in the fibre mod p^(t-1)
@@ -338,11 +311,13 @@ def mod_spectrum(n: int, N: int, cap: int | None = None) -> frozenset[int]:
     SL_n(Z/N) is the direct product of its CRT factors SL_n(Z/p^s), and the
     orders in a direct product are exactly the lcms of orders in the
     factors, so each factor's spectrum is found on its own and combined.
-    A factor's spectrum comes from the classes of SL_n(F_p): the lcms of
-    their primary blocks' orders ord(f) * p^a (Lidl-Niederreiter, Thm 3.8)
-    at s = 1, and the fibres over them at s >= 2 (see the module docstring),
-    so the group is never listed. The cap is the one enumerate_sl applies,
-    on N^(n^2), so the inputs refused do not depend on the route.
+    A factor's spectrum comes from the classes of SL_n(F_p), each block
+    read off an orbit of exponents j of a generator of F_(p^d)^*: the lcms
+    of the blocks' orders (p^d - 1)/gcd(j, p^d - 1) * p^a (Lidl-Niederreiter,
+    Thm 3.8) at s = 1, and the fibres over them at s >= 2 (see the module
+    docstring), so the group is never listed. The cap is the one
+    enumerate_sl applies, on N^(n^2), so the inputs refused do not depend
+    on the route.
     """
     n, N = _check_enumeration(n, N, cap)
     if n == 1:

@@ -37,7 +37,7 @@ from operator import index
 
 from .errors import BadModulus, IdentityInput, NotInGamma, NotPrime
 from .gamma import gamma_level, gamma_member
-from .intmat import Frozen, IntMatrix, Rows, SquareMatrix, elementary_product
+from .intmat import Frozen, IntMatrix, Rows, SquareMatrix, elementary_product, power_below
 from .modular import ModMatrix, sl_order_formula
 from .primes import is_prime, next_prime
 
@@ -135,14 +135,6 @@ def _depth_map(x: IntMatrix, step: int, m: int) -> TracelessMatrix:
     )
 
 
-def _power_text(p: int, k: int) -> str:
-    """p^k in full, or named "p^k" (and never built) past 4300 digits, as
-    the enumeration cap names a size."""
-    if (p.bit_length() - 1) * k < 14285 and (q := p**k) < 10**4300:  # 10^4300 has 14285 bits
-        return str(q)
-    return f"{p}^{k}"
-
-
 def phi_k(x: IntMatrix, p: int, k: int) -> TracelessMatrix:
     """Depth map on Gamma(p^k): send x = 1 + p^k*Y to Y mod p.
 
@@ -150,16 +142,18 @@ def phi_k(x: IntMatrix, p: int, k: int) -> TracelessMatrix:
     det x = 1) whose kernel is exactly Gamma(p^(k+1)).
 
     An x != 1 in Gamma(p^k) has p^k <= max |x - 1| < 2^b, b the bit length
-    of that largest entry. As p^k >= 2^((bits of p - 1) * k), once that
-    exponent reaches b only the identity is left; Gamma(2^b) holds it and
-    nothing else, so it stands in for Gamma(p^k), and p^k is never built.
+    of that largest entry. Once p^k reaches 2^b only the identity is left;
+    Gamma(2^b) holds it and nothing else, so it stands in for Gamma(p^k),
+    and p^k is built only while its bit-length bound is below that of 2^b
+    (intmat.power_below). Past 4300 digits the refusal names p^k as a
+    power, as the enumeration cap names a size.
     """
     _require_chain(p, k)
     p, k = index(p), index(k)
     b = max(abs(e - (i == j)).bit_length() for i, row in enumerate(x.rows) for j, e in enumerate(row))
-    step = 1 << b if (p.bit_length() - 1) * k >= b else p**k
+    step = power_below(p, k, 1 << b) or 1 << b
     if not gamma_member(x, step):
-        raise NotInGamma(f"matrix is not congruent to 1 mod {_power_text(p, k)}")
+        raise NotInGamma(f"matrix is not congruent to 1 mod {power_below(p, k) or f'{p}^{k}'}")
     return _depth_map(x, step, p)
 
 

@@ -20,6 +20,7 @@ from congruence_lab.intmat import (
     cofactors,
     det_of_rows,
     identity_rows,
+    power_below,
     power_of_rows,
     product_of_rows,
     random_elementary_rows,
@@ -343,3 +344,12 @@ def test_rejects_non_square():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntMatrix([])
+
+
+def test_power_below_builds_only_under_the_limit():
+    assert power_below(3, 5, 244) == 243
+    assert power_below(3, 5, 243) is None
+    assert power_below(10, 4299) == 10**4299
+    assert power_below(10, 4300) is None  # 4301 digits: named, not written
+    assert power_below(2, 10**15) is None  # 2^(10^15) would not fit in memory
+    assert power_below(5, 0, 2) == 1 and power_below(5, 1, 1) is None

@@ -252,11 +252,26 @@ def _divisors(m: int) -> set[int]:
     return {d for d in range(1, m + 1) if m % d == 0}
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 101, 211])
 def test_sl2_of_a_prime_field_has_the_classical_spectrum(p):
     # split and non-split tori give the divisors of p - 1 and p + 1; the
-    # unipotents +-(1 1; 0 1) give p and 2p
-    assert mod_spectrum(2, p) == _divisors(p - 1) | _divisors(p + 1) | {p, 2 * p}
+    # unipotents +-(1 1; 0 1) give p and 2p. The default cap refuses p^4 past 10^7.
+    cap = p**4 if p > 53 else None
+    assert mod_spectrum(2, p, cap=cap) == _divisors(p - 1) | _divisors(p + 1) | {p, 2 * p}
+
+
+@pytest.mark.parametrize("n,p", [(6, 2), (4, 3), (3, 5), (2, 211)])
+def test_block_orbits_count_the_irreducible_polynomials(n, p):
+    # Gauss: the monic irreducibles of degree d number (1/d) * sum over k | d of
+    # mu(d/k) * p^k, t among them; one orbit of exponents stands for each other one
+    def mu(m):
+        primes = factorize(m)
+        return 0 if any(e > 1 for _, e in primes) else (-1) ** len(primes)
+
+    orbits = [d for size, _, _, d, _ in torsion._blocks(n, p) if size == d]
+    for d in range(1, n + 1):
+        gauss = sum(mu(d // k) * p**k for k in _divisors(d)) // d
+        assert orbits.count(d) == gauss - (d == 1)
 
 
 def test_mod_spectrum_memory_follows_the_fibre():
@@ -272,14 +287,24 @@ def test_mod_spectrum_memory_follows_the_fibre():
         tracemalloc.stop()
 
 
-# Fibre walks the cyclic walk cannot finish in a second, pinned from the route
-# that listed Gamma(p)/Gamma(p^t) before walking it.
+# Spectra the cyclic walk cannot finish in a second: the fibre walks pinned
+# from the route that listed Gamma(p)/Gamma(p^t) before walking it, and the
+# prime cases from the route that formed every irreducible polynomial over F_p.
 @pytest.mark.parametrize(
     "n,N,orders",
     [
         (3, 8, {1, 2, 3, 4, 6, 7, 8, 12, 14, 16, 28}),
         (3, 9, {1, 2, 3, 4, 6, 8, 9, 12, 13, 18, 24, 39}),
         (4, 4, {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15, 30}),
+        (3, 5, {1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 24, 31}),
+        (3, 7, {1, 2, 3, 4, 6, 7, 8, 12, 14, 16, 19, 21, 24, 42, 48, 57}),
+        (4, 3, {1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 18, 20, 24, 26, 40}),
+        (4, 5, {1, 2, 3, 4, 5, 6, 8, 10, 12, 13, 15, 20, 24, 26, 30, 31, 39, 52, 60, 62, 78, 124, 156}),
+        (5, 3, {1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 16, 18, 20, 24, 26, 39, 40, 52, 78, 80, 104, 121}),
+        (6, 2, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 21, 28, 30, 31, 63}),
+        (6, 3, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 22, 24, 26, 28,
+                30, 36, 39, 40, 52, 60, 78, 80, 91, 104, 120, 121, 182, 242, 364}),
+        (3, 11, {1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 15, 19, 20, 22, 24, 30, 40, 55, 60, 110, 120, 133}),
     ],
 )
 def test_mod_spectrum_pinned_fibre_walks(n, N, orders):
