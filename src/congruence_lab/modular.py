@@ -3,23 +3,28 @@
 ModMatrix is the Z/N view of the matrix core in intmat.py; it adds only the
 identity of a given modulus and the "a,b;c,d mod N" parser.
 
-crt_idempotent (1 mod q, 0 mod N/q) is the one statement of the CRT split
-of Z/N into its prime-power factors Z/q: enumerate_sl glues its factor lists
-with it, and words.decompose_mod lifts every local word with it.
+_crt_plan(N), cached per modulus, is the one statement of the CRT split of
+Z/N into its prime-power factors Z/q, q = p^s: it gives each factor with its
+idempotent e (1 mod q, 0 mod N/q). enumerate_sl glues its factor lists with
+it, torsion.mod_spectrum and sl_order_formula read the factors from it, and
+words.decompose_mod lifts every local word with it.
 
 enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
 factors SL_n(Z/p^s), each listed in order with the rows shared. Per head of
 n-2 rows, one product_of_rows gives the cofactor vectors of every last top
 row, and the last rows come from a table of the solutions of det = 1
-(_completions); only a list glued from several factors is sorted. Its cost
-follows |SL_n(Z/N)| rather than N^(n^2), but the cap still bounds N^(n^2),
-so which inputs are refused does not depend on the route. sl_order_formula
-computes the same count in closed form; the test suite holds the two together
-and checks the list against an exhaustive N^(n^2) walk.
+(_completions). A prime power's list is returned as it is; several factors
+are glued in one pass, each element the sum of e*x mod N over its factors,
+and sorted once (_crt_glue). Its cost follows |SL_n(Z/N)| rather than
+N^(n^2), but the cap still bounds N^(n^2), so which inputs are refused does
+not depend on the route. sl_order_formula computes the same count in closed
+form; the test suite holds the two together and checks the list against an
+exhaustive N^(n^2) walk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import index
 
@@ -37,9 +42,12 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
-def crt_idempotent(q: int, N: int) -> int:
-    """The e in [0, N) with e = 1 mod q and e = 0 mod N/q, for q | N coprime to N/q."""
-    return N // q * pow(N // q, -1, q)
+@functools.lru_cache(maxsize=64)
+def _crt_plan(N: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The (p, s, q, e) of each prime-power factor q = p^s of N, e in [0, N)
+    its CRT idempotent: 1 mod q and 0 mod N/q. A tuple of tuples, so every
+    caller can share it, and cached, so a modulus is factored once."""
+    return tuple((p, s, p**s, N // p**s * pow(N // p**s, -1, p**s)) for p, s in factorize(N))
 
 
 class ModMatrix(SquareMatrix):
@@ -132,33 +140,28 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
     """All of SL_n(Z/N), sorted lexicographically by entries.
 
     Lists each CRT factor SL_n(Z/p^s) with _sl_local and glues the factors
-    together entrywise, so the cost follows |SL_n(Z/N)|. Raises CapExceeded
-    (carrying the required cap, or None past 4300 digits) when the entry
-    space N^(n^2) is larger than `cap` (default DEFAULT_ENUMERATION_CAP).
+    together entrywise in one pass, so the cost follows |SL_n(Z/N)|. Raises
+    CapExceeded (carrying the required cap, or None past 4300 digits) when
+    the entry space N^(n^2) is larger than `cap` (default
+    DEFAULT_ENUMERATION_CAP).
     """
     n, N = _check_enumeration(n, N, cap)
-    elements: list[Rows] = []
-    M = 1
-    factors = factorize(N)
-    for p, s in factors:
-        local = _sl_local(n, p, s)
-        elements = _crt_glue(elements, M, local, p**s) if M > 1 else local
-        M *= p**s
-    if len(factors) > 1:  # a prime power's list is already in order; a glued one is not
-        elements.sort()
+    plan = _crt_plan(N)
+    lists = [_sl_local(n, p, s) for p, s, _, _ in plan]
+    # a prime power's list is already in order; a glued one is not
+    elements = lists[0] if len(plan) == 1 else _crt_glue(lists, [e for *_, e in plan], N)
     wrap = ModMatrix._wrap
     return [wrap(rows, N) for rows in elements]
 
 
-def _crt_glue(xs: list[Rows], a: int, ys: list[Rows], b: int) -> list[Rows]:
-    """Every pair (x mod a, y mod b) joined entrywise by CRT, for coprime a and b.
-    Each pair of rows (rx, ry) is joined once, so the glued rows are shared too."""
-    ab = a * b
-    ea, eb = crt_idempotent(a, ab), crt_idempotent(b, ab)
-    rows_x, rows_y = {r for x in xs for r in x}, {r for y in ys for r in y}
-    glued = {(rx, ry): tuple((u * ea + v * eb) % ab for u, v in zip(rx, ry))
-             for rx in rows_x for ry in rows_y}
-    return [tuple(map(glued.__getitem__, zip(x, y))) for x in xs for y in ys]
+def _crt_glue(lists: list[list[Rows]], es: list[int], N: int) -> list[Rows]:
+    """Every choice of one element per factor, joined entrywise by CRT as the
+    sum of e*x mod N over the factors (es their idempotents), sorted. Each
+    choice of one row per factor is joined once, so the glued rows are shared too."""
+    scaled = [{r: [e * u for u in r] for r in set().union(*xs)} for xs, e in zip(lists, es)]
+    glued = {key: tuple(sum(col) % N for col in zip(*map(dict.__getitem__, scaled, key)))
+             for key in itertools.product(*scaled)}
+    return sorted(tuple(map(glued.__getitem__, zip(*xs))) for xs in itertools.product(*lists))
 
 
 def sl_order_formula(n: int, N: int) -> int:
@@ -173,7 +176,7 @@ def sl_order_formula(n: int, N: int) -> int:
     if N < 1:
         raise BadModulus(f"modulus must be >= 1, got {N}")
     total = 1
-    for p, s in factorize(N):
+    for p, s, _, _ in _crt_plan(N):
         shift = n * (n - 1) // 2 + (s - 1) * (n * n - 1)
         total *= p**shift * _prod_pk_minus_one(p, 2, n + 1)
     return total

@@ -50,7 +50,7 @@ from .gamma import gamma_level
 from .intmat import (Frozen, IntMatrix, Rows, cofactors, det_of_rows, identity_rows, is_one_mod,
                      level_of_rows, power_of_rows, product_of_rows, random_elementary_rows,
                      require_det_one, require_det_one_rows, require_ring)
-from .modular import _check_enumeration
+from .modular import _check_enumeration, _crt_plan
 from .primes import euler_phi, factorize
 
 __all__ = [
@@ -323,7 +323,7 @@ def mod_spectrum(n: int, N: int, cap: int | None = None) -> frozenset[int]:
     if n == 1:
         return frozenset({1})
     spectrum = {1}
-    for p, s in factorize(N):
+    for p, s, _, _ in _crt_plan(N):
         local = _local_spectrum(n, p, s)
         spectrum = {math.lcm(a, b) for a in spectrum for b in local}
     return frozenset(spectrum)

