@@ -38,6 +38,8 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import deque
+from itertools import repeat
 from operator import add, index, mul
 
 from .errors import BadModulus, DimensionMismatch, NotUnimodular, ParseError
@@ -230,7 +232,8 @@ class SquareMatrix(Frozen):
     The one implementation behind IntMatrix, ModMatrix and TracelessMatrix,
     which keep only what differs. Over Z/N the entries are kept reduced into
     [0, N). The public constructor validates and reduces its input; results
-    built here are already in that form and go through _wrap unchecked.
+    built here are already in that form and go through _wrap unchecked, or
+    _wrap_all for a whole list of them.
     Slots, not a per-instance dict: the enumerations build millions of these.
     """
 
@@ -251,11 +254,22 @@ class SquareMatrix(Frozen):
 
     @classmethod
     def _wrap(cls, rows: Rows, modulus: int | None = None):
-        """Wrap already reduced square rows; the slot descriptors skip Frozen's __setattr__."""
+        """Wrap already reduced square rows; the slot descriptors skip Frozen's
+        __setattr__, here, in _wrap_all and in __init__ only."""
         m = object.__new__(cls)
         _set_rows(m, rows)
         _set_modulus(m, modulus)
         return m
+
+    @classmethod
+    def _wrap_all(cls, rows_list: list[Rows], modulus: int | None = None) -> list:
+        """_wrap over a list of already reduced rows, as three passes of map
+        run in C, with no Python call per element: enumerate_sl wraps every
+        element of a group."""
+        ms = list(map(object.__new__, repeat(cls, len(rows_list))))
+        deque(map(_set_rows, ms, rows_list), 0)
+        deque(map(_set_modulus, ms, repeat(modulus)), 0)
+        return ms
 
     def __reduce__(self):
         # Default unpickling and copying set slots by setattr, which Frozen refuses.

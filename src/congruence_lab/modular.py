@@ -7,7 +7,7 @@ _crt_plan(N), cached per modulus, is the one statement of the CRT split of
 Z/N into its prime-power factors Z/q, q = p^s: it gives each factor with its
 idempotent e (1 mod q, 0 mod N/q). enumerate_sl glues its factor lists with
 it, torsion.mod_spectrum and sl_order_formula read the factors from it, and
-words.decompose_mod lifts every local word with it.
+words.decompose_mod records every local op lifted by its idempotent.
 
 enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
 factors SL_n(Z/p^s), each listed in order with the rows shared. Per head of
@@ -15,11 +15,12 @@ n-2 rows, one product_of_rows gives the cofactor vectors of every last top
 row, and the last rows come from a table of the solutions of det = 1
 (_completions). A prime power's list is returned as it is; several factors
 are glued in one pass, each element the sum of e*x mod N over its factors,
-and sorted once (_crt_glue). Its cost follows |SL_n(Z/N)| rather than
-N^(n^2), but the cap still bounds N^(n^2), so which inputs are refused does
-not depend on the route. sl_order_formula computes the same count in closed
-form; the test suite holds the two together and checks the list against an
-exhaustive N^(n^2) walk.
+and sorted once (_crt_glue). The rows are wrapped as ModMatrix in bulk, by
+SquareMatrix._wrap_all, with no Python call per element. Its cost follows
+|SL_n(Z/N)| rather than N^(n^2), but the cap still bounds N^(n^2), so which
+inputs are refused does not depend on the route. sl_order_formula computes
+the same count in closed form; the test suite holds the two together and
+checks the list against an exhaustive N^(n^2) walk.
 """
 
 from __future__ import annotations
@@ -150,8 +151,7 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
     lists = [_sl_local(n, p, s) for p, s, _, _ in plan]
     # a prime power's list is already in order; a glued one is not
     elements = lists[0] if len(plan) == 1 else _crt_glue(lists, [e for *_, e in plan], N)
-    wrap = ModMatrix._wrap
-    return [wrap(rows, N) for rows in elements]
+    return ModMatrix._wrap_all(elements, N)
 
 
 def _crt_glue(lists: list[list[Rows]], es: list[int], N: int) -> list[Rows]:

@@ -15,10 +15,11 @@ differ only in how a row finds its pivot:
 * decompose_int shrinks the row by euclidean division with remainder until
   one entry, necessarily +-1, is left;
 * decompose_mod splits Z/N into prime-power factors Z/q and pivots on any
-  entry prime to q, which is a unit there. Each local coefficient is
-  multiplied by the CRT idempotent of its factor, so it acts trivially in
-  every other factor. One path serves every N; at a prime power the
-  idempotent is 1, so lifting leaves the local word as it is.
+  entry prime to q, which is a unit there. The elimination records each
+  local coefficient already multiplied by the CRT idempotent e of its
+  factor and reduced mod N, so it acts trivially in every other factor and
+  the word of Z/N is the local words joined. One path serves every N; at a
+  prime power e is 1 and N is q, so the local word is the word.
 
 Over Z the euclidean pivot is +-1, its own inverse, and leaves its row
 clear, so the clearing shared with Z/q adds no operation to an integer word.
@@ -183,11 +184,13 @@ class ElementaryWord(Frozen):
             raise ParseError(str(e)) from None
 
 
-def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
+def _word_ops(rows, q: int | None = None, e: int = 1, N: int | None = None) -> list[tuple[int, int, int]]:
     """The word, as its own 1-based (i, j, a), of the rows of a determinant-1
     matrix: over Z when q is None, else over Z/q for a prime power q, where
-    the rows may be given unreduced and each a is recorded in (-q, 0). The
-    caller has checked the determinant.
+    the rows may be given unreduced. Over Z/q each a is recorded lifted to
+    Z/N by e, the CRT idempotent of the factor q of N (e = 1 and N = q when
+    they are not given): a step c records -c*e mod N, in [0, N), which at
+    e = 1 is -c mod q. The caller has checked the determinant.
 
     One elimination serves both rings. For each k < n - 1 a pivot of row k
     is found in columns k.., moved onto the diagonal by a signed column swap,
@@ -217,15 +220,17 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
     factor 1 + c*e_{src,dst}. With L the lefts composed last-to-first and R
     the rights first-to-last, L * X * R = 1, so X is the inverses of the
     lefts in order, then the inverses of the rights reversed. A step works
-    on 0-based rows and columns and records -c 1-based; over Z/q it reduces
-    c mod q first and skips c = 0. The euclidean column step, the hot one
-    over Z, is add_col written inline. Over Z/q the active block, rows and
-    columns k.., is reduced mod q at the start of each round after the
-    first, which bounds the growth of the entries later steps read; every
-    decision depends on entries only mod q, so the unit test, the sweep's
-    diagonal and the closing check read them mod q.
+    on 0-based rows and columns and records its inverse 1-based: -c over Z;
+    over Z/q it reduces c mod q first, skips c = 0 and records -c*e mod N.
+    The euclidean column step, the hot one over Z, is add_col written
+    inline. Over Z/q the active block, rows and columns k.., is reduced mod
+    q at the start of each round after the first, which bounds the growth
+    of the entries later steps read; every decision depends on entries only
+    mod q, so the unit test, the sweep's diagonal and the closing check read
+    them mod q.
     """
     n = len(rows)
+    N = N or q
     m = [list(r) for r in rows]
     lefts: list[tuple[int, int, int]] = []
     rights: list[tuple[int, int, int]] = []
@@ -238,7 +243,7 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
             row, other = m[dst], m[src]
             for col in range(n):
                 row[col] += c * other[col]
-            lefts.append((dst + 1, src + 1, -c))
+            lefts.append((dst + 1, src + 1, -c * e % N if q else -c))
 
     def add_col(dst: int, src: int, c: int) -> None:
         if q:
@@ -246,7 +251,7 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
         if c:
             for row in m:
                 row[dst] += c * row[src]
-            rights.append((src + 1, dst + 1, -c))
+            rights.append((src + 1, dst + 1, -c * e % N if q else -c))
 
     for k in range(n - 1):
         row = m[k]
@@ -309,48 +314,50 @@ def _word_ops(rows, q: int | None = None) -> list[tuple[int, int, int]]:
     return lefts + rights[::-1]
 
 
-def _local_word_2x2(rows, q: int) -> list[tuple[int, int, int]]:
-    """_word_ops(rows, q) at n = 2 over a local ring Z/q, written out on the
-    four entries (a b; c d): the same steps in the same order, so the same
-    word, and _word_ops stays its oracle.
+def _local_word_2x2(rows, q: int, e: int = 1, N: int | None = None) -> list[tuple[int, int, int]]:
+    """_word_ops(rows, q, e, N) at n = 2 over a local ring Z/q, written out on
+    the four entries (a b; c d): the same steps in the same order, so the
+    same word, and _word_ops stays its oracle.
 
     The pivot is the first entry of the top row prime to q, read unreduced;
     the second is moved to the front by the signed column swap, the column
     steps c = 1, -1, 1. Then one column clear, one row clear, and the sweep
     (a 0; 0 d) -> (1 0; 0 ad) of _word_ops. Each step reduces c mod q, skips
-    c = 0 and records -c. Only the residues of the entries decide a step, so
+    c = 0 and records -c*e mod N; as q*e is 0 mod N, a step c = -1 or -u
+    records e or u*e. Only the residues of the entries decide a step, so
     after the swap (b, -a; d, -c) stands for the entries _word_ops holds,
     which are equal to them mod q.
     """
+    N = N or q
     (a, b), (c, d) = rows
     lefts, rights = [], []
     if gcd(a, q) != 1:
         if gcd(b, q) != 1:
             raise AssertionError("a det-1 row over a local ring must contain a unit")
-        rights += [(2, 1, -1), (1, 2, 1 - q), (2, 1, -1)]
+        rights += [(2, 1, N - e), (1, 2, e), (2, 1, N - e)]
         a, b, c, d = b, -a, d, -c
     ainv = pow(a, -1, q)
     if t := -b * ainv % q:  # col 2 += t*col 1
-        rights.append((1, 2, -t))
+        rights.append((1, 2, -t * e % N))
         b += t * a
         d += t * c
     if t := -c * ainv % q:  # row 2 += t*row 1
-        lefts.append((2, 1, -t))
+        lefts.append((2, 1, -t * e % N))
         c += t * a
         d += t * b
     if (u := a % q) != 1:
         # col 2 += col 1; col 1 += (a^-1 - 1)*col 2; row 2 += t*row 1; col 2 += (q - a)*col 1
         s = ainv - 1
-        rights += [(1, 2, -1), (2, 1, -s)]
+        rights += [(1, 2, N - e), (2, 1, -s * e % N)]
         b += a
         d += c
         a += s * b
         c += s * d
         if t := -s * d % q:
-            lefts.append((2, 1, -t))
+            lefts.append((2, 1, -t * e % N))
             c += t * a
             d += t * b
-        rights.append((1, 2, u - q))
+        rights.append((1, 2, u * e % N))
         b += (q - u) * a
         d += (q - u) * c
     assert a % q == 1 and b % q == 0 and c % q == 0 and d % q == 1
@@ -373,11 +380,10 @@ def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
 
     The factors of N and their idempotents come from the cached _crt_plan,
-    the local words from _local_word_2x2 at n = 2 and from _word_ops above;
-    each local a, which lies in (-q, 0), is lifted to a*e mod N: q*e is 0
-    mod N, so that is (a + q)*e mod N too. At a prime power e is 1 and the
-    local ops, reduced mod q, are the word. name is the caller's,
-    for the error on a matrix over Z or a TracelessMatrix, which is not in SL_n.
+    the local words from _local_word_2x2 at n = 2 and from _word_ops above,
+    which record each op already lifted by the idempotent of its factor, so
+    this only joins them. name is the caller's, for the error on a matrix
+    over Z or a TracelessMatrix, which is not in SL_n.
     """
     require_ring(y, name, modular=True)
     if not isinstance(y, ModMatrix):
@@ -387,15 +393,15 @@ def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     local = _local_word_2x2 if y.n == 2 else _word_ops
     ops = []
     for _, _, q, e in _crt_plan(N):
-        ops += [(i, j, a * e % N) for i, j, a in local(y.rows, q)]
+        ops += local(y.rows, q, e, N)
     return ops
 
 
 def decompose_mod(y: ModMatrix) -> ElementaryWord:
     """Certificate of elementary generation for y in SL_n(Z/N), composite N allowed.
 
-    Splits Z/N into prime-power factors q, decomposes the image of y in each
-    factor, then lifts every local generator E(i,j,a) to E(i,j,a*e mod N),
+    Splits Z/N into prime-power factors q and decomposes the image of y in
+    each factor, recording every local generator E(i,j,a) as E(i,j,a*e mod N),
     with e the CRT idempotent of q (1 mod q, 0 mod N/q). The lifted
     generators therefore evaluate to the identity in every foreign factor,
     and their concatenated product equals y by the CRT. At a prime power
@@ -409,8 +415,8 @@ def lift_to_int(y: ModMatrix) -> IntMatrix:
     """An integer matrix of determinant 1 that reduces to y mod N.
 
     Multiplies the operations of decompose_mod(y), with their canonical
-    coefficients in [0, N), out over Z without building a word. The result
-    is a product of integer elementary matrices, hence has determinant
-    exactly 1, and its reduction mod N is y.
+    coefficients in [0, N), out over Z as the elimination records them,
+    without building a word. The result is a product of integer elementary
+    matrices, hence has determinant exactly 1, and its reduction mod N is y.
     """
     return IntMatrix._wrap(elementary_product(y.n, _mod_ops(y, "lift_to_int")))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import tracemalloc
 
@@ -175,6 +177,21 @@ def test_enumerate_sl_three_crt_factors():
     assert rows == sorted(set(rows))
     assert all(y.modulus == 30 and y.det() == 1 for y in els)
     assert all(0 <= e < 30 for r in rows for row in r for e in row)
+
+
+@pytest.mark.parametrize("n,N", [(3, 4), (2, 30), (4, 2)])
+def test_enumerate_sl_bulk_built_elements_are_plain_mod_matrices(n, N):
+    # enumerate_sl wraps its rows without calling the constructor, so the
+    # validating constructor is the oracle for every element it returns
+    els = enumerate_sl(n, N)
+    assert len(els) == sl_order_formula(n, N)
+    for m in els:
+        assert type(m) is ModMatrix and not hasattr(m, "__dict__")
+        assert m.modulus == N and m == ModMatrix(m.rows, N)
+    rows = [m.rows for m in els]
+    for back in (pickle.loads(pickle.dumps(els)), list(map(copy.copy, els))):
+        assert [m.rows for m in back] == rows
+        assert all(type(m) is ModMatrix and m.modulus == N for m in back)
 
 
 WALKS = [enumerate_sl, mod_spectrum]

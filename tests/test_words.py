@@ -237,6 +237,51 @@ def test_local_word_2x2_is_the_elimination_of_word_ops():
             _local_word_2x2([[0, 0], [0, 1]], q)
 
 
+def test_local_word_2x2_is_word_ops_lifted_by_each_idempotent():
+    # at a composite N each factor q records its ops already lifted by its
+    # idempotent e: the closed form must still agree with _word_ops, and both
+    # with the e = 1 word lifted afterwards, a*e mod N. Every element up to
+    # N = 12, every 11th beyond (60^4 entry tuples pass the default cap).
+    for N in (12, 30, 60):
+        els = enumerate_sl(2, N, cap=N**4)
+        for _, _, q, e in _crt_plan(N):
+            for y in els if N <= 12 else els[::11]:
+                word = _word_ops(y.rows, q, e, N)
+                assert _local_word_2x2(y.rows, q, e, N) == word
+                assert word == [(i, j, a * e % N) for i, j, a in _word_ops(y.rows, q)]
+
+
+def _sl3_mod_12_sample():
+    # SL_3(Z/12) has 241,532,928 elements: every 29th of SL_3(Z/4), each joined
+    # by the CRT (x = 9a + 4b mod 12) with the elements of SL_3(Z/3) in turn
+    mod4, mod3 = enumerate_sl(3, 4)[::29], enumerate_sl(3, 3)
+    for t, a in enumerate(mod4):
+        b = mod3[t % len(mod3)]
+        yield ModMatrix([[9 * u + 4 * v for u, v in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)], 12)
+
+
+def test_decompose_mod_joins_one_lifted_local_word_per_factor():
+    # a second route to the CRT word, not through _mod_ops: the word is the
+    # local words of the factors q of N in turn, with the lengths of the e = 1
+    # words; every a lies in [0, N), the ops of factor q are 0 mod N/q, and
+    # reduced mod q they evaluate to y mod q
+    cases = [(N, enumerate_sl(2, N)) for N in (12, 30)] + [(12, _sl3_mod_12_sample())]
+    for N, els in cases:
+        plan = _crt_plan(N)
+        for y in els:
+            ops = decompose_mod(y)._ops
+            assert all(0 <= a < N for _, _, a in ops)
+            start = 0
+            for _, _, q, _ in plan:
+                part = ops[start : start + len(_word_ops(y.rows, q))]
+                start += len(part)
+                assert all(a % (N // q) == 0 for _, _, a in part)
+                reduced = [(i, j, a % q) for i, j, a in part]
+                y_mod_q = tuple(tuple(v % q for v in r) for r in y.rows)
+                assert intmat.elementary_product(y.n, reduced, q) == y_mod_q
+            assert start == len(ops)
+
+
 def test_word_ops_refuse_a_row_that_vanishes_from_the_diagonal_on():
     # the determinant check rules such a row out; reached anyway, both rings
     # stop with AssertionError, not with an error from inside the pivot search
