@@ -199,21 +199,34 @@ def _refuse(verb: str, name: str):
     raise FrozenInstanceError(f"cannot {verb} field {name!r}")
 
 
+def _rebuild(cls, *state):  # the one callable every record's __reduce__ names
+    return cls._wrap(*state)
+
+
 class Frozen:
-    """Base of the immutable value classes: equality, hashing and repr over
-    the fields named in __match_args__, and no assignment after __init__.
-    Written out by hand so that the package imports neither inspect nor ast;
-    reprs, messages and FrozenInstanceError match the standard library's."""
+    """Base of the immutable value classes and their one record protocol.
+    __reduce__ names the stored state, by default the __match_args__ fields,
+    as (_rebuild, (cls, *state)) for cls._wrap, by default the constructor;
+    == compares that state, hash hashes it without cls, and copy and pickle
+    rebuild from it. Written out by hand so that the package imports neither
+    inspect nor ast; reprs, messages and FrozenInstanceError match the stdlib's."""
 
     __slots__ = ()
+
+    @classmethod
+    def _wrap(cls, *state):
+        return cls(*state)
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, *[getattr(self, f) for f in self.__match_args__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__match_args__)
+        return self.__reduce__()[1] == other.__reduce__()[1]
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, f) for f in self.__match_args__))
+        return hash(self.__reduce__()[1][1:])
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
@@ -233,7 +246,7 @@ class SquareMatrix(Frozen):
     which keep only what differs. Over Z/N the entries are kept reduced into
     [0, N). The public constructor validates and reduces its input; results
     built here are already in that form and go through _wrap unchecked, or
-    _wrap_all for a whole list of them.
+    _wrap_all for a whole list of them. Its record state: (rows, modulus).
     Slots, not a per-instance dict: the enumerations build millions of these.
     """
 
@@ -272,8 +285,8 @@ class SquareMatrix(Frozen):
         return ms
 
     def __reduce__(self):
-        # Default unpickling and copying set slots by setattr, which Frozen refuses.
-        return self._wrap, (self.rows, self.modulus)
+        # The slots read directly: the hot path of list == and set() over an enumeration.
+        return _rebuild, (self.__class__, self.rows, self.modulus)
 
     @property
     def n(self) -> int:

@@ -32,9 +32,9 @@ minkowski_probe is a falsification probe for the classical fact (Minkowski,
 1887) that Gamma(N) is torsion-free for N >= 3 and that nontrivial torsion
 in Gamma(2) has order 2. It samples conjugates of known torsion elements and
 raises CounterexampleFound if one ever lands where none should ever land.
-Its trials run on bare rows, with the row kernel, the 2x2 det-1 check and
-the membership predicate gamma_member itself uses; matrices are built only
-for the report's examples and for a counterexample's message.
+Its trials run on bare rows, with the row kernel, the det-1 check, and the
+membership predicate and level that gamma_member and gamma_level use;
+matrices are built only for the examples and a counterexample's message.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from collections.abc import Iterator
 from operator import index, mul
 
 from .errors import BadModulus, CounterexampleFound
-from .gamma import gamma_level
 from .intmat import (Frozen, IntMatrix, Rows, cofactors, det_of_rows, identity_rows, is_one_mod,
                      level_of_rows, power_of_rows, product_of_rows, random_elementary_rows,
                      require_det_one, require_det_one_rows, require_ring)
@@ -376,7 +375,5 @@ def minkowski_probe(N: int, trials: int, seed: int) -> dict:
             )
         if len(examples) < 5:
             x = IntMatrix._wrap(conj)
-            examples.append(
-                {"matrix": x.to_text(), "order": matrix_order(x).value, "level": gamma_level(x)}
-            )
+            examples.append({"matrix": str(x), "order": matrix_order(x).value, "level": level_of_rows(conj)})
     return {"trials": trials, "failures": 0, "examples": examples}

@@ -52,8 +52,8 @@ from itertools import repeat
 from math import gcd
 
 from .errors import ParseError
-from .intmat import (Frozen, IntMatrix, elementary_product, identity_rows, is_one_mod, require_det_one,
-                     require_ring)
+from .intmat import (Frozen, IntMatrix, _rebuild, elementary_product, identity_rows, is_one_mod,
+                     require_det_one, require_ring)
 from .modular import ModMatrix, _crt_plan
 
 __all__ = [
@@ -74,12 +74,14 @@ class ElementaryWord(Frozen):
     """An ordered product of elementary generators over Z or over Z/N.
 
     The generators are triples of ints (i, j, a), the generator 1 + a*e_ij
-    with 1 <= i, j <= n and i != j, checked here (built in range, by
-    _from_ops, for the decompositions) and stored as plain tuples. gens is a
-    read-only view of them as named tuples with fields i, j and a (equal to
-    the plain triples), built on first read and cached. modulus None means
-    the word lives over Z; otherwise coefficients are kept reduced into
-    [0, modulus). Evaluation is the left-to-right product.
+    with 1 <= i, j <= n and i != j, checked here (built in range, by _wrap,
+    for the decompositions) and stored as plain tuples, the record state
+    (n, triples, modulus) that ==, hash and pickle read. gens is a read-only
+    view of them as named tuples with fields i, j and a (equal to the plain
+    triples, so the hash is that of (n, gens, modulus)), built on first read
+    and cached. modulus None means the word lives over Z; otherwise
+    coefficients are kept reduced into [0, modulus). Evaluation is the
+    left-to-right product.
     """
 
     __match_args__ = ("n", "gens", "modulus")
@@ -108,10 +110,8 @@ class ElementaryWord(Frozen):
         vars(self).update(n=n, _ops=tuple(checked), modulus=m)
 
     @classmethod
-    def _from_ops(cls, n: int, ops, modulus: int | None = None) -> ElementaryWord:
-        """The word of the 1-based (i, j, a) that this module built itself:
-        in-range off-diagonal positions, a already reduced over Z/modulus.
-        Unchecked."""
+    def _wrap(cls, n: int, ops, modulus: int | None = None) -> ElementaryWord:
+        """Unchecked: the word of in-range, reduced (i, j, a), as this module and _rebuild give them."""
         w = object.__new__(cls)
         vars(w).update(n=n, _ops=tuple(ops), modulus=modulus)
         return w
@@ -120,19 +120,8 @@ class ElementaryWord(Frozen):
     def gens(self) -> tuple[_Gen, ...]:
         return tuple(map(tuple.__new__, repeat(_Gen), self._ops))
 
-    # Frozen's equality and hash read gens; these read the stored triples,
-    # which give the same values without building the view.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self._ops, self.modulus) == (other.n, other._ops, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._ops, self.modulus))
-
     def __reduce__(self):
-        # The stored triples alone, so a pickle does not depend on whether gens was read.
-        return self._from_ops, (self.n, self._ops, self.modulus)
+        return _rebuild, (self.__class__, self.n, self._ops, self.modulus)
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -373,7 +362,7 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
     """
     require_ring(x, "decompose_int")
     require_det_one(x)
-    return ElementaryWord._from_ops(x.n, _word_ops(x.rows))
+    return ElementaryWord._wrap(x.n, _word_ops(x.rows))
 
 
 def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
@@ -408,7 +397,7 @@ def decompose_mod(y: ModMatrix) -> ElementaryWord:
     e = 1, so the local word is the word. Raises NotUnimodular unless
     det(y) == 1 in Z/N.
     """
-    return ElementaryWord._from_ops(y.n, _mod_ops(y, "decompose_mod"), y.modulus)
+    return ElementaryWord._wrap(y.n, _mod_ops(y, "decompose_mod"), y.modulus)
 
 
 def lift_to_int(y: ModMatrix) -> IntMatrix:

@@ -3,10 +3,11 @@
 import functools
 import itertools
 import math
+from collections import Counter
 
 import hypothesis.strategies as st
 
-from congruence_lab import ElementaryWord, IntMatrix, ModMatrix
+from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, torsion
 from congruence_lab.intmat import elementary_product, identity_rows, product_of_rows
 from congruence_lab.modular import _sl_local
 from congruence_lab.primes import euler_phi, factorize
@@ -53,13 +54,55 @@ def _brute_force_walk(n: int, N: int) -> tuple[ModMatrix, ...]:
 
 def brute_force_spectrum(n: int, N: int) -> frozenset[int]:
     """Element orders of SL_n(Z/N), each found by multiplying until the identity."""
-    orders = set()
+    return frozenset(brute_force_orders(n, N))
+
+
+def brute_force_orders(n: int, N: int) -> Counter:
+    """How many elements of SL_n(Z/N) have each order, by brute_force_spectrum's walk."""
+    return Counter(_brute_force_orders(n, N))
+
+
+@functools.cache
+def _brute_force_orders(n: int, N: int) -> tuple[int, ...]:
+    orders = []
     for x in brute_force_sl(n, N):
         y, order = x, 1
         while not y.is_identity():
             y, order = y * x, order + 1
-        orders.add(order)
-    return frozenset(orders)
+        orders.append(order)
+    return tuple(orders)
+
+
+def a_lambda(parts, q: int) -> int:
+    """a_lambda(q) for the partition lambda of parts, q = p^d: the order of
+    the centralizer in GL of the primary part of a class over F_p whose
+    blocks C(f^e), f one irreducible of degree d, have the parts e of lambda
+    (Macdonald, Symmetric Functions and Hall Polynomials, ch. IV, sec. 2).
+    It is q^(sum of the squared parts of lambda') times, for each part of
+    multiplicity m, (1 - q^-1)...(1 - q^-m); written over Z, every q^-k is
+    cleared into the power of q, which stays >= 0."""
+    conj = [sum(1 for e in parts if e > i) for i in range(max(parts))]
+    mults = Counter(parts).values()
+    power = sum(c * c for c in conj) - sum(m * (m + 1) // 2 for m in mults)
+    return q**power * math.prod(q**k - 1 for m in mults for k in range(1, m + 1))
+
+
+def sl_class_sizes(n: int, p: int) -> list[tuple[int, int]]:
+    """(order, size) of each class of SL_n(F_p) that torsion._classes lists,
+    from the classical class equation of GL_n(F_p): the size is |GL_n(F_p)|
+    over the product of a_lambda_f(p^d), one factor for each f of degree d
+    met, named by its (d, j), lambda_f the partition of the e = size // d
+    of its blocks. The order is the lcm of the blocks' orders."""
+    gl = math.prod(p**n - p**k for k in range(n))
+    out = []
+    for chosen in torsion._classes(n, p, torsion._blocks(n, p)):
+        parts = {}
+        for size, _, _, d, j in chosen:
+            parts.setdefault((d, j), []).append(size // d)
+        size, rem = divmod(gl, math.prod(a_lambda(lam, p**d) for (d, _), lam in parts.items()))
+        assert not rem, (n, p, chosen)
+        out.append((math.lcm(*[o for _, _, o, *_ in chosen]), size))
+    return out
 
 
 def cyclic_walk_spectrum(n: int, N: int) -> frozenset[int]:

@@ -339,13 +339,6 @@ def test_parse_errors(bad):
         IntMatrix.from_text(bad)
 
 
-def test_rejects_non_square():
-    with pytest.raises(ValueError):
-        IntMatrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        IntMatrix([])
-
-
 def test_power_below_builds_only_under_the_limit():
     assert power_below(3, 5, 244) == 243
     assert power_below(3, 5, 243) is None

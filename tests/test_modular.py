@@ -401,11 +401,6 @@ def test_modmatrix_power():
         y**-1
 
 
-def test_modmatrix_modulus_mismatch():
-    with pytest.raises(ValueError):
-        ModMatrix.identity(2, 2) * ModMatrix.identity(2, 3)
-
-
 def test_modmatrix_bad_modulus():
     with pytest.raises(BadModulus):
         ModMatrix(((1,),), 1)

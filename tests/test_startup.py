@@ -35,8 +35,8 @@ LOADS = {
     "member": _GAMMA,
     "index": _MOD,
     "enumerate": _MOD,
-    "order": _MOD | {"gamma", "torsion"},
-    "spectrum": _MOD | {"gamma", "torsion"},
+    "order": _MOD | {"torsion"},
+    "spectrum": _MOD | {"torsion"},
     "phi": _MOD | {"gamma", "witnesses"},
     "witness-rf": _MOD | {"gamma", "witnesses"},
     "witness-p": _MOD | {"gamma", "witnesses"},

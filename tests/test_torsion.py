@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from math import comb, lcm
 
 import hypothesis.strategies as st
@@ -30,12 +31,14 @@ from congruence_lab.primes import euler_phi, factorize
 from congruence_lab import torsion
 from congruence_lab.torsion import _charpoly
 from tests.helpers import (
+    brute_force_orders,
     brute_force_spectrum,
     candidate_orders_walk,
     cyclic_walk_spectrum,
     det_permutation_oracle,
     int_matrices,
     order_by_candidate_powers,
+    sl_class_sizes,
 )
 
 # The subset walk behind order_by_candidate_powers, the reference for
@@ -309,6 +312,23 @@ def test_mod_spectrum_memory_follows_the_fibre():
 )
 def test_mod_spectrum_pinned_fibre_walks(n, N, orders):
     assert mod_spectrum(n, N, cap=N ** (n * n)) == orders
+
+
+# The class equation: the classes mod_spectrum reads at a prime are every class
+# of SL_n(F_p), each once, if their sizes add up to the order of the group. The
+# eight prime cases above, then three larger primes, with 103 to 994 classes.
+@pytest.mark.parametrize("n,p", [(3, 5), (3, 7), (4, 3), (4, 5), (5, 3), (6, 2), (6, 3), (3, 11),
+                                 (2, 101), (2, 211), (3, 31)])
+def test_class_sizes_add_up_to_the_group(n, p):
+    assert sum(size for _, size in sl_class_sizes(n, p)) == sl_order_formula(n, p)
+
+
+@pytest.mark.parametrize("n,p", [(2, 5), (2, 7), (3, 2), (3, 3)])
+def test_class_sizes_count_the_elements_of_each_order(n, p):
+    counts = Counter()
+    for order, size in sl_class_sizes(n, p):
+        counts[order] += size
+    assert counts == brute_force_orders(n, p)
 
 
 def test_mod_spectrum_divisor_closed_and_lagrange_bounded():

@@ -423,7 +423,7 @@ def test_gens_is_a_cached_named_tuple_view_of_the_stored_triples():
         assert all(type(t) is tuple for t in w._ops) and gens == w._ops
         assert all(type(g) is _Gen and (g.i, g.j, g.a) == g for g in gens)
         assert w.to_text() == text and hash(w) == h == hash(twin) and w == twin and repr(w) == r
-        assert h == hash((w.n, gens, w.modulus))  # Frozen's hash over the fields the repr shows
+        assert h == hash((w.n, gens, w.modulus))  # the stored state hashes as the fields the repr shows
         for other in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
             assert type(other) is ElementaryWord and other == w and other.to_text() == text and other.gens == gens
         assert pickle.dumps(w) == pickle.dumps(twin)  # the cached view is not part of the state
