@@ -10,7 +10,8 @@ the identity.
 Importing the package is free until a name is used: it imports no submodule
 (PEP 562). The first use of a public name, or of __all__, imports the modules
 below and binds every public name at once, each the same object as in its
-module; from then on they are plain module attributes.
+module; from then on they are plain module attributes. A submodule name, as
+in `from congruence_lab import cli`, imports that submodule alone.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +23,11 @@ _MODULES = ("errors", "gamma", "intmat", "modular", "torsion", "witnesses", "wor
 def __getattr__(name: str):
     if name.startswith("__") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    from importlib import import_module, util
+    # `from congruence_lab import cli` asks here first and imports the submodule
+    # only on AttributeError, so a submodule name must not bind everything.
+    if "." not in name and util.find_spec(f"{__name__}.{name}"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     public = {}
     for short in _MODULES:
         module = import_module(f"{__name__}.{short}")

@@ -7,7 +7,10 @@ det_of_rows, cofactors (det(top + (x,)) = c.x) and elementary_product
 elementary word). det_of_rows uses closed forms up to 4x4, product_of_rows
 up to 3x3 and elementary_product at 2x2, each a generic route above; the
 det over Z/N (_det_mod) reduces the closed forms and from 5x5 on eliminates
-mod N, so its entries stay below N. The classes wrap its results. Two
+mod N, so its entries stay below N. The classes wrap its results;
+IntMatrix.inverse is the one fraction-free Gauss-Jordan pass over [x | 1],
+O(n^3) as the Bareiss det above 4x4 (cofactors serves only the last-row
+solves of the SL_n(Z/p^s) walks in modular and torsion). Two
 integer helpers are stated here once for every module: level_of_rows, the
 gcd of the entries of rows - 1 (gamma_level, the kernel orders of
 mod_spectrum), and power_below, which builds b^e only below a bound (the
@@ -207,9 +210,12 @@ class Frozen:
     """Base of the immutable value classes and their one record protocol.
     __reduce__ names the stored state, by default the __match_args__ fields,
     as (_rebuild, (cls, *state)) for cls._wrap, by default the constructor;
-    == compares that state, hash hashes it without cls, and copy and pickle
-    rebuild from it. Written out by hand so that the package imports neither
-    inspect nor ast; reprs, messages and FrozenInstanceError match the stdlib's."""
+    == compares that state, hash hashes it without cls, and pickle rebuilds
+    from it. copy and deepcopy return the record itself, as for a tuple: every
+    record is immutable and holds only immutable values (tuples, ints, strs
+    and other records). Written out by hand so that the package imports
+    neither inspect nor ast; reprs, messages and FrozenInstanceError match the
+    stdlib's."""
 
     __slots__ = ()
 
@@ -219,6 +225,12 @@ class Frozen:
 
     def __reduce__(self):
         return _rebuild, (self.__class__, *[getattr(self, f) for f in self.__match_args__])
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -375,12 +387,35 @@ class IntMatrix(SquareMatrix):
         return self.inverse() ** (-e) if e < 0 else SquareMatrix.__pow__(self, e)
 
     def inverse(self) -> IntMatrix:
-        """Integer inverse via the adjugate; requires det == 1."""
+        """Integer inverse; requires det == 1 (require_det_one).
+
+        One fraction-free Gauss-Jordan pass over [x | 1] (Bareiss, Math. Comp.
+        22, 1968). Column k pivots on the first nonzero entry at or below row
+        k, which det 1 guarantees, swapped up with a sign flip; every other
+        row becomes (p*row - row[k]*pivot) // prev, prev the previous pivot
+        (1 at first). The divisions are exact: by Sylvester's identity each
+        entry after step k is a (k+1)-minor of the row-swapped [x | 1]. At
+        the end the left block is sign times 1, so the right one is sign *
+        x^-1. n steps over n - 1 rows of 2n entries: O(n^3) operations on
+        entries no larger than minors of x, where the adjugate took n^2
+        determinants, O(n^5)."""
         require_det_one(self)
-        n, rows = self.n, self.rows
-        # column j of the adjugate: the cofactors of the other rows, signed for moving row j last
-        cols = [[(-1) ** (n - 1 - j) * c for c in cofactors(rows[:j] + rows[j + 1 :])] for j in range(n)]
-        return self._wrap(tuple(zip(*cols)))
+        n = self.n
+        m = [[*r, *e] for r, e in zip(self.rows, identity_rows(n))]
+        sign = prev = 1
+        for k in range(n):
+            if not m[k][k]:
+                r = next(r for r in range(k + 1, n) if m[r][k])
+                m[k], m[r] = m[r], m[k]
+                sign = -sign
+            pivot = m[k]
+            p = pivot[k]
+            for i, row in enumerate(m):
+                if i != k:
+                    c = row[k]
+                    m[i] = [(p * a - c * b) // prev for a, b in zip(row, pivot)]
+            prev = p
+        return self._wrap(tuple([tuple([sign * e for e in row[n:]]) for row in m]))
 
 
 def is_one_mod(rows: Rows, N: int) -> bool:

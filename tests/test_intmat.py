@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import random
 
 import hypothesis.strategies as st
@@ -168,6 +170,48 @@ def test_inverse_roundtrip(n, data):
     x = data.draw(unimodular_matrices(n))
     assert x * x.inverse() == IntMatrix.identity(n)
     assert x.inverse().inverse() == x
+
+
+def _adjugate(x):
+    """The inverse's old route, as an oracle: column j of the adjugate is the
+    cofactors of the other rows, signed for moving row j last."""
+    n, rows = x.n, x.rows
+    cols = [[(-1) ** (n - 1 - j) * c for c in cofactors(rows[:j] + rows[j + 1 :])] for j in range(n)]
+    return IntMatrix(tuple(zip(*cols)))
+
+
+def _det_one_signed_permutations(n):
+    """Every signed permutation matrix of det 1, the last sign fixed by the
+    parity of the permutation: their zero pivots force row swaps."""
+    for perm in itertools.permutations(range(n)):
+        parity = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        for head in itertools.product((1, -1), repeat=n - 1):
+            signs = (*head, parity * math.prod(head))
+            yield IntMatrix(tuple(tuple(s * (j == p) for j in range(n)) for p, s in zip(perm, signs)))
+
+
+def test_inverse_is_the_adjugate():
+    for x in (sample_sl(n, 3 * n, s) for n in range(1, 13) for s in range(2)):
+        inv, one = x.inverse(), IntMatrix.identity(x.n)
+        assert inv == _adjugate(x)
+        assert x * inv == one == inv * x
+        for k in (1, 2, 3):
+            assert x**-k == inv**k
+    # A signed permutation matrix is orthogonal, so its adjugate is its transpose.
+    perms = [x for n in range(1, 6) for x in _det_one_signed_permutations(n)]
+    assert len(perms) == 1 + 4 + 24 + 192 + 1920  # n! * 2^n / 2
+    assert all(x.inverse().rows == tuple(zip(*x.rows)) for x in perms)  # inverse raises unless det is 1
+    assert all(x.inverse() == _adjugate(x) for x in perms if x.n <= 4)
+
+
+@pytest.mark.parametrize("d", [0, -1, 2])
+def test_inverse_refuses_other_determinants(d):
+    for n in range(1, 7):
+        # diag(d, 1, ..., 1) times an element of SL_n(Z) has determinant d
+        head = tuple(tuple(d if i == j == 0 else int(i == j) for j in range(n)) for i in range(n))
+        x = IntMatrix(head) * sample_sl(n, 2 * n, n)
+        with pytest.raises(NotUnimodular, match=rf"^determinant is {d}, expected 1$"):
+            x.inverse()
 
 
 def _naive_product(a, b, N):

@@ -1,7 +1,8 @@
 """Cold start: what a fresh interpreter loads for the package and each subcommand.
 
-Each test runs a child `python -I -S` (no site-packages, no environment)
-with src on sys.path, the way the CLI starts. For one corpus entry of each
+Each test runs a child `python -B -I -S` (no site-packages, no environment,
+and no bytecode written into src: -I ignores PYTHONDONTWRITEBYTECODE) with
+src on sys.path, the way the CLI starts. For one corpus entry of each
 subcommand the child must replay the entry byte for byte while loading only
 that subcommand's modules, and never dataclasses, inspect, typing or
 shutil; only the subcommands that sample load random. A cold,
@@ -9,7 +10,9 @@ per-subcommand load order can expose an import cycle that the in-process
 corpus, which runs after everything is imported, never meets. The package
 itself loads no submodule until a public name is used, and then binds all
 of them at once: bench/tracer.py swaps hooks by identity over
-vars(package), so a name bound later would keep a tracer's wrapper.
+vars(package), so a name bound later would keep a tracer's wrapper. A
+submodule imported by name, `from congruence_lab import cli`, binds nothing
+and loads only what that submodule imports.
 """
 
 import json
@@ -63,7 +66,7 @@ raise SystemExit(code)
 def _child(tmp_path, body: str, *args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     report = tmp_path / "modules.json"
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _CHILD.format(body=body), SRC, str(report), *args],
+        [sys.executable, "-B", "-I", "-S", "-c", _CHILD.format(body=body), SRC, str(report), *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -101,6 +104,15 @@ def test_bare_import_loads_no_submodule(tmp_path):
     assert proc.stdout == congruence_lab.__version__ + "\n", proc.stderr
     assert "congruence_lab" in modules and not _ours(modules)
     assert not modules & {*HEAVY, "random"}
+
+
+def test_submodule_from_import_loads_only_that_submodule(tmp_path):
+    body = """from congruence_lab import cli
+print(cli.__name__, "IntMatrix" in vars(sys.modules["congruence_lab"]))
+code = 0"""
+    proc, modules = _child(tmp_path, body)
+    assert proc.stdout == "congruence_lab.cli False\n", proc.stderr
+    assert _ours(modules) == {"cli", "errors"}
 
 
 def test_star_import_gives_the_public_names_as_defined(tmp_path):

@@ -4,11 +4,12 @@ IntMatrix, ModMatrix, TracelessMatrix, OrderResult, CongruenceWitness and
 ElementaryWord are written out by hand (intmat.Frozen) so that the package
 does not import dataclasses. They share one record protocol: __reduce__
 names a record's stored state as (intmat._rebuild, (cls, *state)), and
-equality, hashing, copy and pickle all read that state. These tests pin what
-a reader of the old records could rely on: reprs, keyword construction,
-FrozenInstanceError on assignment and deletion, equality and hashing by
-value and class, and copy, deepcopy and pickle round-trips, with _rebuild
-named once in a pickle however many records it holds. The reprs were
+equality, hashing and pickle all read that state; copy and deepcopy return
+the record itself, which is immutable all the way down. These tests pin
+what a reader of the old records could rely on: reprs, keyword
+construction, FrozenInstanceError on assignment and deletion, equality and
+hashing by value and class, and copy, deepcopy and pickle round-trips, with
+_rebuild named once in a pickle however many records it holds. The reprs were
 recorded from the dataclass implementation.
 """
 
@@ -112,6 +113,7 @@ def test_keyword_construction():
 def test_copies_and_pickles_are_equal_values(v):
     for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert type(twin) is type(v) and twin == v and hash(twin) == hash(v) and repr(twin) == repr(v)
+    assert copy.copy(v) is v and copy.deepcopy(v) is v
 
 
 def test_pickles_name_one_rebuild_and_no_bound_method():
