@@ -26,10 +26,11 @@ Entries are plain Python ints, so products, determinants, and inverses are
 computed without overflow or rounding. Matrices are immutable and hashable;
 all operations return new values. require_det_one (require_det_one_rows on
 bare rows) is the one statement of the determinant-1 precondition, shared by
-inverse, the Gamma(N) maps, matrix_order, minkowski_probe and the
-decompositions over Z and Z/N. require_ring states their other precondition
-once: a matrix over the wrong ring is a TypeError, never an answer about a
-residue representative.
+the Gamma(N) maps, matrix_order, minkowski_probe and the decompositions over
+Z and Z/N; inverse reads the determinant off its own elimination and refuses
+it with the same message (_not_unimodular). require_ring states their other
+precondition once: a matrix over the wrong ring is a TypeError, never an
+answer about a residue representative.
 
 Text format (used by the CLI and test fixtures): rows separated by ';',
 entries by ',', e.g. "1,2;0,1" for [[1,2],[0,1]]. Whitespace is insignificant
@@ -387,25 +388,26 @@ class IntMatrix(SquareMatrix):
         return self.inverse() ** (-e) if e < 0 else SquareMatrix.__pow__(self, e)
 
     def inverse(self) -> IntMatrix:
-        """Integer inverse; requires det == 1 (require_det_one).
+        """Integer inverse; NotUnimodular, with require_det_one's message, unless det == 1.
 
         One fraction-free Gauss-Jordan pass over [x | 1] (Bareiss, Math. Comp.
         22, 1968). Column k pivots on the first nonzero entry at or below row
-        k, which det 1 guarantees, swapped up with a sign flip; every other
-        row becomes (p*row - row[k]*pivot) // prev, prev the previous pivot
-        (1 at first). The divisions are exact: by Sylvester's identity each
-        entry after step k is a (k+1)-minor of the row-swapped [x | 1]. At
-        the end the left block is sign times 1, so the right one is sign *
-        x^-1. n steps over n - 1 rows of 2n entries: O(n^3) operations on
-        entries no larger than minors of x, where the adjugate took n^2
-        determinants, O(n^5)."""
-        require_det_one(self)
+        k, swapped up with a sign flip; a column with none means det 0. Every
+        other row becomes (p*row - row[k]*pivot) // prev, prev the previous
+        pivot (1 at first). The divisions are exact: by Sylvester's identity
+        each entry after step k is a (k+1)-minor of the row-swapped [x | 1].
+        So the last pivot is sign * det, and at the end the left block is that
+        times 1: for det 1 the right one is sign * x^-1. n steps over n - 1
+        rows of 2n entries: O(n^3) operations on entries no larger than minors
+        of x, where the adjugate took n^2 determinants, O(n^5)."""
         n = self.n
         m = [[*r, *e] for r, e in zip(self.rows, identity_rows(n))]
         sign = prev = 1
         for k in range(n):
             if not m[k][k]:
-                r = next(r for r in range(k + 1, n) if m[r][k])
+                r = next((r for r in range(k + 1, n) if m[r][k]), None)
+                if r is None:
+                    raise _not_unimodular(0)
                 m[k], m[r] = m[r], m[k]
                 sign = -sign
             pivot = m[k]
@@ -415,6 +417,8 @@ class IntMatrix(SquareMatrix):
                     c = row[k]
                     m[i] = [(p * a - c * b) // prev for a, b in zip(row, pivot)]
             prev = p
+        if sign * prev != 1:
+            raise _not_unimodular(sign * prev)
         return self._wrap(tuple([tuple([sign * e for e in row[n:]]) for row in m]))
 
 
@@ -461,8 +465,12 @@ def require_det_one_rows(rows: Rows, N: int | None = None) -> None:
     """require_det_one on bare rows, over Z/N when N is given."""
     d = det_of_rows(rows) if N is None else _det_mod(rows, N)
     if d != 1:
-        where = "" if N is None else f" mod {N}"
-        raise NotUnimodular(f"determinant is {d}{where}, expected 1")
+        raise _not_unimodular(d, N)
+
+
+def _not_unimodular(d: int, N: int | None = None) -> NotUnimodular:
+    """The one refusal of a determinant d != 1, over Z/N when N is given."""
+    return NotUnimodular(f"determinant is {d}{'' if N is None else f' mod {N}'}, expected 1")
 
 
 def elementary_product(n: int, ops, N: int | None = None) -> Rows:

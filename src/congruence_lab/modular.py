@@ -16,7 +16,14 @@ row, and the last rows come from a table of the solutions of det = 1
 (_completions). A prime power's list is returned as it is; several factors
 are glued in one pass, each element the sum of e*x mod N over its factors,
 and sorted once (_crt_glue). The rows are wrapped as ModMatrix in bulk, by
-SquareMatrix._wrap_all, with no Python call per element. Its cost follows
+SquareMatrix._wrap_all, with no Python call per element. The cyclic
+collector is paused while the group is built: each element is one ModMatrix
+holding a tuple of shared int-tuple rows and an int, so the records form no
+cycles and a collection can free none of them (the test suite pins this).
+On 3.10 and 3.11 the pause removes the repeated young passes (125 for
+SL_3(Z/4)) and the collection of the whole heap that building the list
+could start; on 3.12 and 3.13 it is neutral. One young pass stays, at the
+caller's next allocation while the list is alive. Its cost follows
 |SL_n(Z/N)| rather than N^(n^2), but the cap still bounds N^(n^2), so which
 inputs are refused does not depend on the route. sl_order_formula computes
 the same count in closed form; the test suite holds the two together and
@@ -26,6 +33,7 @@ checks the list against an exhaustive N^(n^2) walk.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 from operator import index
 
@@ -145,13 +153,28 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
     CapExceeded (carrying the required cap, or None past 4300 digits) when
     the entry space N^(n^2) is larger than `cap` (default
     DEFAULT_ENUMERATION_CAP).
+
+    The cyclic collector is off from the cap check to the return, and is
+    turned back on only if it was on. That is safe: the records hold only
+    tuples of ints, so they form no cycles and a collection frees none of
+    them. On 3.10 and 3.11 this removes the repeated young passes and the
+    collection of the whole heap that building the list started; on 3.12
+    and 3.13, whose collectors start fewer, it is neutral in time. What
+    stays is one young pass at the caller's next allocation while the list
+    is alive.
     """
     n, N = _check_enumeration(n, N, cap)
-    plan = _crt_plan(N)
-    lists = [_sl_local(n, p, s) for p, s, _, _ in plan]
-    # a prime power's list is already in order; a glued one is not
-    elements = lists[0] if len(plan) == 1 else _crt_glue(lists, [e for *_, e in plan], N)
-    return ModMatrix._wrap_all(elements, N)
+    was = gc.isenabled()
+    gc.disable()  # the records form no cycles: a collection here frees nothing
+    try:
+        plan = _crt_plan(N)
+        lists = [_sl_local(n, p, s) for p, s, _, _ in plan]
+        # a prime power's list is already in order; a glued one is not
+        elements = lists[0] if len(plan) == 1 else _crt_glue(lists, [e for *_, e in plan], N)
+        return ModMatrix._wrap_all(elements, N)
+    finally:
+        if was:
+            gc.enable()
 
 
 def _crt_glue(lists: list[list[Rows]], es: list[int], N: int) -> list[Rows]:

@@ -214,6 +214,20 @@ def test_inverse_refuses_other_determinants(d):
             x.inverse()
 
 
+def test_inverse_refuses_a_pivot_free_column():
+    # g * s, where s is 1 but with column k replaced by (1, ..., k, 0, ..., 0):
+    # columns 0..k-1 are g's, independent, and column k is in their span, so
+    # the elimination finds its first column without a pivot at k: det 0.
+    for n in range(1, 7):
+        g = sample_sl(n, 2 * n, n)
+        for k in range(n):
+            s = tuple(tuple(i + 1 if j == k and i < k else int(i == j != k) for j in range(n)) for i in range(n))
+            x = g * IntMatrix(s)
+            assert [r[k] for r in x.rows] == [sum((i + 1) * r[i] for i in range(k)) for r in x.rows]
+            with pytest.raises(NotUnimodular, match=r"^determinant is 0, expected 1$"):
+                x.inverse()
+
+
 def _naive_product(a, b, N):
     """The m x n by n x n product by the triple loop, reduced mod N when N is given."""
     m, n = len(a), len(b)

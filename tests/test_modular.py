@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import pickle
 import sys
@@ -192,6 +193,56 @@ def test_enumerate_sl_bulk_built_elements_are_plain_mod_matrices(n, N):
     for back in (pickle.loads(pickle.dumps(els)), list(map(copy.copy, els))):
         assert [m.rows for m in back] == rows
         assert all(type(m) is ModMatrix and m.modulus == N for m in back)
+
+
+def test_enumerate_sl_records_form_no_cycles():
+    # the premise of the collector pause in enumerate_sl: its records hold
+    # only tuples of ints, so once dropped, refcounting frees all of them
+    gc.collect()
+    for n, N in ((3, 4), (2, 12)):
+        els = enumerate_sl(n, N)
+        del els
+    assert gc.collect() == 0
+
+
+def test_enumerate_sl_starts_no_collection():
+    # counts, not times: before the pause, enumerate_sl(3, 4) alone started
+    # 125 collections on 3.10 and 3.11, 64 on 3.12 and 23 on 3.13. The one
+    # young pass that the caller's next allocation may start comes after.
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    for n, N in ((3, 4), (2, 12)):
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            enumerate_sl(n, N)
+        finally:
+            gc.callbacks.remove(hook)
+    assert starts == []
+
+
+def test_enumerate_sl_restores_the_collector_state(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("inside the pause")
+
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            enumerate_sl(2, 12)
+            assert gc.isenabled() is enabled
+        with monkeypatch.context() as m:
+            m.setattr(modular, "_sl_local", boom)
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                with pytest.raises(RuntimeError, match="inside the pause"):
+                    enumerate_sl(2, 12)
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 WALKS = [enumerate_sl, mod_spectrum]
