@@ -4,10 +4,17 @@ The row kernel, which every algorithm calls, works on tuples of rows over Z
 or Z/N: product_of_rows (m rows times an n x n b), power_of_rows,
 det_of_rows, cofactors (det(top + (x,)) = c.x) and elementary_product
 (products of 1 + a*e_ij, each given by the 1-based (i, j, a) of an
-elementary word). det_of_rows uses closed forms up to 4x4, product_of_rows
-up to 3x3 and elementary_product at 2x2, each a generic route above; the
-det over Z/N (_det_mod) reduces the closed forms and from 5x5 on eliminates
-mod N, so its entries stay below N. The classes wrap its results;
+elementary word). Each has a generic route, and closed forms only where a
+workload runs them:
+
+    product_of_rows     2x2 over Z (minkowski_probe) and Z/N (mod_spectrum),
+                        3x3 over Z/N (enumerate_sl at n = 3)
+    det_of_rows         2x2 (the SL_2 det-1 checks), 3x3 (_det_mod over
+                        SL_3(Z/N)), 4x4 (decompose_int at n = 4)
+    elementary_product  2x2 over Z (lift_to_int and the samplers)
+
+The det over Z/N (_det_mod) reduces the closed forms and from 5x5 on
+eliminates mod N, so its entries stay below N. The classes wrap its results;
 IntMatrix.inverse is the one fraction-free Gauss-Jordan pass over [x | 1],
 O(n^3) as the Bareiss det above 4x4 (cofactors serves only the last-row
 solves of the SL_n(Z/p^s) walks in modular and torsion). Two
@@ -108,20 +115,18 @@ def _det_bareiss(rows: Rows) -> int:
 
 def product_of_rows(a: Rows, b: Rows, N: int | None = None) -> Rows:
     """Rows of the product a*b of m rows of length n and n x n rows b, over Z,
-    or over Z/N reduced into [0, N) when N is given. For n = 2 and 3 a closed
-    form, as in det_of_rows: one comprehension over the rows of a; zip and
-    sum for the other n."""
+    or over Z/N reduced into [0, N) when N is given. A closed form, one
+    comprehension over the rows of a, at 2x2 over Z (minkowski_probe) and
+    over Z/N (mod_spectrum) and at 3x3 over Z/N (the cofactor tables of
+    enumerate_sl at n = 3); zip and sum for the rest."""
     n = len(b)
     if n == 2:
         (b0, b1), (b2, b3) = b
         if N is None:
             return tuple([(x * b0 + y * b2, x * b1 + y * b3) for x, y in a])
         return tuple([((x * b0 + y * b2) % N, (x * b1 + y * b3) % N) for x, y in a])
-    if n == 3:
+    if n == 3 and N is not None:
         (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
-        if N is None:
-            return tuple([(x * b0 + y * b3 + z * b6, x * b1 + y * b4 + z * b7, x * b2 + y * b5 + z * b8)
-                          for x, y, z in a])
         return tuple([((x * b0 + y * b3 + z * b6) % N, (x * b1 + y * b4 + z * b7) % N,
                        (x * b2 + y * b5 + z * b8) % N) for x, y, z in a])
     cols = tuple(zip(*b))
@@ -146,8 +151,11 @@ def power_of_rows(a: Rows, e: int, N: int | None = None) -> Rows:
 def det_of_rows(rows: Rows) -> int:
     """Exact determinant; closed forms up to 4x4, Bareiss above; 1 for no rows.
 
-    At 4x4 the Laplace expansion along the first two rows: each 2x2 minor
-    of those rows times the complementary minor of the last two, signed."""
+    The 2x2 form serves the SL_2 det-1 checks, the 3x3 one _det_mod over
+    SL_3(Z/N) and cofactors at n = 4, the 4x4 one decompose_int's det-1
+    check at n = 4: the Laplace expansion along the first two rows, each 2x2
+    minor of those rows times the complementary minor of the last two,
+    signed."""
     n = len(rows)
     if n <= 1:
         return rows[0][0] if n else 1
@@ -399,7 +407,7 @@ class IntMatrix(SquareMatrix):
         So the last pivot is sign * det, and at the end the left block is that
         times 1: for det 1 the right one is sign * x^-1. n steps over n - 1
         rows of 2n entries: O(n^3) operations on entries no larger than minors
-        of x, where the adjugate took n^2 determinants, O(n^5)."""
+        of x."""
         n = self.n
         m = [[*r, *e] for r, e in zip(self.rows, identity_rows(n))]
         sign = prev = 1
@@ -478,33 +486,24 @@ def elementary_product(n: int, ops, N: int | None = None) -> Rows:
     the generators of an elementary word as they are.
 
     Right-multiplying by 1 + a*e_ij adds a times column i to column j, so the
-    product costs n multiply-adds per factor. At 2x2 a closed form on four
-    locals, as in product_of_rows: (1, 2, a) adds a times column 1 to column
-    2, any other op a times column 2 to column 1. Above it each working row
-    carries an unused column 0, so i and j index it directly. Every i != j
-    must lie in 1..n: an index of 0 raises nothing and silently gives a wrong
-    product (i = 0 adds nothing, j = 0 writes into the discarded column). Over
-    Z/N (N given) every entry is reduced as it changes, so entries stay in
-    [0, N) however long ops is.
+    product costs n multiply-adds per factor. At 2x2 over Z, for lift_to_int
+    and the samplers, a closed form on four locals: (1, 2, a) adds a times
+    column 1 to column 2, any other op a times column 2 to column 1.
+    Otherwise each working row carries an unused column 0, so i and j index
+    it directly. Every i != j must lie in 1..n: an index of 0 raises nothing
+    and silently gives a wrong product (i = 0 adds nothing, j = 0 writes into
+    the discarded column). Over Z/N (N given) every entry is reduced as it
+    changes, so entries stay in [0, N) however long ops is.
     """
-    if n == 2:  # the rows (a b; c d)
+    if n == 2 and N is None:  # the rows (a b; c d)
         a, b, c, d = 1, 0, 0, 1
-        if N is None:
-            for i, _, t in ops:
-                if i == 1:
-                    b += t * a
-                    d += t * c
-                else:
-                    a += t * b
-                    c += t * d
-        else:
-            for i, _, t in ops:
-                if i == 1:
-                    b = (b + t * a) % N
-                    d = (d + t * c) % N
-                else:
-                    a = (a + t * b) % N
-                    c = (c + t * d) % N
+        for i, _, t in ops:
+            if i == 1:
+                b += t * a
+                d += t * c
+            else:
+                a += t * b
+                c += t * d
         return ((a, b), (c, d))
     rows = [[0, *r] for r in identity_rows(n)]
     if N is None:

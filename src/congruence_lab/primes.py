@@ -44,6 +44,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
     n = index(n)
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
+    out, m, settled = _trial_division(n)
+    big = [] if m == 1 else [m] if settled else _prime_factors(m)
+    return out + [(p, big.count(p)) for p in sorted(set(big))]
+
+
+def is_prime(n: int) -> bool:
+    n = index(n)
+    found, m, settled = _trial_division(n)
+    return n > 1 and not found and (settled or _miller_rabin(m))
+
+
+def _trial_division(n: int) -> tuple[list[tuple[int, int]], int, bool]:
+    """Trial division by each d < 1000 while d*d <= what is left of n: the (d, e)
+    found, the cofactor left, and whether it is settled (1 or prime, d*d passed it)."""
     out = []
     d = 2
     while d * d <= n and d < 1000:
@@ -54,24 +68,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((d, e))
         d += 1 if d == 2 else 2
-    if d * d <= n:  # trial division stopped at 1000 with a cofactor it cannot settle
-        big = _prime_factors(n)
-        out += [(p, big.count(p)) for p in sorted(set(big))]
-    elif n > 1:
-        out.append((n, 1))
-    return out
-
-
-def is_prime(n: int) -> bool:
-    n = index(n)
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n and d < 1000:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return d * d > n or _miller_rabin(n)
+    return out, n, d * d > n
 
 
 def next_prime(n: int) -> int:

@@ -173,13 +173,13 @@ class ElementaryWord(Frozen):
             raise ParseError(str(e)) from None
 
 
-def _word_ops(rows, q: int | None = None, e: int = 1, N: int | None = None) -> list[tuple[int, int, int]]:
+def _word_ops(rows, q: int | None = None, e: int | None = None, N: int | None = None) -> list[tuple[int, int, int]]:
     """The word, as its own 1-based (i, j, a), of the rows of a determinant-1
-    matrix: over Z when q is None, else over Z/q for a prime power q, where
-    the rows may be given unreduced. Over Z/q each a is recorded lifted to
-    Z/N by e, the CRT idempotent of the factor q of N (e = 1 and N = q when
-    they are not given): a step c records -c*e mod N, in [0, N), which at
-    e = 1 is -c mod q. The caller has checked the determinant.
+    matrix: over Z without q, e and N, else over Z/q for a prime power factor
+    q of N, where the rows may be given unreduced. Over Z/q each a is lifted
+    to Z/N by e, the CRT idempotent of q, as _crt_plan gives them: a step c
+    records -c*e mod N, in [0, N), at a prime power (e = 1, N = q) -c mod q.
+    The caller has checked the determinant.
 
     One elimination serves both rings. For each k < n - 1 a pivot of row k
     is found in columns k.., moved onto the diagonal by a signed column swap,
@@ -219,7 +219,6 @@ def _word_ops(rows, q: int | None = None, e: int = 1, N: int | None = None) -> l
     them mod q.
     """
     n = len(rows)
-    N = N or q
     m = [list(r) for r in rows]
     lefts: list[tuple[int, int, int]] = []
     rights: list[tuple[int, int, int]] = []
@@ -303,10 +302,12 @@ def _word_ops(rows, q: int | None = None, e: int = 1, N: int | None = None) -> l
     return lefts + rights[::-1]
 
 
-def _local_word_2x2(rows, q: int, e: int = 1, N: int | None = None) -> list[tuple[int, int, int]]:
+def _local_word_2x2(rows, q: int, e: int, N: int) -> list[tuple[int, int, int]]:
     """_word_ops(rows, q, e, N) at n = 2 over a local ring Z/q, written out on
     the four entries (a b; c d): the same steps in the same order, so the
-    same word, and _word_ops stays its oracle.
+    same word, and _word_ops stays its oracle. It serves decompose_mod and
+    lift_to_int over SL_2(Z/N), which the finite-quotients benchmark runs on
+    every element of SL_2(Z/12).
 
     The pivot is the first entry of the top row prime to q, read unreduced;
     the second is moved to the front by the signed column swap, the column
@@ -317,7 +318,6 @@ def _local_word_2x2(rows, q: int, e: int = 1, N: int | None = None) -> list[tupl
     after the swap (b, -a; d, -c) stands for the entries _word_ops holds,
     which are equal to them mod q.
     """
-    N = N or q
     (a, b), (c, d) = rows
     lefts, rights = [], []
     if gcd(a, q) != 1:

@@ -13,6 +13,7 @@ from congruence_lab import (
     CapExceeded,
     IntMatrix,
     ModMatrix,
+    ParseError,
     decompose_mod,
     enumerate_sl,
     gamma_member,
@@ -437,6 +438,8 @@ def test_modmatrix_text_roundtrip():
     assert ModMatrix.from_text("0,1;1,1 mod 2") == y
     assert ModMatrix.from_text(" 0 , 1 ; 1 , 1   mod  2 ") == y
     assert ModMatrix.from_text("0,1;1,1 mod \u0662") == y  # a decimal digit, as in entries
+    with pytest.raises(ParseError, match=r"^missing 'mod N' suffix in '1,0;0,1'$"):
+        ModMatrix.from_text("1,0;0,1")
 
 
 def test_modmatrix_entries_reduced():
@@ -457,3 +460,5 @@ def test_modmatrix_bad_modulus():
         ModMatrix(((1,),), 1)
     with pytest.raises(BadModulus):
         sl_order_formula(2, 0)
+    with pytest.raises(ValueError, match=r"^dimension must be >= 1$"):
+        sl_order_formula(0, 5)

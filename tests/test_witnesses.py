@@ -235,6 +235,8 @@ def test_phi_general_examples():
 def test_phi_general_validates():
     with pytest.raises(NotInGamma):
         phi_general(IntMatrix([[1, 1], [0, 1]]), 2)
+    with pytest.raises(BadModulus, match=r"^level must be >= 2, got 1$"):
+        phi_general(IntMatrix.identity(2), 1)
 
 
 def test_phi_general_kernel_is_square_level():

@@ -61,7 +61,7 @@ def test_concatenation_is_product_mod(w1, w2):
        .flatmap(lambda ring: elementary_words(ring[0], modulus=ring[1])))
 def test_evaluate_is_the_product_of_its_generators(w):
     # an independent route: each generator written out as 1 + a*e_ij, multiplied by `*`;
-    # at n = 2 it checks the closed form of elementary_product, at n = 3 the generic loop
+    # over Z at n = 2 it checks the closed form of elementary_product, else the generic loop
     def matrix(cells):
         rows = [[int(r == c) for c in range(w.n)] for r in range(w.n)]
         for i, j, a in cells:
@@ -100,9 +100,19 @@ def test_generator_validation():
         (0, ((1, 2, 3),), None, r"E\(1,2,3\) out of range for n=0"),
         (2, ((1, 3, 7),), 5, r"E\(1,3,2\) out of range for n=2"),
         (-1, ((0, 5, 1),), None, r"\(0,5\) must be 1-based"),
+        (2, (), 1, r"^word modulus must be >= 2, got 1$"),
     ]:
         with pytest.raises(ValueError, match=message):
             ElementaryWord(n, gens, modulus)
+    with pytest.raises(ParseError, match=r"^word modulus must be >= 2, got 1$"):
+        ElementaryWord.from_text("E(1,2,1) | Z/1")
+    # + joins words only: of equal n over one ring
+    w = ElementaryWord(2, ((1, 2, 1),))
+    with pytest.raises(TypeError):
+        w + 1
+    for other in (ElementaryWord(3, ((1, 2, 1),)), ElementaryWord(2, ((1, 2, 1),), 5)):
+        with pytest.raises(ValueError, match=r"^can only concatenate words of equal dimension and ring$"):
+            w + other
     for n in (0, -1):
         # "| Z" would print and parse back, and fail only in evaluate
         with pytest.raises(ValueError, match="dimension must be >= 1"):
@@ -208,12 +218,12 @@ def test_decompose_mod_agrees_with_local_at_prime_powers():
     # reduced mod N, are the word
     for N in (2, 3, 5, 4):
         for t, y in enumerate(enumerate_sl(2, N)):
-            local = _word_ops(y.rows, N)
+            local = _word_ops(y.rows, N, 1, N)
             assert decompose_mod(y).gens == tuple((i, j, a % N) for i, j, a in local)
             # rows given unreduced, each entry shifted by its own multiple of N in -2N..2N
             shift = [[(t + 3 * r + c) % 5 - 2 for c in range(2)] for r in range(2)]
             shifted = [[e + N * k for e, k in zip(row, ks)] for row, ks in zip(y.rows, shift)]
-            assert _word_ops(shifted, N) == local
+            assert _word_ops(shifted, N, 1, N) == local
 
 
 def test_local_word_2x2_is_the_elimination_of_word_ops():
@@ -226,15 +236,15 @@ def test_local_word_2x2_is_the_elimination_of_word_ops():
         els = enumerate_sl(2, N)
         for _, _, q, _ in _crt_plan(N):
             for t, y in enumerate(els if N <= 12 else els[::11]):
-                word = _word_ops(y.rows, q)
-                assert _local_word_2x2(y.rows, q) == word
+                word = _word_ops(y.rows, q, 1, q)
+                assert _local_word_2x2(y.rows, q, 1, q) == word
                 # rows given unreduced, the entries shifted by multiples of N in -2N..2N
                 s = N * (t % 5 - 2)
                 (a, b), (c, d) = y.rows
-                assert _local_word_2x2(((a + s, b - s), (c - s, d + s)), q) == word
+                assert _local_word_2x2(((a + s, b - s), (c - s, d + s)), q, 1, q) == word
     for q in (4, 5):
         with pytest.raises(AssertionError, match="det-1 row"):
-            _local_word_2x2([[0, 0], [0, 1]], q)
+            _local_word_2x2([[0, 0], [0, 1]], q, 1, q)
 
 
 def test_local_word_2x2_is_word_ops_lifted_by_each_idempotent():
@@ -248,7 +258,7 @@ def test_local_word_2x2_is_word_ops_lifted_by_each_idempotent():
             for y in els if N <= 12 else els[::11]:
                 word = _word_ops(y.rows, q, e, N)
                 assert _local_word_2x2(y.rows, q, e, N) == word
-                assert word == [(i, j, a * e % N) for i, j, a in _word_ops(y.rows, q)]
+                assert word == [(i, j, a * e % N) for i, j, a in _word_ops(y.rows, q, 1, q)]
 
 
 def _sl3_mod_12_sample():
@@ -273,7 +283,7 @@ def test_decompose_mod_joins_one_lifted_local_word_per_factor():
             assert all(0 <= a < N for _, _, a in ops)
             start = 0
             for _, _, q, _ in plan:
-                part = ops[start : start + len(_word_ops(y.rows, q))]
+                part = ops[start : start + len(_word_ops(y.rows, q, 1, q))]
                 start += len(part)
                 assert all(a % (N // q) == 0 for _, _, a in part)
                 reduced = [(i, j, a % q) for i, j, a in part]
@@ -286,9 +296,9 @@ def test_word_ops_refuse_a_row_that_vanishes_from_the_diagonal_on():
     # the determinant check rules such a row out; reached anyway, both rings
     # stop with AssertionError, not with an error from inside the pivot search
     for rows in ([[0, 0], [0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]]):
-        for q in (None, 4, 5):
+        for ring in ((), (4, 1, 4), (5, 1, 5)):
             with pytest.raises(AssertionError, match="det-1 row"):
-                _word_ops(rows, q)
+                _word_ops(rows, *ring)
 
 
 def test_every_op_handed_to_elementary_product_is_one_based(monkeypatch):
