@@ -106,10 +106,14 @@ def _det_bareiss(rows: Rows) -> int:
                     break
             else:
                 return 0
+        top = m[k]
+        piv = top[k]
         for i in range(k + 1, n):
+            row = m[i]
+            a = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+                row[j] = (row[j] * piv - a * top[j]) // prev
+        prev = piv
     return sign * m[n - 1][n - 1]
 
 

@@ -51,13 +51,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def is_prime(n: int) -> bool:
     n = index(n)
-    found, m, settled = _trial_division(n)
+    found, m, settled = _trial_division(n, first=True)
     return n > 1 and not found and (settled or _miller_rabin(m))
 
 
-def _trial_division(n: int) -> tuple[list[tuple[int, int]], int, bool]:
+def _trial_division(n: int, first: bool = False) -> tuple[list[tuple[int, int]], int, bool]:
     """Trial division by each d < 1000 while d*d <= what is left of n: the (d, e)
-    found, the cofactor left, and whether it is settled (1 or prime, d*d passed it)."""
+    found, the cofactor left, and whether it is settled (1 or prime, d*d passed it).
+    With first, it stops at the first factor found, which settles that n is not prime."""
     out = []
     d = 2
     while d * d <= n and d < 1000:
@@ -67,6 +68,8 @@ def _trial_division(n: int) -> tuple[list[tuple[int, int]], int, bool]:
                 n //= d
                 e += 1
             out.append((d, e))
+            if first:
+                break
         d += 1 if d == 2 else 2
     return out, n, d * d > n
 

@@ -4,9 +4,12 @@ Element orders over Z are read off the characteristic polynomial rather than
 found by iterating powers with a size cutoff. An element of finite order is
 diagonalisable with root-of-unity eigenvalues, so |tr x| > n proves infinite
 order, and so does a characteristic polynomial with a non-cyclotomic factor.
-Otherwise chi_x is a product of cyclotomic polynomials Phi_d, the only order
-x can have is m = lcm of those d, and one exact power x^m decides between m
-and infinite order. No heuristics are involved.
+Those eigenvalues also bound each coefficient of chi_x by C(n, k), so chi_x
+is computed mod one Mersenne prime P > 2*C(n, n//2), by a Hessenberg
+reduction in O(n^3), and lifted to (-P/2, P/2). If the lift is a product of
+cyclotomic polynomials Phi_d, the only order x can have is m = lcm of those
+d, and one exact power x^m decides between m and infinite order. No
+heuristics are involved.
 
 mod_spectrum finds the element orders of SL_n(Z/N) from conjugacy classes,
 since conjugation keeps orders, and never lists the group. Over F_p a class
@@ -116,29 +119,76 @@ def _cyclotomic_indices(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, 2 * n * n + 2) if euler_phi(d) <= n)
 
 
-def _charpoly(rows: Rows) -> tuple[int, ...]:
-    """det(t*I - A) over Z, lowest degree first, by Faddeev-LeVerrier.
+# Exponents e of Mersenne primes 2^e - 1, so no primality test runs. The last
+# covers every n <= 86,250; a larger matrix has over 7.4*10^9 entries.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 4423, 86243)
 
-    With M_1 = I, c_(n-k) = -tr(A*M_k)/k and M_(k+1) = A*M_k + c_(n-k)*I.
-    Every M_k is an integer matrix and every c_i an integer, so each
-    division by k is exact: n products over Z and no fractions.
+
+@functools.cache
+def _charpoly_prime(n: int) -> int:
+    """The least prime 2^e - 1, e in _MERSENNE_EXPONENTS, above 2*C(n, n//2):
+    2^61 - 1 for n <= 63, 2^89 - 1 up to n = 91."""
+    bound = 2 * math.comb(n, n // 2)
+    return next(p for e in _MERSENNE_EXPONENTS if (p := 2**e - 1) > bound)
+
+
+def _charpoly(rows: Rows) -> tuple[int, ...]:
+    """det(t*I - A) mod P, P = _charpoly_prime(n), lowest degree first, each
+    coefficient lifted to (-P/2, P/2) (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, sec. 2.2.4).
+
+    A mod P is brought to upper Hessenberg form H by similarity: below the
+    subdiagonal, column k is cleared by row i -= f*row k+1 paired with column
+    k+1 += f*column i. With p_i the characteristic polynomial of the leading
+    i x i block of H, p_0 = 1, 0-based entries h_ij and j < i in the sum,
+    p_(i+1) = (t - h_ii)*p_i - sum of h_ji*h_(j+1,j)*...*h_(i,i-1)*p_j,
+    and p_n is chi: O(n^3) operations on residues.
     """
     n = len(rows)
-    coeffs = [0] * n + [1]
-    m = identity_rows(n)
-    for k in range(1, n + 1):
-        am = product_of_rows(rows, m)
-        c = coeffs[n - k] = -sum(am[i][i] for i in range(n)) // k
-        m = tuple(tuple(e + c * (i == j) for j, e in enumerate(r)) for i, r in enumerate(am))
-    return tuple(coeffs)
+    P = _charpoly_prime(n)
+    h = [[e % P for e in r] for r in rows]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        if piv != k + 1:  # swap rows and columns piv and k+1: a similarity too
+            h[piv], h[k + 1] = h[k + 1], h[piv]
+            for r in h:
+                r[piv], r[k + 1] = r[k + 1], r[piv]
+        top = h[k + 1]
+        inv = pow(top[k], -1, P)
+        for i in range(k + 2, n):
+            row = h[i]
+            if f := row[k] * inv % P:
+                row[k:] = [(a - f * b) % P for a, b in zip(row[k:], top[k:])]
+                for r in h:
+                    r[k + 1] = (r[k + 1] + f * r[i]) % P
+    polys = [[1]]
+    for i in range(n):
+        p = polys[i]
+        nxt = [a - h[i][i] * b for a, b in zip([0] + p, p + [0])]
+        sub = 1
+        for j in range(i - 1, -1, -1):
+            if not (sub := sub * h[j + 1][j] % P):
+                break
+            if c := h[j][i] * sub % P:
+                for s, a in enumerate(polys[j]):
+                    nxt[s] -= c * a
+        polys.append([c % P for c in nxt])
+    half = P // 2
+    return tuple(c - P if c > half else c for c in polys[n])
 
 
 def matrix_order(x: IntMatrix) -> OrderResult:
     """Exact multiplicative order of x in SL_n(Z).
 
-    Strips from chi_x every Phi_d with phi(d) <= n; a leftover of positive
-    degree means infinite order, else x^m == 1 for m = lcm of the stripped d
-    decides.
+    chi is read mod one prime P > 2*C(n, n//2) (_charpoly) and stripped of
+    every Phi_d with phi(d) <= n; a leftover of positive degree means
+    infinite order, else x^m == 1 for m = lcm of the stripped d decides.
+    The answer is exact whatever P does to chi. If x has finite order, its
+    eigenvalues are roots of unity, so |c_k| <= C(n, k) < P/2: the lift is
+    chi itself, m is the order of x and x^m == 1. If x has infinite order,
+    either a factor that is not cyclotomic is left over, or x^m != 1.
     """
     require_ring(x, "matrix_order", hint="; the orders of SL_n(Z/N) are given by mod_spectrum")
     require_det_one(x)

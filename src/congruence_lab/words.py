@@ -248,15 +248,15 @@ def _word_ops(rows, q: int | None = None, e: int | None = None, N: int | None = 
                 piv = -1
                 more = False
                 for j in range(k, n):
-                    if e := row[j]:
-                        if e < 0:
-                            e = -e
+                    if v := row[j]:
+                        if v < 0:
+                            v = -v
                         if piv < 0:
-                            piv, least = j, e
+                            piv, least = j, v
                         else:
                             more = True
-                            if e < least:
-                                piv, least = j, e
+                            if v < least:
+                                piv, least = j, v
                 if not more:
                     break
                 d = row[piv]

@@ -36,6 +36,23 @@ def det_permutation_oracle(rows) -> int:
     return total
 
 
+def charpoly_by_faddeev_leverrier(rows) -> tuple[int, ...]:
+    """det(t*I - A) over Z, lowest degree first, by Faddeev-LeVerrier.
+
+    With M_1 = I, c_(n-k) = -tr(A*M_k)/k and M_(k+1) = A*M_k + c_(n-k)*I.
+    Every M_k is an integer matrix and every c_i an integer, so each
+    division by k is exact: n products over Z and no fractions.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1]
+    m = identity_rows(n)
+    for k in range(1, n + 1):
+        am = product_of_rows(rows, m)
+        c = coeffs[n - k] = -sum(am[i][i] for i in range(n)) // k
+        m = tuple(tuple(e + c * (i == j) for j, e in enumerate(r)) for i, r in enumerate(am))
+    return tuple(coeffs)
+
+
 def brute_force_sl(n: int, N: int) -> list[ModMatrix]:
     """SL_n(Z/N) by walking all N^(n^2) entry tuples in lexicographic order.
     The walk is made once per (n, N) and session; each call gets a new list."""

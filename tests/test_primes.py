@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruence_lab import BadModulus
-from congruence_lab.primes import euler_phi, factorize, is_prime, next_prime
+from congruence_lab.primes import _trial_division, euler_phi, factorize, is_prime, next_prime
 
 from tests.helpers import factorize_by_trial_division, is_prime_by_trial_division
 
@@ -42,6 +42,19 @@ def test_agrees_with_trial_division_up_to_2e4():
     assert [is_prime(n) for n in (-7, 0, 1)] == [False] * 3
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 10**8))
+def test_is_prime_on_multiples_of_small_primes(p, m):
+    assert is_prime(p * m) == is_prime_by_trial_division(p * m)
+
+
+def test_is_prime_stops_trial_division_at_the_first_factor():
+    # one division settles 2 * (10^17 + 3); all d < 1000 took 300 times as long
+    assert _trial_division(2 * (10**17 + 3), first=True) == ([(2, 1)], 10**17 + 3, False)
+    assert _trial_division(2 * 3 * 5 * 7, first=True)[0] == [(2, 1)]
+    assert _trial_division(2 * 3 * 5 * 7) == ([(2, 1), (3, 1), (5, 1)], 7, True)
+    assert not is_prime(2 * (10**17 + 3))
 
 
 def test_float_arguments_are_type_errors():

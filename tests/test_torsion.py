@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import tracemalloc
 from collections import Counter
 from math import comb, lcm
@@ -29,11 +30,12 @@ from congruence_lab import (
 
 from congruence_lab.primes import euler_phi, factorize
 from congruence_lab import torsion
-from congruence_lab.torsion import _charpoly
+from congruence_lab.torsion import _charpoly, _charpoly_prime
 from tests.helpers import (
     brute_force_orders,
     brute_force_spectrum,
     candidate_orders_walk,
+    charpoly_by_faddeev_leverrier,
     cyclic_walk_spectrum,
     det_permutation_oracle,
     int_matrices,
@@ -102,13 +104,19 @@ def test_matrix_order_refuses_a_modulus():
         matrix_order(ModMatrix(((0, -1), (1, 0)), 5))
 
 
-@given(st.integers(1, 6).flatmap(lambda n: int_matrices(n, bound=7)))
+@given(st.tuples(st.integers(1, 6), st.sampled_from((7, 10**6))).flatmap(lambda nb: int_matrices(*nb)))
 def test_charpoly_matches_leibniz_at_n_plus_1_points(a):
-    # n + 1 values fix a monic polynomial of degree n
-    chi, n = _charpoly(a.rows), a.n
+    # n + 1 values fix a polynomial of degree n: the oracle's exactly, chi's mod P
+    chi, exact, n = _charpoly(a.rows), charpoly_by_faddeev_leverrier(a.rows), a.n
+    P = _charpoly_prime(n)
+    assert len(chi) == n + 1 and all(abs(c) <= P // 2 for c in chi)
     for t in range(n + 1):
         shifted = [[t * (i == j) - e for j, e in enumerate(r)] for i, r in enumerate(a.rows)]
-        assert sum(c * t**k for k, c in enumerate(chi)) == det_permutation_oracle(shifted)
+        det = det_permutation_oracle(shifted)
+        assert sum(c * t**k for k, c in enumerate(exact)) == det
+        assert sum(c * t**k for k, c in enumerate(chi)) % P == det % P
+    if all(abs(c) <= P // 2 for c in exact):
+        assert chi == exact
 
 
 def _block_diagonal(blocks) -> IntMatrix:
@@ -138,14 +146,17 @@ def _permutation(n: int, cycles) -> IntMatrix:
     return IntMatrix([[int(image[j] == i) for j in range(n)] for i in range(n)])
 
 
+def _companion_of(chi) -> IntMatrix:
+    """Companion matrix of the monic chi, coefficients lowest degree first."""
+    n = len(chi) - 1
+    return IntMatrix([[int(j == i - 1) for j in range(n - 1)] + [-chi[i]] for i in range(n)])
+
+
 def _companion(n: int) -> IntMatrix:
     """Companion matrix of t^n - 3t + (-1)^n for n >= 2. It has det 1, trace
     0 from n = 3 on, and a real root strictly between -1 and 1, which is no
     root of unity: its order is infinite."""
-    rows = [[int(j == i - 1) for j in range(n)] for i in range(n)]
-    rows[0][n - 1] = -((-1) ** n)
-    rows[1][n - 1] += 3
-    return IntMatrix(rows)
+    return _companion_of([(-1) ** n, -3] + [0] * (n - 2) + [1])
 
 
 def _differential_inputs(n: int) -> list[IntMatrix]:
@@ -194,6 +205,50 @@ def test_non_cyclotomic_factor_is_decided_without_a_power(monkeypatch):
     monkeypatch.setattr(IntMatrix, "__pow__", lambda x, e: pytest.fail(f"x**{e} computed"))
     for n in (3, 8, 20):
         assert matrix_order(_conjugate(_companion(n), n)) == OrderResult(None)
+
+
+def test_charpoly_primes_are_mersenne_primes_above_the_coefficient_bound():
+    # Lucas-Lehmer: for an odd prime e, 2^e - 1 is prime iff s_(e-2) = 0, where
+    # s_0 = 4 and s_(i+1) = s_i^2 - 2; the last exponent, 86243, would take minutes
+    for e in torsion._MERSENNE_EXPONENTS[:-1]:
+        P, s = 2**e - 1, 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % P
+        assert s == 0
+    assert [_charpoly_prime(n).bit_length() for n in (1, 63, 64, 91, 92)] == [61, 61, 89, 89, 107]
+    for n in (1, 2, 63, 64, 91, 92, 525):
+        P = _charpoly_prime(n)
+        assert P > 2 * comb(n, n // 2)
+        assert all(2**e - 1 <= 2 * comb(n, n // 2) for e in torsion._MERSENNE_EXPONENTS if 2**e - 1 < P)
+
+
+@pytest.mark.parametrize("n", [64, 66])
+def test_minus_one_has_order_2_where_its_charpoly_passes_2_to_the_61(n):
+    # chi = (t + 1)^n, and C(64, 32) > (2^61 - 1)/2: mod 2^61 - 1 it would wrap
+    assert 2 * comb(n, n // 2) > 2**61 - 1
+    assert matrix_order((-1) * IntMatrix.identity(n)) == OrderResult(2)
+
+
+@pytest.mark.parametrize("n", [3, 6, 11])
+def test_charpoly_that_is_cyclotomic_only_mod_p_is_infinite_order(n, monkeypatch):
+    # chi = (t - 1)^n + P*t^(n//2) has trace n and det 1, and chi = (t - 1)^n
+    # mod P, so the lift strips to Phi_1^n and m = 1: one power, x^1 != 1,
+    # decides, well within a second
+    P = _charpoly_prime(n)
+    chi = [comb(n, k) * (-1) ** (n - k) for k in range(n + 1)]
+    lift = tuple(chi)
+    chi[n // 2] += P
+    powers = []
+    power = IntMatrix.__pow__
+    monkeypatch.setattr(IntMatrix, "__pow__", lambda x, e: powers.append(e) or power(x, e))
+    for x in (_companion_of(chi), _conjugate(_companion_of(chi), n)):
+        assert x.trace() == n and x.det() == 1
+        assert charpoly_by_faddeev_leverrier(x.rows) == tuple(chi)
+        assert _charpoly(x.rows) == lift
+        t0 = time.perf_counter()
+        assert matrix_order(x) == OrderResult(None)
+        assert time.perf_counter() - t0 < 1.0
+    assert powers == [1, 1]
 
 
 def test_matrix_order_is_exact_at_n_24():
