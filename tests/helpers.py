@@ -7,7 +7,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 
-from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, torsion
+from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, enumerate_sl, torsion
 from congruence_lab.intmat import elementary_product, identity_rows, product_of_rows
 from congruence_lab.modular import _sl_local
 from congruence_lab.primes import euler_phi, factorize
@@ -51,6 +51,25 @@ def charpoly_by_faddeev_leverrier(rows) -> tuple[int, ...]:
         c = coeffs[n - k] = -sum(am[i][i] for i in range(n)) // k
         m = tuple(tuple(e + c * (i == j) for j, e in enumerate(r)) for i, r in enumerate(am))
     return tuple(coeffs)
+
+
+# Every (n, N) whose group a test reads as input, each checked by
+# test_modular.py::test_sl_group_is_one_shared_tuple. SL_2(Z/N) for N = 25, 27,
+# 49 and 60 is not here: one test reads every 11th element of each (285,984 in
+# all) and enumerates them itself, so they do not stay alive for the session.
+SL_GROUPS = (
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (2, 9), (2, 12), (2, 30),
+    (3, 2), (3, 3), (3, 4),
+)  # fmt: skip
+
+
+@functools.cache
+def sl_group(n: int, N: int) -> tuple[ModMatrix, ...]:
+    """SL_n(Z/N) as enumerate_sl lists it, made once per (n, N) and session.
+    A tuple of immutable records, so no test can change what the next one
+    reads. Tests whose subject is the enumerate_sl call itself call it instead."""
+    assert (n, N) in SL_GROUPS, f"add ({n}, {N}) to SL_GROUPS"
+    return tuple(enumerate_sl(n, N))
 
 
 def brute_force_sl(n: int, N: int) -> list[ModMatrix]:

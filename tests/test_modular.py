@@ -30,7 +30,7 @@ from congruence_lab import modular
 from congruence_lab.modular import _check_enumeration, _crt_plan, _sl_local
 from congruence_lab.primes import factorize
 
-from tests.helpers import brute_force_sl, det_permutation_oracle, unimodular_matrices
+from tests.helpers import SL_GROUPS, brute_force_sl, det_permutation_oracle, sl_group, unimodular_matrices
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,7 @@ def test_crt_split(N, factors):
     assert tuple(factorize(N)) == factors
 
 
-def test_crt_idempotent():
+def test_crt_plan(monkeypatch):
     # for every q = p^s || N: the one e in [0, N) that is 1 mod q and 0 mod N/q
     for N in range(2, 501):
         plan = _crt_plan(N)
@@ -59,16 +59,13 @@ def test_crt_idempotent():
             assert e * e % N == e
         assert sum(e for *_, e in plan) % N == 1  # the idempotents of the factors split 1
     assert [e for *_, e in _crt_plan(4)] == [1] and [e for *_, e in _crt_plan(6)] == [3, 4]
-
-
-def test_crt_plan_factors_each_modulus_once(monkeypatch):
     # enumeration, spectra, the index, words and lifts all read the cached plan,
     # so between them they factor a modulus once
-    factorize, calls = modular.factorize, []
+    real, calls = modular.factorize, []
 
     def counted(N):
         calls.append(N)
-        return factorize(N)
+        return real(N)
 
     N = 1000003 * 1000033
     monkeypatch.setattr(modular, "factorize", counted)
@@ -163,37 +160,32 @@ def test_sl_local_n4_is_sorted_with_det_one():
     assert len(local) == sl_order_formula(4, 2)
 
 
-@pytest.mark.parametrize("n,N", [(3, 4), (2, 12), (2, 30)])
-def test_enumerate_sl_shares_rows(n, N):
-    # one tuple per distinct row, not one per element: at most N^n row objects
-    els = enumerate_sl(n, N)
-    assert len({id(r) for y in els for r in y.rows}) <= N**n < len(els) * n
-
-
-def test_enumerate_sl_three_crt_factors():
-    # N = 30 = 2*3*5: two glue steps. N^(n^2) tuples is too many to brute-force,
-    # so the closed-form count and the shape of the list are the oracle.
-    els = enumerate_sl(2, 30)
-    assert len(els) == sl_order_formula(2, 30) == 6 * 24 * 120
-    rows = [y.rows for y in els]
-    assert rows == sorted(set(rows))
-    assert all(y.modulus == 30 and y.det() == 1 for y in els)
-    assert all(0 <= e < 30 for r in rows for row in r for e in row)
-
-
-@pytest.mark.parametrize("n,N", [(3, 4), (2, 30), (4, 2)])
+@pytest.mark.parametrize("n,N", [(3, 4), (2, 12), (2, 30), (4, 2)])
 def test_enumerate_sl_bulk_built_elements_are_plain_mod_matrices(n, N):
     # enumerate_sl wraps its rows without calling the constructor, so the
-    # validating constructor is the oracle for every element it returns
+    # validating constructor is the oracle for every element it returns, next
+    # to the closed-form count and the shape of the list: sorted, distinct and
+    # of det 1 (SL_2(Z/30), three CRT factors, is too large to brute-force)
     els = enumerate_sl(n, N)
-    assert len(els) == sl_order_formula(n, N)
+    rows = [m.rows for m in els]
+    assert len(els) == sl_order_formula(n, N) and all(a < b for a, b in zip(rows, rows[1:]))
+    # one tuple per distinct row, not one per element: at most N^n row objects
+    assert len({id(r) for y in rows for r in y}) <= N**n < len(els) * n
     for m in els:
         assert type(m) is ModMatrix and not hasattr(m, "__dict__")
-        assert m.modulus == N and m == ModMatrix(m.rows, N)
-    rows = [m.rows for m in els]
+        assert m.modulus == N and m == ModMatrix(m.rows, N) and m.det() == 1
     for back in (pickle.loads(pickle.dumps(els)), list(map(copy.copy, els))):
         assert [m.rows for m in back] == rows
         assert all(type(m) is ModMatrix and m.modulus == N for m in back)
+
+
+@pytest.mark.parametrize("n,N", SL_GROUPS)
+def test_sl_group_is_one_shared_tuple(n, N):
+    # the tests' shared input: one tuple per (n, N), the same on every call,
+    # equal to a fresh enumeration
+    group = sl_group(n, N)
+    assert type(group) is tuple and sl_group(n, N) is group
+    assert list(group) == enumerate_sl(n, N)
 
 
 def test_enumerate_sl_records_form_no_cycles():
@@ -414,7 +406,7 @@ def test_integer_arguments_go_through_index(call, plain):
 @pytest.mark.parametrize(
     "n,N,expected",
     [
-        (2, 2, 6), (2, 3, 24), (3, 2, 168), (2, 6, 144),
+        (2, 2, 6), (2, 3, 24), (3, 2, 168), (2, 6, 144), (2, 30, 6 * 24 * 120),
         (1, 1, 1), (2, 1, 1), (3, 1, 1), (5, 1, 1), (1, 7, 1),
     ],
 )

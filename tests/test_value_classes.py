@@ -28,12 +28,13 @@ from congruence_lab import (
     OrderResult,
     TracelessMatrix,
     decompose_mod,
-    enumerate_sl,
     matrix_order,
     witness_p,
     witness_rf,
 )
 from congruence_lab import intmat
+
+from tests.helpers import sl_group
 
 S = ((0, -1), (1, 0))  # the order-4 rotation
 
@@ -121,7 +122,7 @@ def test_pickles_name_one_rebuild_and_no_bound_method():
         assert v.__reduce__()[0] is intmat._rebuild
         names = {arg for _, arg, _ in pickletools.genops(pickle.dumps(v)) if isinstance(arg, str)}
         assert "_rebuild" in names and "getattr" not in names
-    group = enumerate_sl(3, 4)
+    group = sl_group(3, 4)
     data = pickle.dumps(group)
     assert sum(arg == "_rebuild" for _, arg, _ in pickletools.genops(data)) == 1
     twin = pickle.loads(data)

@@ -31,7 +31,7 @@ from congruence_lab import intmat, witnesses, words
 from congruence_lab.modular import _crt_plan
 from congruence_lab.words import _Gen, _local_word_2x2, _word_ops
 
-from tests.helpers import elementary_words, unimodular_matrices
+from tests.helpers import elementary_words, sl_group, unimodular_matrices
 
 
 def test_empty_word_evaluates_to_identity():
@@ -190,22 +190,17 @@ def test_decompose_local_example():
     assert word.evaluate() == y
 
 
-def test_decompose_local_exhaustive_mod3():
-    els = enumerate_sl(2, 3)
-    assert len(els) == 24
-    for y in els:
-        assert decompose_mod(y).evaluate() == y
-
-
-def test_decompose_local_exhaustive_mod4_and_mod9():
-    for N in (4, 9):
-        for y in enumerate_sl(2, N):
-            assert decompose_mod(y).evaluate() == y
-
-
-def test_decompose_local_dim3():
-    for y in enumerate_sl(3, 2):
-        assert decompose_mod(y).evaluate() == y
+@pytest.mark.parametrize(
+    "n,N,stop", [(2, 3, None), (2, 9, None), (3, 2, None), (2, 6, 20)], ids=["2-3", "2-9", "3-2", "2-6-first-20"]
+)
+def test_decompose_mod_round_trip(n, N, stop):
+    # each word, of every element or of the first 20 of SL_2(Z/6), has each a in
+    # [0, N) and evaluates back to its element. The registry's
+    # decompose-mod-exhaustive (test_full_check) round-trips all of SL_2(Z/4)
+    # and SL_2(Z/6); those 20 stay here for their coefficients.
+    for y in sl_group(n, N)[:stop]:
+        word = decompose_mod(y)
+        assert word.evaluate() == y and all(0 <= a < N for _, _, a in word._ops)
 
 
 def test_decompose_local_rejects_non_unimodular():
@@ -213,92 +208,78 @@ def test_decompose_local_rejects_non_unimodular():
         decompose_mod(ModMatrix([[1, 0], [0, 3]], 4))
 
 
-def test_decompose_mod_agrees_with_local_at_prime_powers():
-    # a single CRT factor has idempotent 1: the local operations, 1-based and
-    # reduced mod N, are the word
-    for N in (2, 3, 5, 4):
-        for t, y in enumerate(enumerate_sl(2, N)):
-            local = _word_ops(y.rows, N, 1, N)
-            assert decompose_mod(y).gens == tuple((i, j, a % N) for i, j, a in local)
-            # rows given unreduced, each entry shifted by its own multiple of N in -2N..2N
-            shift = [[(t + 3 * r + c) % 5 - 2 for c in range(2)] for r in range(2)]
-            shifted = [[e + N * k for e, k in zip(row, ks)] for row, ks in zip(y.rows, shift)]
-            assert _word_ops(shifted, N, 1, N) == local
-
-
-def test_local_word_2x2_is_the_elimination_of_word_ops():
-    # the closed form must take the same steps as _word_ops, which stays the oracle:
-    # elements of SL_2(Z/N) at each prime-power factor q of N, whose entries in [0, N)
-    # are unreduced mod q when N is composite. Every element up to N = 12; from N = 25
-    # on (15000 to 115248 elements) every 11th, a stride prime to each N, so the
-    # sample does not keep falling on the same second rows.
-    for N in (2, 3, 4, 5, 8, 9, 12, 25, 27, 30, 49):
-        els = enumerate_sl(2, N)
-        for _, _, q, _ in _crt_plan(N):
-            for t, y in enumerate(els if N <= 12 else els[::11]):
-                word = _word_ops(y.rows, q, 1, q)
-                assert _local_word_2x2(y.rows, q, 1, q) == word
-                # rows given unreduced, the entries shifted by multiples of N in -2N..2N
-                s = N * (t % 5 - 2)
-                (a, b), (c, d) = y.rows
-                assert _local_word_2x2(((a + s, b - s), (c - s, d + s)), q, 1, q) == word
-    for q in (4, 5):
-        with pytest.raises(AssertionError, match="det-1 row"):
-            _local_word_2x2([[0, 0], [0, 1]], q, 1, q)
-
-
-def test_local_word_2x2_is_word_ops_lifted_by_each_idempotent():
-    # at a composite N each factor q records its ops already lifted by its
-    # idempotent e: the closed form must still agree with _word_ops, and both
-    # with the e = 1 word lifted afterwards, a*e mod N. Every element up to
-    # N = 12, every 11th beyond (60^4 entry tuples pass the default cap).
-    for N in (12, 30, 60):
-        els = enumerate_sl(2, N, cap=N**4)
-        for _, _, q, e in _crt_plan(N):
-            for y in els if N <= 12 else els[::11]:
-                word = _word_ops(y.rows, q, e, N)
-                assert _local_word_2x2(y.rows, q, e, N) == word
-                assert word == [(i, j, a * e % N) for i, j, a in _word_ops(y.rows, q, 1, q)]
-
-
 def _sl3_mod_12_sample():
     # SL_3(Z/12) has 241,532,928 elements: every 29th of SL_3(Z/4), each joined
     # by the CRT (x = 9a + 4b mod 12) with the elements of SL_3(Z/3) in turn
-    mod4, mod3 = enumerate_sl(3, 4)[::29], enumerate_sl(3, 3)
+    mod4, mod3 = sl_group(3, 4)[::29], sl_group(3, 3)
     for t, a in enumerate(mod4):
         b = mod3[t % len(mod3)]
         yield ModMatrix([[9 * u + 4 * v for u, v in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)], 12)
 
 
 def test_decompose_mod_joins_one_lifted_local_word_per_factor():
-    # a second route to the CRT word, not through _mod_ops: the word is the
-    # local words of the factors q of N in turn, with the lengths of the e = 1
-    # words; every a lies in [0, N), the ops of factor q are 0 mod N/q, and
-    # reduced mod q they evaluate to y mod q
-    cases = [(N, enumerate_sl(2, N)) for N in (12, 30)] + [(12, _sl3_mod_12_sample())]
-    for N, els in cases:
+    # One sweep per group. For each element y and prime-power factor q of N, with
+    # idempotent e, the e = 1 word of _word_ops, the oracle, is made once; then
+    # - _local_word_2x2 gives it, on entries in [0, N), unreduced mod q when N is
+    #   composite, and on entries shifted by multiples of N in -2N..2N;
+    # - at a composite N both routes give it lifted, each a*e mod N;
+    # - at a prime power N <= 12 it is decompose_mod's word, and _word_ops gives
+    #   it on rows shifted entry by entry;
+    # - at N = 12 and 30, and on a sample of SL_3(Z/12), decompose_mod's word has
+    #   each a in [0, N) and is the factors' words in turn, by their lengths: the
+    #   part of factor q is 0 mod N/q and, reduced mod q, multiplies out to y mod q
+    #   by elementary_product, a route not through _mod_ops.
+    # Every element up to N = 12 and of SL_2(Z/30) is swept; from N = 25 on the
+    # local checks take every 11th, a stride prime to each N, so the sample does
+    # not keep falling on the same second rows. At N = 60 they check only the
+    # lifted words.
+    # (N, elements of SL_2(Z/N), the stride of the local checks among them)
+    cases = [(N, sl_group(2, N), 1) for N in (2, 3, 4, 5, 8, 9, 12)] + [(30, sl_group(2, 30), 11)]
+    cases += [(N, enumerate_sl(2, N, cap=N**4)[::11], 1) for N in (25, 27, 49, 60)]
+    for N, els, stride in cases + [(12, _sl3_mod_12_sample(), 1)]:
         plan = _crt_plan(N)
-        for y in els:
-            ops = decompose_mod(y)._ops
-            assert all(0 <= a < N for _, _, a in ops)
-            start = 0
-            for _, _, q, _ in plan:
-                part = ops[start : start + len(_word_ops(y.rows, q, 1, q))]
-                start += len(part)
-                assert all(a % (N // q) == 0 for _, _, a in part)
-                reduced = [(i, j, a % q) for i, j, a in part]
-                y_mod_q = tuple(tuple(v % q for v in r) for r in y.rows)
-                assert intmat.elementary_product(y.n, reduced, q) == y_mod_q
-            assert start == len(ops)
+        for t, y in enumerate(els):
+            rows = y.rows
+            words = [_word_ops(rows, q, 1, q) for _, _, q, _ in plan]
+            if len(rows) == 2 and t % stride == 0:
+                s = N * (t // stride % 5 - 2)
+                (a, b), (c, d) = rows
+                for (_, _, q, e), word in zip(plan, words):
+                    if N != 60:
+                        assert _local_word_2x2(rows, q, 1, q) == word
+                        assert _local_word_2x2(((a + s, b - s), (c - s, d + s)), q, 1, q) == word
+                    if q != N:
+                        lifted = [(i, j, v * e % N) for i, j, v in word]
+                        assert _word_ops(rows, q, e, N) == _local_word_2x2(rows, q, e, N) == lifted
+                if len(plan) == 1 and N <= 12:
+                    assert decompose_mod(y).gens == tuple((i, j, v % N) for i, j, v in words[0])
+                    shift = [[(t + 3 * r + k) % 5 - 2 for k in range(2)] for r in range(2)]
+                    shifted = [[v + N * k for v, k in zip(row, ks)] for row, ks in zip(rows, shift)]
+                    assert _word_ops(shifted, N, 1, N) == words[0]
+            if N in (12, 30):
+                ops = decompose_mod(y)._ops
+                assert all(0 <= v < N for _, _, v in ops)
+                start = 0
+                for (_, _, q, _), word in zip(plan, words):
+                    part = ops[start : start + len(word)]
+                    start += len(part)
+                    assert all(v % (N // q) == 0 for _, _, v in part)
+                    y_mod_q = tuple(tuple(v % q for v in r) for r in rows)
+                    assert intmat.elementary_product(len(rows), [(i, j, v % q) for i, j, v in part], q) == y_mod_q
+                assert start == len(ops)
 
 
 def test_word_ops_refuse_a_row_that_vanishes_from_the_diagonal_on():
-    # the determinant check rules such a row out; reached anyway, both rings
-    # stop with AssertionError, not with an error from inside the pivot search
+    # the determinant check rules such a row out; reached anyway, both rings and
+    # the 2x2 closed form stop with AssertionError, not with an error from inside
+    # the pivot search
     for rows in ([[0, 0], [0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]]):
         for ring in ((), (4, 1, 4), (5, 1, 5)):
             with pytest.raises(AssertionError, match="det-1 row"):
                 _word_ops(rows, *ring)
+    for q in (4, 5):
+        with pytest.raises(AssertionError, match="det-1 row"):
+            _local_word_2x2([[0, 0], [0, 1]], q, 1, q)
 
 
 def test_every_op_handed_to_elementary_product_is_one_based(monkeypatch):
@@ -333,7 +314,7 @@ def test_every_op_handed_to_elementary_product_is_one_based(monkeypatch):
 def test_decompose_mod_and_lift_three_crt_factors():
     # N = 30 and 60 have three prime-power factors, so every word is three
     # lifted local words; the round trip and the lift's det are the oracle
-    for y in enumerate_sl(2, 30)[::97]:
+    for y in sl_group(2, 30)[::97]:
         assert decompose_mod(y).evaluate() == y
         lifted = lift_to_int(y)
         assert lifted.det() == 1 and ModMatrix(lifted.rows, 30) == y
@@ -349,12 +330,6 @@ def test_decompose_mod_and_lift_three_crt_factors():
 
 def test_decompose_mod_identity_is_empty():
     assert len(decompose_mod(ModMatrix.identity(2, 6))) == 0
-
-
-def test_decompose_mod_coefficients_canonical():
-    for y in enumerate_sl(2, 6)[:20]:
-        for g in decompose_mod(y).gens:
-            assert 0 <= g.a < 6
 
 
 def test_lift_identity():
@@ -373,7 +348,7 @@ def test_reduction_covers_whole_group():
     # the reduced lifts hit every element, i.e. reduction is onto; each lift
     # is the word of decompose_mod read over Z, as lift_to_int promises
     for N in (2, 3, 4, 5, 12):
-        els = enumerate_sl(2, N)
+        els = sl_group(2, N)
         lifts = [lift_to_int(y) for y in els]
         for y, lifted in zip(els, lifts):
             assert lifted == ElementaryWord(y.n, decompose_mod(y).gens).evaluate()
@@ -466,7 +441,7 @@ def _finite_quotient_lines():
     # all of SL_2(Z/12), the group the finite-quotients benchmark decomposes
     # and lifts, and every 37th element of SL_3(Z/4), where a row's first
     # entry is often a non-unit and the pivot needs a column swap
-    for y in enumerate_sl(2, 12) + enumerate_sl(3, 4)[::37]:
+    for y in sl_group(2, 12) + sl_group(3, 4)[::37]:
         yield decompose_mod(y).to_text()
         yield lift_to_int(y).to_text()
 
@@ -523,7 +498,7 @@ def _decomposed_words():
             yield decompose_int(x)
             for N in (8, 12, 30):
                 yield decompose_mod(ModMatrix(x.rows, N))
-    for y in enumerate_sl(2, 12) + enumerate_sl(3, 4):
+    for y in sl_group(2, 12) + sl_group(3, 4):
         yield decompose_mod(y)
 
 
