@@ -48,7 +48,7 @@ def test_crt_split(N, factors):
     assert tuple(factorize(N)) == factors
 
 
-def test_crt_plan(monkeypatch):
+def test_crt_idempotent():
     # for every q = p^s || N: the one e in [0, N) that is 1 mod q and 0 mod N/q
     for N in range(2, 501):
         plan = _crt_plan(N)
@@ -59,13 +59,16 @@ def test_crt_plan(monkeypatch):
             assert e * e % N == e
         assert sum(e for *_, e in plan) % N == 1  # the idempotents of the factors split 1
     assert [e for *_, e in _crt_plan(4)] == [1] and [e for *_, e in _crt_plan(6)] == [3, 4]
+
+
+def test_crt_plan_factors_each_modulus_once(monkeypatch):
     # enumeration, spectra, the index, words and lifts all read the cached plan,
     # so between them they factor a modulus once
-    real, calls = modular.factorize, []
+    factorize, calls = modular.factorize, []
 
     def counted(N):
         calls.append(N)
-        return real(N)
+        return factorize(N)
 
     N = 1000003 * 1000033
     monkeypatch.setattr(modular, "factorize", counted)
@@ -160,20 +163,34 @@ def test_sl_local_n4_is_sorted_with_det_one():
     assert len(local) == sl_order_formula(4, 2)
 
 
-@pytest.mark.parametrize("n,N", [(3, 4), (2, 12), (2, 30), (4, 2)])
+@pytest.mark.parametrize("n,N", [(3, 4), (2, 12), (2, 30)])
+def test_enumerate_sl_shares_rows(n, N):
+    # one tuple per distinct row, not one per element: at most N^n row objects
+    els = sl_group(n, N)
+    assert len({id(r) for y in els for r in y.rows}) <= N**n < len(els) * n
+
+
+def test_enumerate_sl_three_crt_factors():
+    # N = 30 = 2*3*5: two glue steps. N^(n^2) tuples is too many to brute-force,
+    # so the closed-form count and the shape of the list are the oracle.
+    els = sl_group(2, 30)
+    assert len(els) == sl_order_formula(2, 30) == 6 * 24 * 120
+    rows = [y.rows for y in els]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert all(y.modulus == 30 and y.det() == 1 for y in els)
+    assert all(0 <= e < 30 for r in rows for row in r for e in row)
+
+
+@pytest.mark.parametrize("n,N", [(3, 4), (2, 30), (4, 2)])
 def test_enumerate_sl_bulk_built_elements_are_plain_mod_matrices(n, N):
     # enumerate_sl wraps its rows without calling the constructor, so the
-    # validating constructor is the oracle for every element it returns, next
-    # to the closed-form count and the shape of the list: sorted, distinct and
-    # of det 1 (SL_2(Z/30), three CRT factors, is too large to brute-force)
+    # validating constructor is the oracle for every element it returns
     els = enumerate_sl(n, N)
-    rows = [m.rows for m in els]
-    assert len(els) == sl_order_formula(n, N) and all(a < b for a, b in zip(rows, rows[1:]))
-    # one tuple per distinct row, not one per element: at most N^n row objects
-    assert len({id(r) for y in rows for r in y}) <= N**n < len(els) * n
+    assert len(els) == sl_order_formula(n, N)
     for m in els:
         assert type(m) is ModMatrix and not hasattr(m, "__dict__")
-        assert m.modulus == N and m == ModMatrix(m.rows, N) and m.det() == 1
+        assert m.modulus == N and m == ModMatrix(m.rows, N)
+    rows = [m.rows for m in els]
     for back in (pickle.loads(pickle.dumps(els)), list(map(copy.copy, els))):
         assert [m.rows for m in back] == rows
         assert all(type(m) is ModMatrix and m.modulus == N for m in back)
@@ -406,7 +423,7 @@ def test_integer_arguments_go_through_index(call, plain):
 @pytest.mark.parametrize(
     "n,N,expected",
     [
-        (2, 2, 6), (2, 3, 24), (3, 2, 168), (2, 6, 144), (2, 30, 6 * 24 * 120),
+        (2, 2, 6), (2, 3, 24), (3, 2, 168), (2, 6, 144),
         (1, 1, 1), (2, 1, 1), (3, 1, 1), (5, 1, 1), (1, 7, 1),
     ],
 )

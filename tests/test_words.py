@@ -217,69 +217,97 @@ def _sl3_mod_12_sample():
         yield ModMatrix([[9 * u + 4 * v for u, v in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)], 12)
 
 
-def test_decompose_mod_joins_one_lifted_local_word_per_factor():
-    # One sweep per group. For each element y and prime-power factor q of N, with
-    # idempotent e, the e = 1 word of _word_ops, the oracle, is made once; then
-    # - _local_word_2x2 gives it, on entries in [0, N), unreduced mod q when N is
-    #   composite, and on entries shifted by multiples of N in -2N..2N;
+def _sweep_words(N, els, stride=1, e1=True, join=False):
+    # One pass over els, elements of SL_n(Z/N). For each element y and prime-power
+    # factor q of N, with idempotent e, the e = 1 word of _word_ops, the oracle,
+    # is made once; then, on every stride-th element when n = 2,
+    # - _local_word_2x2 gives it (unless e1 is False), on entries in [0, N),
+    #   unreduced mod q when N is composite, and on entries shifted by multiples
+    #   of N in -2N..2N;
     # - at a composite N both routes give it lifted, each a*e mod N;
     # - at a prime power N <= 12 it is decompose_mod's word, and _word_ops gives
-    #   it on rows shifted entry by entry;
-    # - at N = 12 and 30, and on a sample of SL_3(Z/12), decompose_mod's word has
-    #   each a in [0, N) and is the factors' words in turn, by their lengths: the
-    #   part of factor q is 0 mod N/q and, reduced mod q, multiplies out to y mod q
-    #   by elementary_product, a route not through _mod_ops.
-    # Every element up to N = 12 and of SL_2(Z/30) is swept; from N = 25 on the
-    # local checks take every 11th, a stride prime to each N, so the sample does
-    # not keep falling on the same second rows. At N = 60 they check only the
-    # lifted words.
-    # (N, elements of SL_2(Z/N), the stride of the local checks among them)
-    cases = [(N, sl_group(2, N), 1) for N in (2, 3, 4, 5, 8, 9, 12)] + [(30, sl_group(2, 30), 11)]
-    cases += [(N, enumerate_sl(2, N, cap=N**4)[::11], 1) for N in (25, 27, 49, 60)]
-    for N, els, stride in cases + [(12, _sl3_mod_12_sample(), 1)]:
-        plan = _crt_plan(N)
-        for t, y in enumerate(els):
-            rows = y.rows
-            words = [_word_ops(rows, q, 1, q) for _, _, q, _ in plan]
-            if len(rows) == 2 and t % stride == 0:
-                s = N * (t // stride % 5 - 2)
-                (a, b), (c, d) = rows
-                for (_, _, q, e), word in zip(plan, words):
-                    if N != 60:
-                        assert _local_word_2x2(rows, q, 1, q) == word
-                        assert _local_word_2x2(((a + s, b - s), (c - s, d + s)), q, 1, q) == word
-                    if q != N:
-                        lifted = [(i, j, v * e % N) for i, j, v in word]
-                        assert _word_ops(rows, q, e, N) == _local_word_2x2(rows, q, e, N) == lifted
-                if len(plan) == 1 and N <= 12:
-                    assert decompose_mod(y).gens == tuple((i, j, v % N) for i, j, v in words[0])
-                    shift = [[(t + 3 * r + k) % 5 - 2 for k in range(2)] for r in range(2)]
-                    shifted = [[v + N * k for v, k in zip(row, ks)] for row, ks in zip(rows, shift)]
-                    assert _word_ops(shifted, N, 1, N) == words[0]
-            if N in (12, 30):
-                ops = decompose_mod(y)._ops
-                assert all(0 <= v < N for _, _, v in ops)
-                start = 0
-                for (_, _, q, _), word in zip(plan, words):
-                    part = ops[start : start + len(word)]
-                    start += len(part)
-                    assert all(v % (N // q) == 0 for _, _, v in part)
-                    y_mod_q = tuple(tuple(v % q for v in r) for r in rows)
-                    assert intmat.elementary_product(len(rows), [(i, j, v % q) for i, j, v in part], q) == y_mod_q
-                assert start == len(ops)
+    #   it on rows shifted entry by entry.
+    # With join, on every element, decompose_mod's word has each a in [0, N) and
+    # is the factors' words in turn, by their lengths: the part of factor q is
+    # 0 mod N/q and, reduced mod q, multiplies out to y mod q by
+    # elementary_product, a route not through _mod_ops.
+    plan = _crt_plan(N)
+    for t, y in enumerate(els):
+        rows = y.rows
+        words = [_word_ops(rows, q, 1, q) for _, _, q, _ in plan]
+        if len(rows) == 2 and t % stride == 0:
+            s = N * (t // stride % 5 - 2)
+            (a, b), (c, d) = rows
+            for (_, _, q, e), word in zip(plan, words):
+                if e1:
+                    assert _local_word_2x2(rows, q, 1, q) == word
+                    assert _local_word_2x2(((a + s, b - s), (c - s, d + s)), q, 1, q) == word
+                if q != N:
+                    lifted = [(i, j, v * e % N) for i, j, v in word]
+                    assert _word_ops(rows, q, e, N) == _local_word_2x2(rows, q, e, N) == lifted
+            if len(plan) == 1 and N <= 12:
+                assert decompose_mod(y).gens == tuple((i, j, v % N) for i, j, v in words[0])
+                shift = [[(t + 3 * r + k) % 5 - 2 for k in range(2)] for r in range(2)]
+                shifted = [[v + N * k for v, k in zip(row, ks)] for row, ks in zip(rows, shift)]
+                assert _word_ops(shifted, N, 1, N) == words[0]
+        if join:
+            ops = decompose_mod(y)._ops
+            assert all(0 <= v < N for _, _, v in ops)
+            start = 0
+            for (_, _, q, _), word in zip(plan, words):
+                part = ops[start : start + len(word)]
+                start += len(part)
+                assert all(v % (N // q) == 0 for _, _, v in part)
+                y_mod_q = tuple(tuple(v % q for v in r) for r in rows)
+                assert intmat.elementary_product(len(rows), [(i, j, v % q) for i, j, v in part], q) == y_mod_q
+            assert start == len(ops)
+
+
+def test_decompose_mod_agrees_with_local_at_prime_powers():
+    # a single CRT factor has idempotent 1: the local operations, 1-based and
+    # reduced mod N, are the word; every element of each group
+    for N in (2, 3, 4, 5, 8, 9):
+        _sweep_words(N, sl_group(2, N))
+
+
+def test_local_word_2x2_is_the_elimination_of_word_ops():
+    # the closed form must take the same steps as _word_ops, which stays the
+    # oracle. At the prime powers N = 25, 27 and 49 (15000 to 115248 elements)
+    # every 11th, a stride prime to each N, so the sample does not keep falling
+    # on the same second rows; the groups up to N = 12 and SL_2(Z/30) are swept
+    # by the two tests beside this one.
+    for N in (25, 27, 49):
+        _sweep_words(N, enumerate_sl(2, N)[::11])
+    for q in (4, 5):
+        with pytest.raises(AssertionError, match="det-1 row"):
+            _local_word_2x2([[0, 0], [0, 1]], q, 1, q)
+
+
+def test_local_word_2x2_is_word_ops_lifted_by_each_idempotent():
+    # at a composite N each factor q records its ops already lifted by its
+    # idempotent e: the closed form must still agree with _word_ops, and both
+    # with the e = 1 word lifted afterwards. Every 11th element of SL_2(Z/60)
+    # (60^4 entry tuples pass the default cap); N = 12 and 30 are swept by the
+    # join test.
+    _sweep_words(60, enumerate_sl(2, 60, cap=60**4)[::11], e1=False)
+
+
+def test_decompose_mod_joins_one_lifted_local_word_per_factor():
+    # the word at N = 12 and 30, and on a sample of SL_3(Z/12), is the local
+    # words of the factors, lifted, in turn; the same sweep checks the local and
+    # lifted words of every element of SL_2(Z/12) and every 11th of SL_2(Z/30)
+    _sweep_words(12, sl_group(2, 12), join=True)
+    _sweep_words(30, sl_group(2, 30), stride=11, join=True)
+    _sweep_words(12, _sl3_mod_12_sample(), join=True)
 
 
 def test_word_ops_refuse_a_row_that_vanishes_from_the_diagonal_on():
-    # the determinant check rules such a row out; reached anyway, both rings and
-    # the 2x2 closed form stop with AssertionError, not with an error from inside
-    # the pivot search
+    # the determinant check rules such a row out; reached anyway, both rings
+    # stop with AssertionError, not with an error from inside the pivot search
     for rows in ([[0, 0], [0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 0, 1]]):
         for ring in ((), (4, 1, 4), (5, 1, 5)):
             with pytest.raises(AssertionError, match="det-1 row"):
                 _word_ops(rows, *ring)
-    for q in (4, 5):
-        with pytest.raises(AssertionError, match="det-1 row"):
-            _local_word_2x2([[0, 0], [0, 1]], q, 1, q)
 
 
 def test_every_op_handed_to_elementary_product_is_one_based(monkeypatch):
