@@ -18,6 +18,15 @@ subcommand help is aligned by argparse in a way that follows the Python
 version (3.13 sets it two columns wider than 3.10-3.12). Each subcommand is
 one entry of the _COMMANDS table. Start-up is part of every call's cost, so
 this module imports just errors, and each handler imports what it runs.
+
+main(), the process entry of `python -m congruence_lab` and of the
+congruence-lab script, flushes stdout and stderr and then ends the process
+with os._exit: no module teardown, no freeing of objects, no atexit
+handlers. A process about to exit needs none of it, and it took about 9 ms
+of every cold call (60-140 ms on Python 3.11, 2-CPU Linux); 7 of them are
+spent by a bare `python -c pass` too, mostly on what `site` loaded. So
+`coverage run -m congruence_lab` records nothing for a CLI child.
+In-process callers use run(), which returns the exit code.
 """
 
 from __future__ import annotations
@@ -213,8 +222,9 @@ def _emit(text: str | None, code: int) -> int:
             print(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # Point stdout at devnull so the flush at interpreter exit cannot
-        # fail again (the pattern of the `signal` module's documentation).
+        # Point stdout at devnull so the final flush, main's or at interpreter
+        # exit, cannot fail again (the pattern of the `signal` module's
+        # documentation).
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -222,4 +232,8 @@ def _emit(text: str | None, code: int) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Process entry: run(), flush, then end without interpreter teardown."""
+    code = run()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

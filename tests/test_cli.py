@@ -200,14 +200,39 @@ def test_public_api_is_pinned():
     assert all(hasattr(congruence_lab, name) for name in congruence_lab.__all__)
 
 
-def test_module_entry_point():
+def _child_env(unbuffered: bool) -> dict[str, str]:
+    """The environment of a `python -m congruence_lab` child: src first on its path."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 134,784 bytes, more than a 64 KiB pipe buffer: output lost at exit shows here.
+        ["enumerate", "--n", "3", "--mod", "3", "--plain"],
+        ["decompose", "1,2;3"],
+        ["order", "0,-1;1,0", "--cap", "5"],
+    ],
+    ids=["enumerate", "domain-error", "usage-error"],
+)
+def test_module_entry_point(argv, unbuffered, capsysbinary):
+    # main() flushes and ends the process without interpreter teardown; the
+    # child must print the bytes and exit with the code of in-process run().
+    code = run(argv)
+    out, err = capsysbinary.readouterr()
     proc = subprocess.run(
-        [sys.executable, "-m", "congruence_lab", "index", "--n", "2", "--mod", "3"],
+        [sys.executable, "-m", "congruence_lab", *argv],
         capture_output=True,
-        text=True,
+        env=_child_env(unbuffered),
+        timeout=60,
     )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "24"
+    assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -217,11 +242,6 @@ def test_module_entry_point():
 def test_closed_stdout_is_not_a_failure(argv, unbuffered):
     # The reader is gone before the child writes, as with `| head -1` once
     # head has exited: the output is dropped and the command's code stands.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -229,7 +249,7 @@ def test_closed_stdout_is_not_a_failure(argv, unbuffered):
             [sys.executable, "-m", "congruence_lab", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(unbuffered),
             timeout=60,
         )
     finally:
