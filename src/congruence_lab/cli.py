@@ -17,7 +17,8 @@ bytes. The one exception is the top-level --help, whose column of
 subcommand help is aligned by argparse in a way that follows the Python
 version (3.13 sets it two columns wider than 3.10-3.12). Each subcommand is
 one entry of the _COMMANDS table. Start-up is part of every call's cost, so
-this module imports just errors, and each handler imports what it runs.
+this module imports just errors, each handler imports what it runs, and a
+call builds only the subparser that its first argument names, if any.
 
 main(), the process entry of `python -m congruence_lab` and of the
 congruence-lab script, flushes stdout and stderr and then ends the process
@@ -45,6 +46,7 @@ _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
 # Each argument is (name, add_argument options), stated once for every subcommand that takes it.
+_PLAIN = ("--plain", {"action": "store_true", "help": "human-readable output instead of JSON"})
 _MATRIX = ("matrix", {})
 _ANY_MATRIX = ("matrix", {"help": 'matrix text, e.g. "0,-1;1,0" or "0,1;1,1 mod 2"'})
 _MOD = ("--mod", {"type": int, "required": True, "metavar": "N"})
@@ -64,7 +66,7 @@ def _int_matrix(text: str):
 
 # Each handler imports what it runs and returns (exit_code, json_payload, plain_text).
 def _decompose(args):
-    from .modular import ModMatrix
+    from .intmat import ModMatrix
     from .words import decompose_int, decompose_mod
     m = args.matrix
     word = decompose_mod(ModMatrix.from_text(m)) if "mod" in m else decompose_int(_int_matrix(m))
@@ -73,7 +75,7 @@ def _decompose(args):
 
 
 def _lift(args):
-    from .modular import ModMatrix
+    from .intmat import ModMatrix
     from .words import lift_to_int
     lifted = lift_to_int(ModMatrix(_int_matrix(args.matrix).rows, args.mod))
     return 0, {"matrix": lifted.to_text(), "mod": args.mod}, lifted.to_text()
@@ -92,7 +94,7 @@ def _member(args):
 
 
 def _index(args):
-    from .modular import sl_order_formula
+    from .primes import sl_order_formula
     value = sl_order_formula(args.n, args.mod)
     return 0, value, str(value)
 
@@ -158,20 +160,19 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """argv[0]'s subparser alone if it names a command; else all, for the top level's text."""
     # Fixed width, or add_argument's formatter imports shutil to read the terminal size.
-    common = argparse.ArgumentParser(add_help=False, formatter_class=_FORMATTER)
-    common.add_argument("--plain", action="store_true", help="human-readable output instead of JSON")
-
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
         description="Exact computations in SL_n(Z) and its congruence quotients.",
         formatter_class=_FORMATTER,
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for name, (summary, arguments, _) in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=summary, parents=[common], formatter_class=_FORMATTER)
-        for arg, options in arguments:
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        summary, arguments, _ = _COMMANDS[name]
+        sub = subparsers.add_parser(name, help=summary, formatter_class=_FORMATTER)
+        for arg, options in (_PLAIN, *arguments):
             sub.add_argument(arg, **options)
     return parser
 
@@ -196,11 +197,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:  # --help, or a usage error
         return _emit(None, e.code if isinstance(e.code, int) else 2)
+    except BrokenPipeError:  # 3.10's argparse lets --help's write into a closed stdout out
+        return _emit(None, 0)
     try:
         code, payload, plain = _dispatch(args)
     except CongruenceLabError as e:
@@ -222,9 +225,8 @@ def _emit(text: str | None, code: int) -> int:
             print(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # Point stdout at devnull so the final flush, main's or at interpreter
-        # exit, cannot fail again (the pattern of the `signal` module's
-        # documentation).
+        # Point stdout at devnull so that no later flush, main's or at exit, can fail
+        # again (the pattern of the `signal` module's documentation).
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -25,9 +25,9 @@ enumeration cap, phi_k's depth and the sizes named as "b^e").
 
 SquareMatrix is the one matrix core: rows plus a ring tag, with modulus None
 meaning Z (the convention of ElementaryWord). It alone validates rows and
-holds the product, power, det, trace, identity test and text. IntMatrix
-(here), ModMatrix (modular.py) and TracelessMatrix (witnesses.py) are thin
-subclasses that add only what differs between the rings.
+holds the product, power, det, trace, identity test and text. IntMatrix and
+ModMatrix (here) and TracelessMatrix (witnesses.py) are thin subclasses
+that add only what differs between the rings.
 
 Entries are plain Python ints, so products, determinants, and inverses are
 computed without overflow or rounding. Matrices are immutable and hashable;
@@ -55,7 +55,7 @@ from operator import add, index, mul
 
 from .errors import BadModulus, DimensionMismatch, NotUnimodular, ParseError
 
-__all__ = ["IntMatrix", "sample_sl"]
+__all__ = ["IntMatrix", "ModMatrix", "sample_sl"]
 
 # Bound on |a| for the random elementary matrices 1 + a*e_ij of the samplers.
 _COEFF_BOUND = 5
@@ -432,6 +432,27 @@ class IntMatrix(SquareMatrix):
         if sign * prev != 1:
             raise _not_unimodular(sign * prev)
         return self._wrap(tuple([tuple([sign * e for e in row[n:]]) for row in m]))
+
+
+class ModMatrix(SquareMatrix):
+    """Immutable square matrix over Z/N with entries reduced into [0, N). It adds
+    to the core only the identity of a given modulus and the "a,b;c,d mod N" parser."""
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, n: int, modulus: int) -> ModMatrix:
+        return cls(identity_rows(n), modulus)
+
+    @classmethod
+    def from_text(cls, text: str) -> ModMatrix:
+        body, sep, mod_text = text.partition("mod")
+        if not sep:
+            raise ParseError(f"missing 'mod N' suffix in {text!r}")
+        mod_text = mod_text.strip()
+        if not mod_text.isdecimal():
+            raise ParseError(f"bad modulus {mod_text!r}")
+        return cls(parse_entries(body.strip()), int(mod_text))
 
 
 def is_one_mod(rows: Rows, N: int) -> bool:

@@ -1,13 +1,5 @@
-"""Arithmetic in Z/N: ModMatrix, the CRT split, and the elements of SL_n(Z/N).
-
-ModMatrix is the Z/N view of the matrix core in intmat.py; it adds only the
-identity of a given modulus and the "a,b;c,d mod N" parser.
-
-_crt_plan(N), cached per modulus, is the one statement of the CRT split of
-Z/N into its prime-power factors Z/q, q = p^s: it gives each factor with its
-idempotent e (1 mod q, 0 mod N/q). enumerate_sl glues its factor lists with
-it, torsion.mod_spectrum and sl_order_formula read the factors from it, and
-words.decompose_mod records every local op lifted by its idempotent.
+"""The elements of SL_n(Z/N). ModMatrix is imported from intmat.py, and the
+CRT split _crt_plan and the count sl_order_formula from primes.py.
 
 enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
 factors SL_n(Z/p^s), each listed in order with the rows shared. Per head of
@@ -32,14 +24,13 @@ checks the list against an exhaustive N^(n^2) walk.
 
 from __future__ import annotations
 
-import functools
 import gc
 import itertools
 from operator import index
 
-from .errors import BadModulus, CapExceeded, ParseError
-from .intmat import Rows, SquareMatrix, cofactors, identity_rows, parse_entries, power_below, product_of_rows
-from .primes import factorize
+from .errors import BadModulus, CapExceeded
+from .intmat import ModMatrix, Rows, cofactors, identity_rows, power_below, product_of_rows
+from .primes import _crt_plan, sl_order_formula
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -49,34 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
-
-
-@functools.lru_cache(maxsize=64)
-def _crt_plan(N: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The (p, s, q, e) of each prime-power factor q = p^s of N, e in [0, N)
-    its CRT idempotent: 1 mod q and 0 mod N/q. A tuple of tuples, so every
-    caller can share it, and cached, so a modulus is factored once."""
-    return tuple((p, s, p**s, N // p**s * pow(N // p**s, -1, p**s)) for p, s in factorize(N))
-
-
-class ModMatrix(SquareMatrix):
-    """Immutable square matrix over Z/N with entries reduced into [0, N)."""
-
-    __slots__ = ()
-
-    @classmethod
-    def identity(cls, n: int, modulus: int) -> ModMatrix:
-        return cls(identity_rows(n), modulus)
-
-    @classmethod
-    def from_text(cls, text: str) -> ModMatrix:
-        body, sep, mod_text = text.partition("mod")
-        if not sep:
-            raise ParseError(f"missing 'mod N' suffix in {text!r}")
-        mod_text = mod_text.strip()
-        if not mod_text.isdecimal():
-            raise ParseError(f"bad modulus {mod_text!r}")
-        return cls(parse_entries(body.strip()), int(mod_text))
 
 
 def _check_enumeration(n: int, N: int, cap: int | None) -> tuple[int, int]:
@@ -185,34 +148,3 @@ def _crt_glue(lists: list[list[Rows]], es: list[int], N: int) -> list[Rows]:
     glued = {key: tuple(sum(col) % N for col in zip(*map(dict.__getitem__, scaled, key)))
              for key in itertools.product(*scaled)}
     return sorted(tuple(map(glued.__getitem__, zip(*xs))) for xs in itertools.product(*lists))
-
-
-def sl_order_formula(n: int, N: int) -> int:
-    """|SL_n(Z/N)| as an exact integer.
-
-    Multiplicative over the prime factorization of N. For a prime power p^s
-    the count is p^(n(n-1)/2 + (s-1)(n^2-1)) * prod_{k=2..n}(p^k - 1).
-    """
-    n, N = index(n), index(N)
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if N < 1:
-        raise BadModulus(f"modulus must be >= 1, got {N}")
-    total = 1
-    for p, s, _, _ in _crt_plan(N):
-        shift = n * (n - 1) // 2 + (s - 1) * (n * n - 1)
-        total *= p**shift * _prod_pk_minus_one(p, 2, n + 1)
-    return total
-
-
-def _prod_pk_minus_one(p: int, lo: int, hi: int) -> int:
-    """prod_{lo <= k < hi}(p^k - 1), by halves, so that the large multiplies
-    pair operands of similar size; a running product takes time quadratic
-    in the size of the result."""
-    if hi - lo <= 8:
-        out = 1
-        for k in range(lo, hi):
-            out *= p**k - 1
-        return out
-    mid = (lo + hi) // 2
-    return _prod_pk_minus_one(p, lo, mid) * _prod_pk_minus_one(p, mid, hi)

@@ -1,4 +1,5 @@
-"""Exact factoring and primality for every number below 3.3*10^24.
+"""The arithmetic of a modulus N: exact factoring and primality for every
+number below 3.3*10^24, the CRT split of Z/N, and |SL_n(Z/N)|.
 
 Trial division by every d < 1000 runs first, so any n <= 10^6 is settled by
 it alone. A cofactor left over has no prime factor below 1000 and goes to
@@ -21,17 +22,22 @@ Xeon server under CPython 3.11.
 
 Each entry point takes n through operator.index, so a float is a TypeError,
 not an answer in floats.
+
+_crt_plan(N), cached, is the one CRT split of Z/N into factors Z/q = Z/p^s with
+idempotents e (1 mod q, 0 mod N/q). sl_order_formula, the index [SL_n(Z) :
+Gamma(N)], needs only it, so the CLI's index loads no matrix code.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import index
 
 from .errors import BadModulus
 
-__all__ = ["factorize", "is_prime", "next_prime", "euler_phi"]
+__all__ = ["factorize", "is_prime", "next_prime", "euler_phi", "sl_order_formula"]
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
@@ -87,6 +93,45 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         total = total // p * (p - 1)
     return total
+
+
+@functools.lru_cache(maxsize=64)
+def _crt_plan(N: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The (p, s, q, e) of each prime-power factor q = p^s of N, e in [0, N)
+    its CRT idempotent: 1 mod q and 0 mod N/q. A tuple of tuples, so every
+    caller can share it, and cached, so a modulus is factored once."""
+    return tuple((p, s, p**s, N // p**s * pow(N // p**s, -1, p**s)) for p, s in factorize(N))
+
+
+def sl_order_formula(n: int, N: int) -> int:
+    """|SL_n(Z/N)| as an exact integer.
+
+    Multiplicative over the prime factorization of N. For a prime power p^s
+    the count is p^(n(n-1)/2 + (s-1)(n^2-1)) * prod_{k=2..n}(p^k - 1).
+    """
+    n, N = index(n), index(N)
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if N < 1:
+        raise BadModulus(f"modulus must be >= 1, got {N}")
+    total = 1
+    for p, s, _, _ in _crt_plan(N):
+        shift = n * (n - 1) // 2 + (s - 1) * (n * n - 1)
+        total *= p**shift * _prod_pk_minus_one(p, 2, n + 1)
+    return total
+
+
+def _prod_pk_minus_one(p: int, lo: int, hi: int) -> int:
+    """prod_{lo <= k < hi}(p^k - 1), by halves, so that the large multiplies
+    pair operands of similar size; a running product takes time quadratic
+    in the size of the result."""
+    if hi - lo <= 8:
+        out = 1
+        for k in range(lo, hi):
+            out *= p**k - 1
+        return out
+    mid = (lo + hi) // 2
+    return _prod_pk_minus_one(p, lo, mid) * _prod_pk_minus_one(p, mid, hi)
 
 
 def _miller_rabin(n: int) -> bool:

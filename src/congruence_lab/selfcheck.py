@@ -17,9 +17,9 @@ import itertools
 import math
 
 from .gamma import gamma_member, sample_gamma
-from .intmat import IntMatrix, product_of_rows, require_det_one, sample_sl
-from .modular import ModMatrix, enumerate_sl, sl_order_formula
-from .primes import factorize
+from .intmat import IntMatrix, ModMatrix, product_of_rows, require_det_one, sample_sl
+from .modular import enumerate_sl
+from .primes import factorize, sl_order_formula
 from .torsion import (
     TORSION_ORDER_4,
     TORSION_ORDER_6,
@@ -99,8 +99,9 @@ def _check_reduction_homomorphism(quick: bool, seed: int):
         for t in range(trials):
             x = sample_sl(n, 6, seed + 2 * t)
             y = sample_sl(n, 6, seed + 2 * t + 1)
+            xy = (x * y).rows
             for N in (2, 5, 6, 9):
-                if ModMatrix((x * y).rows, N) != ModMatrix(x.rows, N) * ModMatrix(y.rows, N):
+                if ModMatrix(xy, N) != ModMatrix(x.rows, N) * ModMatrix(y.rows, N):
                     return False, f"reduction mod {N} not a homomorphism"
     return True, f"homomorphism law on {2 * trials} sampled pairs, four moduli"
 

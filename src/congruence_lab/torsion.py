@@ -52,8 +52,8 @@ from .errors import BadModulus, CounterexampleFound
 from .intmat import (Frozen, IntMatrix, Rows, cofactors, det_of_rows, identity_rows, is_one_mod,
                      level_of_rows, power_of_rows, product_of_rows, random_elementary_rows,
                      require_det_one, require_det_one_rows, require_ring)
-from .modular import _check_enumeration, _crt_plan
-from .primes import euler_phi, factorize
+from .modular import _check_enumeration
+from .primes import _crt_plan, euler_phi, factorize
 
 __all__ = [
     "OrderResult",

@@ -37,9 +37,8 @@ from operator import index
 
 from .errors import BadModulus, IdentityInput, NotInGamma, NotPrime
 from .gamma import gamma_level, gamma_member
-from .intmat import Frozen, IntMatrix, Rows, SquareMatrix, elementary_product, power_below
-from .modular import ModMatrix, sl_order_formula
-from .primes import is_prime, next_prime
+from .intmat import Frozen, IntMatrix, ModMatrix, Rows, SquareMatrix, elementary_product, power_below
+from .primes import is_prime, next_prime, sl_order_formula
 
 __all__ = [
     "TracelessMatrix",

@@ -30,8 +30,8 @@ sense. Every operation, from the elimination through the word to its
 product, is the word's own 1-based (i, j, a), and over Z/N its a is
 already reduced: evaluating a word, over Z or Z/N, and lifting are both
 intmat.elementary_product on those triples as they are. The factors of N
-and their CRT idempotents come from modular._crt_plan, the one statement of
-the split, cached per modulus.
+and their CRT idempotents come from primes._crt_plan, the one statement of
+the split, cached per modulus; ModMatrix comes from intmat, with IntMatrix.
 
 Column swaps needed during reduction are emitted as three elementary
 operations realizing the signed swap (c_k, c_j) -> (c_j, -c_k), so every
@@ -52,9 +52,9 @@ from itertools import repeat
 from math import gcd
 
 from .errors import ParseError
-from .intmat import (Frozen, IntMatrix, _rebuild, elementary_product, identity_rows, is_one_mod,
-                     require_det_one, require_ring)
-from .modular import ModMatrix, _crt_plan
+from .intmat import (Frozen, IntMatrix, ModMatrix, _rebuild, elementary_product, identity_rows,
+                     is_one_mod, require_det_one, require_ring)
+from .primes import _crt_plan
 
 __all__ = [
     "ElementaryWord",

@@ -9,7 +9,7 @@ import pytest
 
 import congruence_lab
 from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, selfcheck
-from congruence_lab.cli import run
+from congruence_lab.cli import build_parser, run
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,30 @@ def test_cap_is_a_usage_error_where_nothing_is_enumerated(argv, capsys):
     code, out, err = run_cli(capsys, *argv, "--cap", "1000")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --cap 1000" in err
+
+
+# Every corpus argv (each subcommand's --help among them), and the argvs that name no command.
+CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())
+PARSES = [*{tuple(c["argv"]): None for c in CORPUS}, (), ("--help",), ("frobnicate",)]
+
+
+@pytest.mark.parametrize("argv", PARSES, ids=[" ".join(argv) or "no-argv" for argv in PARSES])
+def test_narrowed_parser_parses_as_the_full_one(argv, capsysbinary):
+    # build_parser(argv) adds only the subparser argv[0] names, if any: no
+    # parse, usage, help or error may tell it from the full table.
+    def parse(parser):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            parsed = e.code
+        return parsed, capsysbinary.readouterr()
+
+    narrowed = build_parser(list(argv))
+    parsed, output = parse(narrowed)
+    assert (parsed, output) == parse(build_parser())
+    assert isinstance(parsed, int) or parsed["plain"] == ("--plain" in argv)
+    sub = next(a for a in narrowed._actions if a.dest == "command")
+    assert len(sub.choices) == (12 if argv[:1] in [(), ("--help",), ("frobnicate",)] else 1)
 
 
 def test_index_past_the_int_text_limit(capsys):

@@ -26,9 +26,9 @@ from congruence_lab import (
     sl_order_formula,
 )
 
-from congruence_lab import modular
-from congruence_lab.modular import _check_enumeration, _crt_plan, _sl_local
-from congruence_lab.primes import factorize
+from congruence_lab import modular, primes
+from congruence_lab.modular import _check_enumeration, _sl_local
+from congruence_lab.primes import _crt_plan, factorize
 
 from tests.helpers import SL_GROUPS, brute_force_sl, det_permutation_oracle, sl_group, unimodular_matrices
 
@@ -64,14 +64,14 @@ def test_crt_idempotent():
 def test_crt_plan_factors_each_modulus_once(monkeypatch):
     # enumeration, spectra, the index, words and lifts all read the cached plan,
     # so between them they factor a modulus once
-    factorize, calls = modular.factorize, []
+    factorize, calls = primes.factorize, []
 
     def counted(N):
         calls.append(N)
         return factorize(N)
 
     N = 1000003 * 1000033
-    monkeypatch.setattr(modular, "factorize", counted)
+    monkeypatch.setattr(primes, "factorize", counted)
     _crt_plan.cache_clear()
     try:
         y = ModMatrix(sample_sl(3, 12, 5).rows, N)

@@ -28,7 +28,7 @@ from congruence_lab import (
 )
 
 from congruence_lab import intmat, witnesses, words
-from congruence_lab.modular import _crt_plan
+from congruence_lab.primes import _crt_plan
 from congruence_lab.words import _Gen, _local_word_2x2, _word_ops
 
 from tests.helpers import elementary_words, sl_group, unimodular_matrices
