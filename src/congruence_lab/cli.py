@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 2 domain error (one machine-parsable "Name: reason"
 line on stderr), 1 internal failure. A reader that closes stdout early
-(`| head -1`) is not a failure: the rest of the output is dropped silently
-and the command's own code is returned. Integers have no size limit in
-either direction: for the duration of a call, run() lifts CPython's limit
-on int<->str conversion (4300 digits by default), so a 5000-digit matrix
-entry parses and |SL_120(Z/2)| prints exactly, and then restores the
-caller's limit. --plain switches to human-readable output. --cap overrides
-the enumeration cap, which bounds both enumerate and spectrum, so only they
-accept it; on any other subcommand it is a usage error (exit 2).
+(`| head -1`), or stderr, is not a failure: the rest of that stream's
+output is dropped silently and the command's own code is returned.
+Integers have no size limit in either direction: for the duration of a
+call, run() lifts CPython's limit on int<->str conversion (4300 digits by
+default), so a 5000-digit matrix entry parses and |SL_120(Z/2)| prints
+exactly, and then restores the caller's limit. --plain switches to
+human-readable output. --cap overrides the enumeration cap, which bounds
+both enumerate and spectrum, so only they accept it; on any other
+subcommand it is a usage error (exit 2).
 Usage and help text wrap at 78 columns whatever the terminal's width, and
 the subcommands show in usage as one short "command" placeholder, so that
 no Python version splits the line differently: the same argv gives the same
@@ -17,8 +18,16 @@ bytes. The one exception is the top-level --help, whose column of
 subcommand help is aligned by argparse in a way that follows the Python
 version (3.13 sets it two columns wider than 3.10-3.12). Each subcommand is
 one entry of the _COMMANDS table. Start-up is part of every call's cost, so
-this module imports just errors, each handler imports what it runs, and a
-call builds only the subparser that its first argument names, if any.
+this module imports just errors and each handler imports what it runs. A
+plainly well-formed argv (a command, then its options named in full with
+unsigned decimal values, its positionals, and at most one "--" before them)
+is read straight from the _COMMANDS table, and a JSON payload of str, int,
+bool, list and dict is written by _json, which gives json.dumps's bytes.
+argparse loads only for what that reader turns down (help, usage errors,
+abbreviated or "--opt=value" options, signed numbers), and then builds only
+the subparser that argv[0] names, if any; json loads only for a payload
+_json does not write itself. What argparse prints is held back and written
+by _emit, so a closed stdout or stderr cannot change the exit code.
 
 main(), the process entry of `python -m congruence_lab` and of the
 congruence-lab script, flushes stdout and stderr and then ends the process
@@ -32,18 +41,13 @@ In-process callers use run(), which returns the exit code.
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import CongruenceLabError, CounterexampleFound, ParseError
 
 __all__ = ["run", "main"]
-
-_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
-
 
 # Each argument is (name, add_argument options), stated once for every subcommand that takes it.
 _PLAIN = ("--plain", {"action": "store_true", "help": "human-readable output instead of JSON"})
@@ -160,21 +164,88 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None):
     """argv[0]'s subparser alone if it names a command; else all, for the top level's text."""
+    import argparse
+    import functools
+
     # Fixed width, or add_argument's formatter imports shutil to read the terminal size.
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
         description="Exact computations in SL_n(Z) and its congruence quotients.",
-        formatter_class=_FORMATTER,
+        formatter_class=formatter,
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
     for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
         summary, arguments, _ = _COMMANDS[name]
-        sub = subparsers.add_parser(name, help=summary, formatter_class=_FORMATTER)
+        sub = subparsers.add_parser(name, help=summary, formatter_class=formatter)
         for arg, options in (_PLAIN, *arguments):
             sub.add_argument(arg, **options)
     return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """parse_args's namespace for a plainly well-formed call, else None.
+
+    Plainly well-formed: argv[0] names a command; every option is one of its
+    own, named in full, and an int option's value is ASCII digits, so int()
+    reads it as argparse does; no other token starts with "-" except one
+    "--", which a positional must follow; and the positionals are exactly
+    as many as the command takes. Anything else (-h, --mo, --mod=5, --k -1,
+    a stray token, a missing required option) is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    options, names = {}, []
+    for arg, spec in (_PLAIN, *_COMMANDS[argv[0]][1]):
+        if arg[0] != "-":
+            names.append(arg)
+            continue
+        dest = arg[2:].replace("-", "_")
+        options[arg] = dest, "type" in spec
+        if not spec.get("required"):
+            values[dest] = spec.get("default", False)  # store_true's default is False
+    tokens, given = iter(argv[1:]), []
+    for token in tokens:
+        if token == "--":
+            rest = list(tokens)  # every token after "--" is positional
+            if not rest or "--" in rest:
+                return None
+            given += rest
+        elif token[:1] != "-":
+            given.append(token)
+        elif token not in options:
+            return None
+        elif options[token][1]:
+            value = next(tokens, "")
+            if not (value.isascii() and value.isdigit()):
+                return None
+            values[options[token][0]] = int(value)
+        else:
+            values[options[token][0]] = True
+    if len(given) != len(names) or len(values) != len(options) + 1:
+        return None  # a positional too many or too few, or a required option missing
+    values.update(zip(names, given))
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]):
+    """build_parser(argv).parse_args(argv), or the exit code once --help or a usage error is written."""
+    import io
+
+    # argparse writes to sys.stdout and sys.stderr: hold the text back for _emit,
+    # which alone can tell a closed stdout from a closed stderr.
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = held = io.StringIO(), io.StringIO()
+    try:
+        return build_parser(argv).parse_args(argv)
+    except SystemExit as e:  # --help, or a usage error
+        code = e.code if isinstance(e.code, int) else 2
+    finally:
+        sys.stdout, sys.stderr = streams
+    return _emit(code, held[0].getvalue(), held[1].getvalue())
 
 
 def _dispatch(args) -> tuple[int, object, str]:
@@ -198,38 +269,56 @@ def run(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as e:  # --help, or a usage error
-        return _emit(None, e.code if isinstance(e.code, int) else 2)
-    except BrokenPipeError:  # 3.10's argparse lets --help's write into a closed stdout out
-        return _emit(None, 0)
+    args = _read_argv(argv) or _parse(argv)
+    if isinstance(args, int):
+        return args
     try:
         code, payload, plain = _dispatch(args)
     except CongruenceLabError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return _emit(2, err=f"{type(e).__name__}: {e}\n")
     except CounterexampleFound as e:
-        print(f"CounterexampleFound: {e}", file=sys.stderr)
-        return 1
+        return _emit(1, err=f"CounterexampleFound: {e}\n")
     except Exception as e:  # pragma: no cover - internal failure guard
-        print(f"InternalError: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    return _emit(plain if args.plain else json.dumps(payload), code)
+        return _emit(1, err=f"InternalError: {type(e).__name__}: {e}\n")
+    return _emit(code, (plain if args.plain else _json(payload)) + "\n")
 
 
-def _emit(text: str | None, code: int) -> int:
-    """Print text, if any, and flush; a reader that has gone away is not an error."""
-    try:
-        if text is not None:
-            print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # Point stdout at devnull so that no later flush, main's or at exit, can fail
-        # again (the pattern of the `signal` module's documentation).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+def _json(value) -> str:
+    """json.dumps(value), written here for the types the handlers return.
+
+    The default encoder joins a container's members' texts with ", " and
+    ": ", so writing members here and handing any other value to json.dumps
+    gives its bytes. A str is written as is only if json.dumps would leave
+    every character alone: printable ASCII with no quote or backslash.
+    """
+    kind = type(value)
+    if kind is str and value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+        return f'"{value}"'
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        return f"[{', '.join(map(_json, value))}]"
+    if kind is dict and all(type(key) is str for key in value):
+        return "{" + ", ".join(f"{_json(key)}: {_json(member)}" for key, member in value.items()) + "}"
+    import json
+
+    return json.dumps(value)
+
+
+def _emit(code: int, out: str = "", err: str = "") -> int:
+    """Write out to stdout and err to stderr, flushing each; a reader that has gone away is not an error."""
+    for stream, text in (sys.stdout, out), (sys.stderr, err):
+        try:
+            stream.write(text)
+            stream.flush()
+        except BrokenPipeError:
+            # Point the stream at devnull so that no later flush, main's or at exit, can
+            # fail again (the pattern of the `signal` module's documentation).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
     return code
 
 

@@ -32,9 +32,9 @@ from .errors import BadModulus, CapExceeded
 from .intmat import ModMatrix, Rows, cofactors, identity_rows, power_below, product_of_rows
 from .primes import _crt_plan, sl_order_formula
 
+# ModMatrix is exported by intmat; `from congruence_lab.modular import ModMatrix` still works.
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
-    "ModMatrix",
     "enumerate_sl",
     "sl_order_formula",
 ]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,13 @@ import sys
 import time
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import congruence_lab
 from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, selfcheck
-from congruence_lab.cli import build_parser, run
+from congruence_lab.cli import _COMMANDS, _PLAIN, _dispatch, _json, _read_argv, build_parser, run
 
 
 def run_cli(capsys, *argv):
@@ -164,12 +168,15 @@ def test_cap_is_a_usage_error_where_nothing_is_enumerated(argv, capsys):
 # Every corpus argv (each subcommand's --help among them), and the argvs that name no command.
 CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())
 PARSES = [*{tuple(c["argv"]): None for c in CORPUS}, (), ("--help",), ("frobnicate",)]
+# The corpus argvs that answer; each must take the table reader, not argparse.
+ANSWERS = [c for c in CORPUS if c["code"] == 0 and "--help" not in c["argv"]]
 
 
 @pytest.mark.parametrize("argv", PARSES, ids=[" ".join(argv) or "no-argv" for argv in PARSES])
 def test_narrowed_parser_parses_as_the_full_one(argv, capsysbinary):
     # build_parser(argv) adds only the subparser argv[0] names, if any: no
-    # parse, usage, help or error may tell it from the full table.
+    # parse, usage, help or error may tell it from the full table. The table
+    # reader gives argparse's namespace or leaves the argv to argparse.
     def parse(parser):
         try:
             parsed = vars(parser.parse_args(argv))
@@ -183,6 +190,101 @@ def test_narrowed_parser_parses_as_the_full_one(argv, capsysbinary):
     assert isinstance(parsed, int) or parsed["plain"] == ("--plain" in argv)
     sub = next(a for a in narrowed._actions if a.dest == "command")
     assert len(sub.choices) == (12 if argv[:1] in [(), ("--help",), ("frobnicate",)] else 1)
+    read = _read_argv(list(argv))
+    assert read is None or vars(read) == parsed
+    assert read is not None or list(argv) not in [c["argv"] for c in ANSWERS]
+
+
+_FLAGS = sorted({arg for _, arguments, _ in _COMMANDS.values() for arg, _ in arguments if arg[0] == "-"})
+# Option values argparse reads as int, and what it reads otherwise or not at all.
+_NUMBERS = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.integers(0, 99).map(str),
+    st.sampled_from(["-5", "+5", " 5", "5 ", "-0", "1_000", "0x1f", "\u0663", "\u00b2", "\uff15", "5.0"]),
+)
+_MATRICES = st.sampled_from(["0,-1;1,0", "1,2;0,1 mod 3", "-1,0;0,-1", "-1,0;0,-1 mod 3", "", "-", "-h"])
+_TOKENS = st.one_of(
+    st.sampled_from([*_COMMANDS, *_FLAGS, "--plain", "--", "-h", "--help", "--mo", "--pl", "--count", "--mod=5"]),
+    _NUMBERS,
+    _MATRICES,
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _calls(draw):
+    """One command's arguments, each perhaps dropped, in any order, perhaps with a stray token."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    parts, last = [], []
+    for arg, options in (_PLAIN, *_COMMANDS[command][1]):
+        if arg[0] != "-":
+            if draw(st.booleans()):
+                parts.append([draw(_MATRICES)])
+            else:
+                last = ["--", draw(_MATRICES)]
+        elif draw(st.integers(0, 7)):
+            parts.append([arg, draw(_NUMBERS)] if "type" in options else [arg])
+    argv = [token for part in draw(st.permutations(parts)) for token in part] + last
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TOKENS))
+    return [command, *argv]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_calls(), st.lists(_TOKENS, max_size=6)))
+def test_table_reader_reads_as_argparse(argv):
+    # The reader turns down what it cannot read plainly; what it reads, argparse reads the same.
+    read = _read_argv(argv)
+    if read is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(build_parser(argv).parse_args(argv))
+            except SystemExit as e:
+                parsed = e.code
+        assert vars(read) == parsed
+
+
+@pytest.mark.parametrize("case", [c for c in ANSWERS if "--plain" not in c["argv"]], ids=lambda c: " ".join(c["argv"]))
+def test_json_writer_gives_the_corpus_bytes(case):
+    _, payload, _ = _dispatch(_read_argv(case["argv"]))
+    assert _json(payload) + "\n" == json.dumps(payload) + "\n" == case["stdout"]
+
+
+# Any unicode; printable ASCII with the quote and backslash json.dumps escapes;
+# and the escaped controls, DEL and characters past ASCII, printable or not.
+_TEXT = st.one_of(st.text(), st.text('a ~/"\\'), st.text("a\n\t\x00\x1f\x7f\x80\xe9\u2028\U0001f600"))
+_LEAVES = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(10**4300, 10**4400),  # past CPython's default limit on int to str
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda members: st.one_of(
+        st.lists(members, max_size=4),
+        st.lists(members, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_TEXT, st.integers(), st.booleans(), st.none()), members, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None)
+@given(_VALUES)
+def _json_as_json_dumps(value):
+    assert _json(value) == json.dumps(value)
+
+
+def test_json_writer_gives_the_bytes_of_json_dumps():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # for the huge ints, and for hypothesis to print them
+    try:
+        _json_as_json_dumps()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_index_past_the_int_text_limit(capsys):
@@ -259,24 +361,42 @@ def test_module_entry_point(argv, unbuffered, capsysbinary):
     assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code)
 
 
+# Each kind of call with the exit code it must end with: an answer, a domain
+# error, a usage error and --help.
+KINDS = [
+    ("enumerate", ["enumerate", "--n", "2", "--mod", "5", "--plain"], 0),
+    ("domain-error", ["decompose", "1,2;3"], 2),
+    ("usage-error", ["order", "0,-1;1,0", "--cap", "5"], 2),
+    ("help", ["--help"], 0),
+]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv", [["enumerate", "--n", "2", "--mod", "5", "--plain"], ["--help"]], ids=["enumerate", "help"]
+    "argv, expected, closed",
+    [
+        pytest.param(argv, expected, closed, id=name if closed == "stdout" else f"{name}-closed-stderr")
+        for name, argv, expected in KINDS
+        for closed in ("stdout", "stderr")
+    ],
 )
-def test_closed_stdout_is_not_a_failure(argv, unbuffered):
-    # The reader is gone before the child writes, as with `| head -1` once
-    # head has exited: the output is dropped and the command's code stands.
+def test_closed_stdout_is_not_a_failure(argv, expected, closed, unbuffered, capsysbinary):
+    # The reader of stdout, or of stderr, is gone before the child writes, as
+    # with `| head -1` once head has exited: that stream's output is dropped,
+    # the other stream gets in-process run()'s bytes, and the code stands.
+    code = run(argv)
+    written = dict(zip(["stdout", "stderr"], capsysbinary.readouterr()))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "congruence_lab", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
+            **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end},
             env=_child_env(unbuffered),
             timeout=60,
         )
     finally:
         os.close(write_end)
-    assert proc.returncode == 0
-    assert proc.stderr == b""
+    other = "stderr" if closed == "stdout" else "stdout"
+    assert proc.returncode == code == expected
+    assert getattr(proc, other) == written[other]

@@ -3,9 +3,12 @@
 Each test runs a child `python -B -I -S` (no site-packages, no environment,
 and no bytecode written into src: -I ignores PYTHONDONTWRITEBYTECODE) with
 src on sys.path, the way the CLI starts. For one corpus entry of each
-subcommand the child must replay the entry byte for byte while loading only
-that subcommand's modules, and never dataclasses, inspect, typing or
-shutil; only the subcommands that sample load random. A cold,
+subcommand that answers, the child must replay the entry byte for byte
+while loading only that subcommand's modules, and never dataclasses,
+inspect, typing or shutil, nor argparse, gettext, locale or json: cli reads
+a well-formed argv from its own table and writes the JSON itself. Only the
+subcommands that sample load random. A usage error and a --help still
+replay their entries through argparse, which they load. A cold,
 per-subcommand load order can expose an import cycle that the in-process
 corpus, which runs after everything is imported, never meets. The package
 itself loads no submodule until a public name is used, and then binds all
@@ -49,17 +52,20 @@ LOADS = {
 # dataclasses imports inspect and ast; shutil (with bz2 and lzma) is what argparse
 # imports to measure a terminal when a parser has no fixed width.
 HEAVY = ("dataclasses", "inspect", "typing", "shutil")
+# What parsing with argparse and writing with json would load; a call that answers needs none.
+PARSING = ("argparse", "gettext", "locale", "json")
 # random (with bisect and _sha512) is imported inside the samplers, which only selfcheck runs.
 SAMPLES = {"selfcheck"}
 
 # The child runs BODY, which sets `code`, then writes the names of the
-# modules it has loaded, as JSON, to the file named by its second argument.
+# modules it had loaded, as JSON, to the file named by its second argument.
 _CHILD = """import sys
 sys.path.insert(0, sys.argv[1])
 {body}
+loaded = sorted(sys.modules)
 import json
 with open(sys.argv[2], "w") as f:
-    json.dump(sorted(sys.modules), f)
+    json.dump(loaded, f)
 raise SystemExit(code)
 """
 
@@ -95,8 +101,23 @@ def test_cold_subcommand_loads_only_its_modules(command, tmp_path):
     proc, modules = _child(tmp_path, body, *case["argv"])
     assert (proc.stdout, proc.stderr, proc.returncode) == (case["stdout"], case["stderr"], case["code"])
     assert _ours(modules) == LOADS[command]
-    assert not modules & set(HEAVY)
+    assert not modules & {*HEAVY, *PARSING}
     assert ("random" in modules) == (command in SAMPLES)
+
+
+# The first usage error and the first --help of the corpus.
+ARGPARSE = [
+    next(c for c in CORPUS if c["stderr"].startswith("usage:")),
+    next(c for c in CORPUS if "--help" in c["argv"]),
+]
+
+
+@pytest.mark.parametrize("case", ARGPARSE, ids=[" ".join(c["argv"]) for c in ARGPARSE])
+def test_cold_usage_error_and_help_load_argparse(case, tmp_path):
+    body = "from congruence_lab.cli import run\ncode = run(sys.argv[3:])"
+    proc, modules = _child(tmp_path, body, *case["argv"])
+    assert (proc.stdout, proc.stderr, proc.returncode) == (case["stdout"], case["stderr"], case["code"])
+    assert "argparse" in modules and "json" not in modules
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
@@ -104,7 +125,7 @@ def test_bare_import_loads_no_submodule(tmp_path):
     proc, modules = _child(tmp_path, body)
     assert proc.stdout == congruence_lab.__version__ + "\n", proc.stderr
     assert "congruence_lab" in modules and not _ours(modules)
-    assert not modules & {*HEAVY, "random"}
+    assert not modules & {*HEAVY, *PARSING, "random"}
 
 
 def test_submodule_from_import_loads_only_that_submodule(tmp_path):
