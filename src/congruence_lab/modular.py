@@ -1,36 +1,33 @@
 """The elements of SL_n(Z/N). ModMatrix is imported from intmat.py, and the
-CRT split _crt_plan and the count sl_order_formula from primes.py.
+count sl_order_formula from primes.py.
 
-enumerate_sl lists SL_n(Z/N) through its structure: CRT splits it into the
-factors SL_n(Z/p^s), each listed in order with the rows shared. Per head of
-n-2 rows, one product_of_rows gives the cofactor vectors of every last top
-row, and the last rows come from a table of the solutions of det = 1
-(_completions). A prime power's list is returned as it is; several factors
-are glued in one pass, each element the sum of e*x mod N over its factors,
-and sorted once (_crt_glue). The rows are wrapped as ModMatrix in bulk, by
-SquareMatrix._wrap_all, with no Python call per element. The cyclic
-collector is paused while the group is built: each element is one ModMatrix
-holding a tuple of shared int-tuple rows and an int, so the records form no
-cycles and a collection can free none of them (the test suite pins this).
-On 3.10 and 3.11 the pause removes the repeated young passes (125 for
-SL_3(Z/4)) and the collection of the whole heap that building the list
-could start; on 3.12 and 3.13 it is neutral. One young pass stays, at the
-caller's next allocation while the list is alive. Its cost follows
-|SL_n(Z/N)| rather than N^(n^2), but the cap still bounds N^(n^2), so which
-inputs are refused does not depend on the route. sl_order_formula computes
-the same count in closed form; the test suite holds the two together and
-checks the list against an exhaustive N^(n^2) walk.
+enumerate_sl lists SL_n(Z/N) in one walk over Z/N, in order, with the rows
+shared and N never factored. Per head of n-2 rows, one product_of_rows gives
+the cofactor vector c of every last top row, and the last rows solve
+c.y = 1 mod N, once per vector met (_completions): none unless
+gcd(c, N) = 1, and else, with g = gcd(c_n, N), one ascending progression of
+step N/g in y_n for each prefix p of y with g | 1 - c.p, so nothing is
+sorted. At n = 2, where no vector repeats, _sl2_rows writes the walk out.
+The rows are wrapped as ModMatrix in bulk, by SquareMatrix._wrap_all, with
+no Python call per element, while the cyclic collector is paused (for why,
+see enumerate_sl; the test suite pins that the records form no cycles). Its
+cost follows |SL_n(Z/N)| rather than N^(n^2), but the cap still bounds
+N^(n^2), so which inputs are refused does not depend on the route.
+sl_order_formula computes the same count in closed form; the test suite
+holds the two together and checks the list against an exhaustive N^(n^2)
+walk.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import math
 from operator import index
 
 from .errors import BadModulus, CapExceeded
 from .intmat import ModMatrix, Rows, cofactors, identity_rows, power_below, product_of_rows
-from .primes import _crt_plan, sl_order_formula
+from .primes import sl_order_formula
 
 # ModMatrix is exported by intmat; `from congruence_lab.modular import ModMatrix` still works.
 __all__ = [
@@ -64,55 +61,88 @@ def _check_enumeration(n: int, N: int, cap: int | None) -> tuple[int, int]:
     return n, N
 
 
-def _sl_local(n: int, p: int, s: int) -> list[Rows]:
-    """The entries of every element of SL_n(Z/p^s), in lexicographic order.
+def _sl_rows(n: int, N: int) -> list[Rows]:
+    """The entries of every element of SL_n(Z/N), in lexicographic order.
 
     The top n-1 rows are a head of n-2 rows and a last top row x, each run
-    through `space`, the q^n rows in order. det is linear in the last row,
+    through `space`, the N^n rows in order. det is linear in the last row,
     with intmat.cofactors(head + (x,)) as coefficients, and those are linear
     in x: x times the table whose row k is cofactors(head + (e_k,)). So one
     product_of_rows per head gives the cofactor vectors of all its tops,
-    reduced mod q, in the order of `space`. A second table holds the sorted
-    completions of each vector met (_completions), so every row of the list
-    is one of the tuples of `space`.
+    reduced mod N, in the order of `space`. A second table holds the
+    completions of each vector met (_completions), and zip builds each
+    element as one tuple, so every row of the list is one of `space`.
     """
-    if n == 1:  # directly: the general route would build all q one-entry rows
+    if n == 1:  # directly: the general route would build all N one-entry rows
         return [((1,),)]
-    q = p**s
-    space = list(itertools.product(range(q), repeat=n))
+    if n == 2:  # no vector repeats, so the table and the zips only cost time
+        return _sl2_rows(N)
+    space = list(itertools.product(range(N), repeat=n))
     basis = identity_rows(n)
     completions: dict[tuple[int, ...], list] = {}
     out: list[Rows] = []
     for head in itertools.product(space, repeat=n - 2):
         table = tuple(cofactors(head + (e,)) for e in basis)
-        for x, cof in zip(space, product_of_rows(space, table, q)):
+        fixed = [*map(itertools.repeat, head)]  # stateless, so one per head serves every zip
+        for x, cof in zip(space, product_of_rows(space, table, N)):
             if (tails := completions.get(cof)) is None:
-                tails = completions[cof] = _completions(cof, p, q, space)
-            out += map((head + (x,)).__add__, tails)
+                tails = completions[cof] = _completions(cof, N, space)
+            out += zip(*fixed, itertools.repeat(x), tails)
     return out
 
 
-def _completions(cof: tuple[int, ...], p: int, q: int, space: list) -> list:
-    """The rows x of space with cof.x = 1 mod q, sorted, as 1-tuples. Z/q is local, so
-    there are none unless some cof_j is a unit; then x_j is solved from the other entries."""
-    j = next((j for j, c in enumerate(cof) if c % p), None)
-    if j is None:
+def _completions(cof: tuple[int, ...], N: int, space: list) -> list:
+    """The rows y of space with cof.y = 1 mod N, in the order of space; the
+    entries of cof lie in [0, N), as product_of_rows gives them.
+
+    There are none unless gcd(cof, N) = 1. Otherwise let c = cof[-1] and
+    g = gcd(c, N). A prefix of y, with r = 1 minus its dot product with the
+    rest of cof, has a completion iff g divides r, and its completions are
+    y_n = y* + t*N/g for t < g, with y* = (r/g)(c/g)^-1 mod N/g: one slice
+    of space, ascending. Only r mod N matters, so each entry a of the rest
+    steps r by N - a, a range step that is never 0.
+    """
+    if math.gcd(*cof, N) != 1:
         return []
-    inv, n = pow(cof[j], -1, q), len(cof)
-    at, xj = [0], [inv]  # the index in space of each x so far, and its x_j
-    for k, c in enumerate(cof):
-        if k != j:
-            d, w = c * inv, q ** (n - 1 - k)
-            at = [i + w * t for i in at for t in range(q)]
-            xj = [v - d * t for v in xj for t in range(q)]
-    return [(space[i],) for i in sorted([i + q ** (n - 1 - j) * (v % q) for i, v in zip(at, xj)])]
+    c = cof[-1]
+    g = math.gcd(c, N)
+    step = N // g
+    inv = pow(c // g, -1, step)
+    rs = [1]  # r for each prefix in the order of space, up to a multiple of N
+    for a in cof[:-1]:
+        rs = [r for r0 in rs for r in range(r0, r0 + (N - a) * N, N - a)]
+    starts = range(0, N * len(rs), N)  # the prefix's first row in space
+    return [y for i, r in zip(starts, rs) if not r % g for y in space[i + r // g * inv % step : i + N : step]]
+
+
+def _sl2_rows(N: int) -> list[Rows]:
+    """_sl_rows(2, N) written out. The cofactor vector of the top row (a, b)
+    is (-b, a), so _completions' g and inverse depend on a alone and are found
+    once per a, and each element is built as it is listed. A unit a gives one
+    last row (c, d) per c, d = (1 + b*c)/a."""
+    space = list(itertools.product(range(N), repeat=2))
+    starts = range(0, N * N, N)  # the first row of space with first entry c
+    out: list[Rows] = []
+    for a in range(N):
+        g = math.gcd(a, N)
+        step = N // g
+        inv = pow(a // g, -1, step)
+        for x in space[a * N : a * N + N]:
+            b = x[1]
+            if g == 1:
+                out += [(x, space[i + (1 + b * c) * inv % N]) for i, c in zip(starts, range(N))]
+            elif math.gcd(g, b) == 1:
+                out += [(x, y) for i, c in zip(starts, range(N)) if not (r := 1 + b * c) % g
+                        for y in space[i + r // g * inv % step : i + N : step]]
+    return out
 
 
 def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
     """All of SL_n(Z/N), sorted lexicographically by entries.
 
-    Lists each CRT factor SL_n(Z/p^s) with _sl_local and glues the factors
-    together entrywise in one pass, so the cost follows |SL_n(Z/N)|. Raises
+    Walks the top rows over Z/N and solves the last row of each from the
+    determinant (_sl_rows), in order and with no sort, so the cost follows
+    |SL_n(Z/N)| and N is never factored. Raises
     CapExceeded (carrying the required cap, or None past 4300 digits) when
     the entry space N^(n^2) is larger than `cap` (default
     DEFAULT_ENUMERATION_CAP).
@@ -130,21 +160,7 @@ def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:
     was = gc.isenabled()
     gc.disable()  # the records form no cycles: a collection here frees nothing
     try:
-        plan = _crt_plan(N)
-        lists = [_sl_local(n, p, s) for p, s, _, _ in plan]
-        # a prime power's list is already in order; a glued one is not
-        elements = lists[0] if len(plan) == 1 else _crt_glue(lists, [e for *_, e in plan], N)
-        return ModMatrix._wrap_all(elements, N)
+        return ModMatrix._wrap_all(_sl_rows(n, N), N)
     finally:
         if was:
             gc.enable()
-
-
-def _crt_glue(lists: list[list[Rows]], es: list[int], N: int) -> list[Rows]:
-    """Every choice of one element per factor, joined entrywise by CRT as the
-    sum of e*x mod N over the factors (es their idempotents), sorted. Each
-    choice of one row per factor is joined once, so the glued rows are shared too."""
-    scaled = [{r: [e * u for u in r] for r in set().union(*xs)} for xs, e in zip(lists, es)]
-    glued = {key: tuple(sum(col) % N for col in zip(*map(dict.__getitem__, scaled, key)))
-             for key in itertools.product(*scaled)}
-    return sorted(tuple(map(glued.__getitem__, zip(*xs))) for xs in itertools.product(*lists))

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from congruence_lab import ElementaryWord, IntMatrix, ModMatrix, enumerate_sl, torsion
 from congruence_lab.intmat import elementary_product, identity_rows, product_of_rows
-from congruence_lab.modular import _sl_local
+from congruence_lab.modular import _sl_rows
 from congruence_lab.primes import euler_phi, factorize
 
 
@@ -154,7 +154,7 @@ def cyclic_walk_spectrum(n: int, N: int) -> frozenset[int]:
         q = p**s
         ident = identity_rows(n)
         orders = {}
-        for x in _sl_local(n, p, s):
+        for x in _sl_rows(n, q):
             if x in orders:
                 continue
             y, powers = x, [x]

@@ -244,7 +244,7 @@ def _rows(m, n, bound):
     return st.tuples(*[row] * m)
 
 
-# m = 1 and n + 3 rows as well as square: _sl_local multiplies q^n rows by an n x n table
+# m = 1 and n + 3 rows as well as square: _sl_rows multiplies N^n rows by an n x n table
 @given(
     st.integers(1, 5).flatmap(
         lambda n: st.tuples(st.sampled_from((1, n, n + 3)).flatmap(lambda m: _rows(m, n, 50)), _rows(n, n, 50))

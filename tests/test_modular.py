@@ -1,7 +1,10 @@
 import copy
 import gc
+import itertools
 import math
+import operator
 import pickle
+import random
 import sys
 import tracemalloc
 
@@ -27,7 +30,7 @@ from congruence_lab import (
 )
 
 from congruence_lab import modular, primes
-from congruence_lab.modular import _check_enumeration, _sl_local
+from congruence_lab.modular import _check_enumeration, _completions, _sl_rows
 from congruence_lab.primes import _crt_plan, factorize
 
 from tests.helpers import SL_GROUPS, brute_force_sl, det_permutation_oracle, sl_group, unimodular_matrices
@@ -142,25 +145,41 @@ def test_enumerate_sl_matches_brute_force(n, N):
     assert enumerate_sl(n, N) == brute_force_sl(n, N)
 
 
-@pytest.mark.parametrize(
-    "n,p,s",
-    [(2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 2, 3), (2, 3, 2), (2, 11, 1),
-     (3, 2, 1), (3, 3, 1), (3, 2, 2)],
-)
-def test_sl_local_is_sorted_and_matches_brute_force(n, p, s):
-    # each prime-power factor comes out strictly increasing, so enumerate_sl returns
-    # it as listed and sorts only a glued list; the brute-force walk is in order too
-    local = _sl_local(n, p, s)
-    assert all(a < b for a, b in zip(local, local[1:]))
-    assert local == [y.rows for y in brute_force_sl(n, p**s)]
-
-
 def test_sl_local_n4_is_sorted_with_det_one():
     # 2^16 entry tuples: the closed-form count and the Leibniz det are the oracle
-    local = _sl_local(4, 2, 1)
+    local = _sl_rows(4, 2)
     assert all(a < b for a, b in zip(local, local[1:]))
     assert all(det_permutation_oracle(rows) % 2 == 1 for rows in local)
     assert len(local) == sl_order_formula(4, 2)
+
+
+def _solve_cases(n: int, N: int) -> list[tuple[int, ...]]:
+    """Every vector at n = 2; at n = 3 a seeded sample, with one vector of each
+    kind: gcd(c_n, N) = 1, a proper divisor of N, and N itself, a vector that
+    is not unimodular, and c_1 = 0 with c_n a unit."""
+    vectors = list(itertools.product(range(N), repeat=n))
+    if n == 2:
+        return vectors
+    d = min(p for p, _ in factorize(N))
+    kinds = [(2, 3, 1), (1, 2, d), (1, 1, 0), (d, d * (N // d - 1), 0), (0, 5 % N, N - 1)]
+    return kinds + random.Random(N).sample(vectors, 40)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [4, 6, 8, 9, 12, 30])
+def test_completions_match_a_filter_over_every_row(n, N):
+    # the oracle: every row y of (Z/N)^n with cof.y = 1 mod N, in order
+    space = list(itertools.product(range(N), repeat=n))
+    cases = _solve_cases(n, N)
+    gs = {math.gcd(cof[-1], N) for cof in cases if math.gcd(*cof, N) == 1}
+    assert 1 in gs and N in gs and gs - {1, N}
+    assert any(math.gcd(*cof, N) > 1 for cof in cases)
+    assert any(cof[0] == 0 and math.gcd(cof[-1], N) == 1 for cof in cases)
+    for cof in cases:
+        ys = _completions(cof, N, space)
+        expected = [y for y in space if sum(map(operator.mul, cof, y)) % N == 1]
+        assert ys == expected, cof
+        assert all(map(operator.is_, ys, expected))
 
 
 @pytest.mark.parametrize("n,N", [(3, 4), (2, 12), (2, 30)])
@@ -171,7 +190,8 @@ def test_enumerate_sl_shares_rows(n, N):
 
 
 def test_enumerate_sl_three_crt_factors():
-    # N = 30 = 2*3*5: two glue steps. N^(n^2) tuples is too many to brute-force,
+    # N = 30 = 2*3*5: the last entries run through progressions of all eight
+    # steps N/g, g | 30. N^(n^2) tuples is too many to brute-force,
     # so the closed-form count and the shape of the list are the oracle.
     els = sl_group(2, 30)
     assert len(els) == sl_order_formula(2, 30) == 6 * 24 * 120
@@ -245,7 +265,7 @@ def test_enumerate_sl_restores_the_collector_state(monkeypatch):
             enumerate_sl(2, 12)
             assert gc.isenabled() is enabled
         with monkeypatch.context() as m:
-            m.setattr(modular, "_sl_local", boom)
+            m.setattr(modular, "_sl_rows", boom)
             for enabled in (True, False):
                 gc.enable() if enabled else gc.disable()
                 with pytest.raises(RuntimeError, match="inside the pause"):

@@ -98,8 +98,9 @@ def kernel_rows() -> dict[str, float]:
     g = sample_sl(11, 13, 11)
     x11 = g * IntMatrix([[int(j == (i + 1) % 11) for j in range(11)] for i in range(11)]) * g.inverse()
     row("matrix_order(g*D*g^-1), order 11", 11, "Z", lambda: matrix_order(x11))
-    # Two and three CRT factors glued, then 43,008 elements wrapped in bulk.
-    for N in (12, 30):
+    # The walk over Z/N: a prime N, where every top row has its own cofactor
+    # vector; two and three prime factors; then 43,008 elements wrapped in bulk.
+    for N in (11, 12, 30):
         row(f"enumerate_sl(2, {N})", 2, f"Z/{N}", lambda: enumerate_sl(2, N))
     row("enumerate_sl(3, 4)", 3, "Z/4", lambda: enumerate_sl(3, 4))
     # The record protocol on that list.
