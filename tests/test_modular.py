@@ -145,6 +145,19 @@ def test_enumerate_sl_matches_brute_force(n, N):
     assert enumerate_sl(n, N) == brute_force_sl(n, N)
 
 
+@pytest.mark.parametrize(
+    "n,p,s",
+    [(2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (2, 7, 1), (2, 2, 3), (2, 3, 2), (2, 11, 1),
+     (3, 2, 1), (3, 3, 1), (3, 2, 2)],
+)
+def test_sl_local_is_sorted_and_matches_brute_force(n, p, s):
+    # the listing of SL_n(Z/p^s) comes out strictly increasing with no sort;
+    # the brute-force walk is in order too
+    local = _sl_rows(n, p**s)
+    assert all(a < b for a, b in zip(local, local[1:]))
+    assert local == [y.rows for y in brute_force_sl(n, p**s)]
+
+
 def test_sl_local_n4_is_sorted_with_det_one():
     # 2^16 entry tuples: the closed-form count and the Leibniz det are the oracle
     local = _sl_rows(4, 2)
