@@ -7,7 +7,7 @@ the cofactor vector c of every last top row, and the last rows solve
 c.y = 1 mod N, once per vector met (_completions): none unless
 gcd(c, N) = 1, and else, with g = gcd(c_n, N), one ascending progression of
 step N/g in y_n for each prefix p of y with g | 1 - c.p, so nothing is
-sorted. At n = 2, where no vector repeats, _sl2_rows writes the walk out.
+sorted. The same walk serves every n >= 2 and every N.
 The rows are wrapped as ModMatrix in bulk, by SquareMatrix._wrap_all, with
 no Python call per element, while the cyclic collector is paused (for why,
 see enumerate_sl; the test suite pins that the records form no cycles). Its
@@ -75,8 +75,6 @@ def _sl_rows(n: int, N: int) -> list[Rows]:
     """
     if n == 1:  # directly: the general route would build all N one-entry rows
         return [((1,),)]
-    if n == 2:  # no vector repeats, so the table and the zips only cost time
-        return _sl2_rows(N)
     space = list(itertools.product(range(N), repeat=n))
     basis = identity_rows(n)
     completions: dict[tuple[int, ...], list] = {}
@@ -113,28 +111,6 @@ def _completions(cof: tuple[int, ...], N: int, space: list) -> list:
         rs = [r for r0 in rs for r in range(r0, r0 + (N - a) * N, N - a)]
     starts = range(0, N * len(rs), N)  # the prefix's first row in space
     return [y for i, r in zip(starts, rs) if not r % g for y in space[i + r // g * inv % step : i + N : step]]
-
-
-def _sl2_rows(N: int) -> list[Rows]:
-    """_sl_rows(2, N) written out. The cofactor vector of the top row (a, b)
-    is (-b, a), so _completions' g and inverse depend on a alone and are found
-    once per a, and each element is built as it is listed. A unit a gives one
-    last row (c, d) per c, d = (1 + b*c)/a."""
-    space = list(itertools.product(range(N), repeat=2))
-    starts = range(0, N * N, N)  # the first row of space with first entry c
-    out: list[Rows] = []
-    for a in range(N):
-        g = math.gcd(a, N)
-        step = N // g
-        inv = pow(a // g, -1, step)
-        for x in space[a * N : a * N + N]:
-            b = x[1]
-            if g == 1:
-                out += [(x, space[i + (1 + b * c) * inv % N]) for i, c in zip(starts, range(N))]
-            elif math.gcd(g, b) == 1:
-                out += [(x, y) for i, c in zip(starts, range(N)) if not (r := 1 + b * c) % g
-                        for y in space[i + r // g * inv % step : i + N : step]]
-    return out
 
 
 def enumerate_sl(n: int, N: int, cap: int | None = None) -> list[ModMatrix]:

@@ -7,7 +7,8 @@ its src/ is what gets timed. The script pins its own process, and so every
 child, to one CPU. Three sections of rows:
 
 - kernel: per-call minimums of the row kernel and the algorithms built on
-  it, each the best of three autoranged timeit repeats in one process;
+  it, each the best of three autoranged timeit repeats in each of five
+  processes;
 - selfcheck: the seconds of each selfcheck._CHECKS entry, in quick and in
   full mode, each mode in a fresh process that runs the checks in order as
   `selfcheck` does, so caches fill as they do in a CLI call;
@@ -22,8 +23,8 @@ child, to one CPU. Three sections of rows:
 With two or more trees, the cli rows run in interleaved rounds (the tree
 order reversed every other round), and the in-process sections alternate in
 the same way. A row reports the median and minimum of its runs: --runs cold
-calls (default 15), five selfcheck --quick processes, two full ones and one
-kernel process. The env block records the Python version, the CPU, the
+calls (default 15), five selfcheck --quick processes, two full ones and five
+kernel processes. The env block records the Python version, the CPU, the
 bytecode state and bare `python -c pass` and `python -S -c pass` times.
 
 --out writes the rows as JSON. --compare FILE prints, for every row of the
@@ -49,7 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "cli_corpus.json"
-PASSES = {"kernel": 1, "selfcheck-quick": 5, "selfcheck-full": 2}
+PASSES = {"kernel": 5, "selfcheck-quick": 5, "selfcheck-full": 2}
 
 
 def kernel_rows() -> dict[str, float]:
