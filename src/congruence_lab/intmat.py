@@ -17,7 +17,7 @@ The det over Z/N (_det_mod) reduces the closed forms and from 5x5 on
 eliminates mod N, so its entries stay below N. The classes wrap its results;
 IntMatrix.inverse is the one fraction-free Gauss-Jordan pass over [x | 1],
 O(n^3) as the Bareiss det above 4x4 (cofactors serves only the last-row
-solves of the SL_n(Z/p^s) walks in modular and torsion). Two
+solves of modular._sl_rows over Z/N and torsion._congruence_kernel). Two
 integer helpers are stated here once for every module: level_of_rows, the
 gcd of the entries of rows - 1 (gamma_level, the kernel orders of
 mod_spectrum), and power_below, which builds b^e only below a bound (the

@@ -2,16 +2,25 @@
 
 The invariants live only in `congruence_lab.selfcheck`; this file runs them
 and keeps the wall-clock budgets of criteria 1-3, the only inexact limits.
+It also pins the sha256 of the full `selfcheck --plain` report, formatted by
+the CLI from these same results, so the checks run once. Every sampled check
+draws its matrices from a seed through getrandbits alone, so the bytes are
+the same on every supported Python.
 `pytest tests/test_acceptance.py -v -s` prints one
 `acceptance <check>: PASS|FAIL (<detail>, <seconds>s)` line per check.
 """
 
 import functools
+import hashlib
 import time
 
 import pytest
 
+from congruence_lab import selfcheck
+from congruence_lab.cli import run
 from congruence_lab.selfcheck import _CHECKS, CHECK_NAMES
+
+FULL_REPORT_SHA256 = "36d7fdcacf6ed4274c9edb8d4a22a4bb9b2b6b867c0a79f493862b458df6b671"
 
 
 @functools.cache
@@ -45,3 +54,12 @@ def test_criterion_2_torsion_facts():
 
 def test_criterion_3_elementary_generation_roundtrip():
     _within_budget(60.0, "decompose-int-roundtrip", "decompose-mod-exhaustive")
+
+
+def test_full_report_is_byte_identical(capsys, monkeypatch):
+    results = {name: _full(name)[:2] for name in CHECK_NAMES}
+    capsys.readouterr()  # what _full printed
+    monkeypatch.setattr(selfcheck, "_CHECKS", [(name, lambda quick, seed, r=r: r) for name, r in results.items()])
+    assert run(["selfcheck", "--plain"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_REPORT_SHA256, out

@@ -1,10 +1,13 @@
 """tools/bench_rows.py and the BENCH_cli.json it wrote: every subcommand and
-selfcheck check has its row, and the compare mode reads every row back."""
+selfcheck check has its row, the compare mode reads every row back, and the
+design counts are the direct ones."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
+import congruence_lab
 from congruence_lab.selfcheck import CHECK_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +35,14 @@ def test_compare_gives_a_ratio_for_every_committed_row():
     lines = bench_rows.compare({"columns": ["now"], "rows": rows}, BENCH).splitlines()[2:]
     assert len(lines) == len(BENCH["rows"])
     assert all(line.endswith("| 1.000 |") for line in lines)
+
+
+def test_design_counts_are_the_direct_counts():
+    def wc(glob):
+        return int(subprocess.run(f"cat {glob} | wc -l", shell=True, cwd=ROOT, capture_output=True, text=True).stdout)
+
+    assert bench_rows.design_counts(ROOT) == {
+        "src_lines": wc("src/congruence_lab/*.py"),
+        "tests_lines": wc("tests/*.py"),
+        "exports": len(congruence_lab.__all__),
+    }

@@ -6,8 +6,9 @@ covers every subcommand, JSON and --plain output, each subcommand's --help
 (non-square input, a modulus given to an integer command, bad moduli, cap
 overrides, a composite prime, the identity as witness target), plus --cap as
 a usage error where nothing is enumerated. enumerate --count-only pins
-|SL_2(Z/30)|, a modulus of three prime factors, and the two counts the CI
-cold-start step checks, |SL_3(Z/4)| and |SL_4(Z/2)|. Two orders at n = 16 and n = 20
+|SL_2(Z/30)|, a modulus of three prime factors, |SL_3(Z/4)| and |SL_4(Z/2)|.
+Matrices after `--` pin, among others, a 4x4 word over Z and the words and
+lifts of a 2x2 and a 3x3 matrix over Z/12. Two orders at n = 16 and n = 20
 (a sample of infinite order with |tr| <= n, and a conjugated permutation of
 order 105) pin answers that need the characteristic polynomial. Four inputs
 pin the range of exact factoring and primality: the index mod the prime

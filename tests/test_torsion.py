@@ -314,8 +314,11 @@ def _divisors(m: int) -> set[int]:
 def test_sl2_of_a_prime_field_has_the_classical_spectrum(p):
     # split and non-split tori give the divisors of p - 1 and p + 1; the
     # unipotents +-(1 1; 0 1) give p and 2p. The default cap refuses p^4 past 10^7.
+    # 5 s refuses the route that formed every polynomial over F_p: 6.5 s at p = 211.
     cap = p**4 if p > 53 else None
+    t0 = time.perf_counter()
     assert mod_spectrum(2, p, cap=cap) == _divisors(p - 1) | _divisors(p + 1) | {p, 2 * p}
+    assert time.perf_counter() - t0 < 5.0
 
 
 @pytest.mark.parametrize("n,p", [(6, 2), (4, 3), (3, 5), (2, 211)])
@@ -348,6 +351,7 @@ def test_mod_spectrum_memory_follows_the_fibre():
 # Spectra the cyclic walk cannot finish in a second: the fibre walks pinned
 # from the route that listed Gamma(p)/Gamma(p^t) before walking it, and the
 # prime cases from the route that formed every irreducible polynomial over F_p.
+# That route took 2.3 s at (3, 31); each case must answer within 5 s.
 @pytest.mark.parametrize(
     "n,N,orders",
     [
@@ -363,10 +367,14 @@ def test_mod_spectrum_memory_follows_the_fibre():
         (6, 3, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 22, 24, 26, 28,
                 30, 36, 39, 40, 52, 60, 78, 80, 91, 104, 120, 121, 182, 242, 364}),
         (3, 11, {1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 15, 19, 20, 22, 24, 30, 40, 55, 60, 110, 120, 133}),
+        (3, 31, {1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30, 31, 32, 40, 48, 60, 62, 64, 80, 93, 96,
+                 120, 155, 160, 186, 192, 240, 310, 320, 331, 465, 480, 930, 960, 993}),
     ],
 )
 def test_mod_spectrum_pinned_fibre_walks(n, N, orders):
+    t0 = time.perf_counter()
     assert mod_spectrum(n, N, cap=N ** (n * n)) == orders
+    assert time.perf_counter() - t0 < 5.0
 
 
 # The class equation: the classes mod_spectrum reads at a prime are every class
@@ -389,10 +397,13 @@ def test_class_sizes_count_the_elements_of_each_order(n, p):
 def test_mod_spectrum_divisor_closed_and_lagrange_bounded():
     cases = [(2, 2, None), (2, 3, None), (2, 4, None), (2, 5, None), (3, 2, None),
              (3, 5, None), (3, 7, 7**9), (4, 3, 3**16),
-             # Gamma(p)/Gamma(p^t) walked as it is generated: |K| = 3^15, 3^16, 2^24
+             # Gamma(p)/Gamma(p^t) walked as it is generated: |K| = 3^15, 3^16, 2^24.
+             # 30 s each refuses listing K first: minutes, gigabytes or a MemoryError.
              (4, 9, 9**16), (3, 27, 27**9), (5, 4, 4**25)]
     for n, N, cap in cases:
+        t0 = time.perf_counter()
         spec = mod_spectrum(n, N, cap=cap)
+        assert time.perf_counter() - t0 < 30.0, (n, N)
         assert 1 in spec
         for d in spec:
             assert sl_order_formula(n, N) % d == 0

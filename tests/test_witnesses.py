@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 
@@ -109,10 +110,16 @@ def test_phi_k_agrees_with_the_definition_at_every_depth():
 
 def test_phi_k_at_a_huge_depth_builds_no_power():
     # only the identity lies in Gamma(p^k) once p^k passes every entry of x - 1,
-    # and a level of more than 4300 digits is named as a power, not printed
+    # and a level of more than 4300 digits is named as a power, not printed;
+    # neither builds p^k, so each answers within 10 s
+    t0 = time.perf_counter()
     with pytest.raises(NotInGamma, match=r"mod 2\^1000000000$"):
         phi_k(IntMatrix([[1, 2], [0, 1]]), 2, 10**9)
-    assert phi_k(IntMatrix.identity(3), 3, 10**9) == TracelessMatrix.zero(3, 3)
+    assert time.perf_counter() - t0 < 10.0
+    for n, p in ((2, 2), (3, 3)):
+        t0 = time.perf_counter()
+        assert phi_k(IntMatrix.identity(n), p, 10**9) == TracelessMatrix.zero(n, p)
+        assert time.perf_counter() - t0 < 10.0
     with pytest.raises(TypeError):  # a depth that is not an integer, even where no power is built
         phi_k(IntMatrix.identity(2), 2, 40.0)
     with pytest.raises(NotInGamma, match=f"mod {2**14284}$"):  # 4300 digits

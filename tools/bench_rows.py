@@ -25,7 +25,8 @@ order reversed every other round), and the in-process sections alternate in
 the same way. A row reports the median and minimum of its runs: --runs cold
 calls (default 15), five selfcheck --quick processes, two full ones and five
 kernel processes. The env block records the Python version, the CPU, the
-bytecode state and bare `python -c pass` and `python -S -c pass` times.
+bytecode state, bare `python -c pass` and `python -S -c pass` times, and each
+tree's design counts: its src/ and tests/ lines and its exported names.
 
 --out writes the rows as JSON. --compare FILE prints, for every row of the
 file, the ratio of this run's value (the median for cli rows, the minimum
@@ -223,6 +224,19 @@ def _wall(argv: list[str], env: dict, cwd: Path | None = None) -> tuple[float, s
     return (time.perf_counter() - start) * 1e3, proc
 
 
+def design_counts(tree: Path) -> dict[str, int]:
+    """The src/ and tests/ line counts (`cat src/congruence_lab/*.py | wc -l`) and the exported names."""
+    def lines(glob: str) -> int:
+        return sum(f.read_bytes().count(b"\n") for f in tree.glob(glob))
+
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import congruence_lab; print(len(congruence_lab.__all__))"
+    exports = subprocess.run(
+        [sys.executable, "-B", "-I", "-S", "-c", script, str(tree / "src")], capture_output=True, text=True, check=True
+    )
+    src, tests = lines("src/congruence_lab/*.py"), lines("tests/*.py")
+    return {"src_lines": src, "tests_lines": tests, "exports": int(exports.stdout)}
+
+
 def _cpu_model() -> str:
     try:
         lines = Path("/proc/cpuinfo").read_text().splitlines()
@@ -249,6 +263,7 @@ def measure(trees: dict[str, Path], runs: int) -> dict:
             "cpu_pin": cpu,
             "bytecode": "cold cli children compile every module of the tree and read the standard library's bytecode",
             "bare_ms": bare,
+            "design_counts": {label: design_counts(path) for label, path in trees.items()},
         },
         "columns": list(trees),
         "wrong_output_runs": wrong,
@@ -296,6 +311,11 @@ def main() -> int:
     bare = ", ".join(f"`{name}` {v['median']:.1f} / {v['min']:.1f} ms" for name, v in result["env"]["bare_ms"].items())
     print(f"Python {result['env']['python']} on {result['env']['machine']}, pinned to CPU {result['env']['cpu_pin']}.")
     print(f"{result['env']['bytecode']}. Bare interpreter (median / min): {bare}.")
+    counts = "; ".join(
+        f"{label} {c['src_lines']} src/ lines, {c['tests_lines']} tests/ lines, {c['exports']} exported names"
+        for label, c in result["env"]["design_counts"].items()
+    )
+    print(f"Design counts: {counts}.")
     print()
     print(compare(result, json.loads(args.compare.read_text())) if args.compare else table(result))
     return 1 if result["wrong_output_runs"] else 0
