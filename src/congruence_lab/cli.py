@@ -24,10 +24,9 @@ unsigned decimal values, its positionals, and at most one "--" before them)
 is read straight from the _COMMANDS table, and a JSON payload of str, int,
 bool, list and dict is written by _json, which gives json.dumps's bytes.
 argparse loads only for what that reader turns down (help, usage errors,
-abbreviated or "--opt=value" options, signed numbers), and then builds only
-the subparser that argv[0] names, if any; json loads only for a payload
-_json does not write itself. What argparse prints is held back and written
-by _emit, so a closed stdout or stderr cannot change the exit code.
+abbreviated or "--opt=value" options, signed numbers); json loads only for a
+payload _json does not write itself. What argparse prints is held back and
+written by _emit, so a closed stdout or stderr cannot change the exit code.
 
 main(), the process entry of `python -m congruence_lab` and of the
 congruence-lab script, flushes stdout and stderr and then ends the process
@@ -164,8 +163,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None):
-    """argv[0]'s subparser alone if it names a command; else all, for the top level's text."""
+def build_parser():
+    """The argparse parser of the _COMMANDS table, for what _read_argv turns down."""
     import argparse
     import functools
 
@@ -177,8 +176,7 @@ def build_parser(argv: list[str] | None = None):
         formatter_class=formatter,
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
-        summary, arguments, _ = _COMMANDS[name]
+    for name, (summary, arguments, _) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=summary, formatter_class=formatter)
         for arg, options in (_PLAIN, *arguments):
             sub.add_argument(arg, **options)
@@ -232,7 +230,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _parse(argv: list[str]):
-    """build_parser(argv).parse_args(argv), or the exit code once --help or a usage error is written."""
+    """build_parser().parse_args(argv), or the exit code once --help or a usage error is written."""
     import io
 
     # argparse writes to sys.stdout and sys.stderr: hold the text back for _emit,
@@ -240,7 +238,7 @@ def _parse(argv: list[str]):
     streams = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = held = io.StringIO(), io.StringIO()
     try:
-        return build_parser(argv).parse_args(argv)
+        return build_parser().parse_args(argv)
     except SystemExit as e:  # --help, or a usage error
         code = e.code if isinstance(e.code, int) else 2
     finally:

@@ -9,17 +9,16 @@ workload runs them:
 
     product_of_rows     2x2 over Z (minkowski_probe) and Z/N (mod_spectrum),
                         3x3 over Z/N (enumerate_sl at n = 3)
-    det_of_rows         2x2 (the SL_2 det-1 checks), 3x3 (_det_mod over
-                        SL_3(Z/N)), 4x4 (decompose_int at n = 4)
+    det_of_rows         2x2 (the SL_2 det-1 checks), 3x3 (the SL_3 ones and
+                        cofactors at n = 4), 4x4 (decompose_int at n = 4)
     elementary_product  2x2 over Z (lift_to_int and the samplers)
 
-The det over Z/N (_det_mod) reduces the closed forms and from 5x5 on
-eliminates mod N, so its entries stay below N. The classes wrap its results;
-IntMatrix.inverse is the one fraction-free Gauss-Jordan pass over [x | 1],
-O(n^3) as the Bareiss det above 4x4 (cofactors serves only the last-row
-solves of modular._sl_rows over Z/N and torsion._congruence_kernel). Two
-integer helpers are stated here once for every module: level_of_rows, the
-gcd of the entries of rows - 1 (gamma_level, the kernel orders of
+The det over Z/N is det_of_rows reduced mod N. The classes wrap the kernel's
+results; IntMatrix.inverse is the one fraction-free Gauss-Jordan pass over
+[x | 1], O(n^3) as the Bareiss det above 4x4 (cofactors serves only the
+last-row solves of modular._sl_rows over Z/N and torsion._congruence_kernel).
+Two integer helpers are stated here once for every module: level_of_rows,
+the gcd of the entries of rows - 1 (gamma_level, the kernel orders of
 mod_spectrum), and power_below, which builds b^e only below a bound (the
 enumeration cap, phi_k's depth and the sizes named as "b^e").
 
@@ -155,11 +154,10 @@ def power_of_rows(a: Rows, e: int, N: int | None = None) -> Rows:
 def det_of_rows(rows: Rows) -> int:
     """Exact determinant; closed forms up to 4x4, Bareiss above; 1 for no rows.
 
-    The 2x2 form serves the SL_2 det-1 checks, the 3x3 one _det_mod over
-    SL_3(Z/N) and cofactors at n = 4, the 4x4 one decompose_int's det-1
-    check at n = 4: the Laplace expansion along the first two rows, each 2x2
-    minor of those rows times the complementary minor of the last two,
-    signed."""
+    The 2x2 form serves the SL_2 det-1 checks, the 3x3 one the SL_3 ones and
+    cofactors at n = 4, the 4x4 one decompose_int's det-1 check at n = 4:
+    the Laplace expansion along the first two rows, each 2x2 minor of those
+    rows times the complementary minor of the last two, signed."""
     n = len(rows)
     if n <= 1:
         return rows[0][0] if n else 1
@@ -174,32 +172,6 @@ def det_of_rows(rows: Rows) -> int:
                 + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
                 - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
     return _det_bareiss(rows)
-
-
-def _det_mod(rows: Rows, N: int) -> int:
-    """det(rows) mod N, in [0, N). Up to 4x4 the closed forms of det_of_rows,
-    reduced; from 5x5 on euclidean row elimination mod N, so no entry
-    reaches N and N need not be factored. Each column is cleared below the
-    diagonal by repeated division: the row above loses a multiple of the row
-    below and the two swap, negating the sign, until the entry below is 0.
-    The diagonal left over then multiplies to the determinant."""
-    if len(rows) < 5:
-        return det_of_rows(rows) % N
-    m = [[e % N for e in r] for r in rows]
-    d = 1
-    while m:
-        top, *m = m
-        for i, row in enumerate(m):
-            while row[0]:
-                if t := top[0] // row[0]:
-                    top = [(x - t * y) % N for x, y in zip(top, row)]
-                top, row = row, top
-                d = -d
-            m[i] = row[1:]  # column 0 is clear; the block below drops it
-        if not top[0]:
-            return 0
-        d = d * top[0] % N
-    return d
 
 
 def cofactors(top: Rows) -> tuple[int, ...]:
@@ -345,7 +317,8 @@ class SquareMatrix(Frozen):
         return self._wrap(power_of_rows(self.rows, e, self.modulus), self.modulus)
 
     def det(self) -> int:
-        return det_of_rows(self.rows) if self.modulus is None else _det_mod(self.rows, self.modulus)
+        d = det_of_rows(self.rows)
+        return d if self.modulus is None else d % self.modulus
 
     def trace(self) -> int:
         t = sum(self.rows[i][i] for i in range(self.n))
@@ -496,7 +469,7 @@ def require_ring(x: SquareMatrix, name: str, modular: bool = False, hint: str = 
 
 def require_det_one_rows(rows: Rows, N: int | None = None) -> None:
     """require_det_one on bare rows, over Z/N when N is given."""
-    d = det_of_rows(rows) if N is None else _det_mod(rows, N)
+    d = det_of_rows(rows) if N is None else det_of_rows(rows) % N
     if d != 1:
         raise _not_unimodular(d, N)
 

@@ -18,7 +18,6 @@ from congruence_lab import (
 )
 from congruence_lab.intmat import (
     _det_bareiss,
-    _det_mod,
     cofactors,
     det_of_rows,
     identity_rows,
@@ -93,13 +92,8 @@ def test_identity_rows_built_once_per_n():
 
 @given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, bound=7)))
 def test_det_matches_permutation_oracle(x):
-    assert x.det() == det_permutation_oracle(x.rows)
-
-
-@given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, bound=7)))
-def test_det_cofactor_and_bareiss_agree(x):
     # det() takes closed forms up to 4x4, so test Bareiss itself at every n
-    assert _det_bareiss(x.rows) == det_permutation_oracle(x.rows)
+    assert x.det() == _det_bareiss(x.rows) == det_permutation_oracle(x.rows)
 
 
 def test_det_closed_form_at_4x4_matches_the_permutation_oracle():
@@ -118,29 +112,41 @@ def test_det_closed_form_at_4x4_matches_the_permutation_oracle():
     assert [det_of_rows(rows) for rows in cases[-3:]] == [0, 0, 0]
 
 
+def _structured_det_cases(n: int, N: int) -> list:
+    """Structured n x n cases whose det mod N is known for n > 1: det 1, a row
+    of multiples of N, det 3 (the last row is x[0] + 3 x[-1]), two rows equal
+    mod N and det 5."""
+    x = sample_sl(n, 3 * n, n).rows
+    return [
+        x,
+        (tuple(N * e for e in x[0]),) + x[1:],
+        x[:-1] + (tuple(a + 3 * b for a, b in zip(x[0], x[-1])),),
+        x[:-1] + (tuple(a * (N + 1) for a in x[0]),),
+        (tuple(a * 5 for a in x[0]),) + x[1:],
+    ]
+
+
 def test_det_mod_n_matches_the_permutation_oracle_and_the_exact_det():
-    # from 5x5 on the det mod N is a euclidean elimination mod N; random
-    # matrices are seldom det 1, and the structured ones below are singular mod N
-    # or det 1 exactly
+    # The det mod N of ModMatrix at every n, against the Leibniz det up to 6x6
+    # and at 12x12 and 20x20 against sympy's. Random matrices are seldom det
+    # 1; the structured ones have known dets, 1, 3 and 5 or singular mod N.
     rng = random.Random(61)
     for N in (2, 4, 12, 360, 97, 3**20, 2**61 - 1):
         for n in range(1, 10):
-            x = sample_sl(n, 3 * n, n).rows
             cases = [tuple(tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n))
                      for bound in (1, 9, 10**6)]
-            cases += [
-                x,  # det 1
-                (tuple(N * e for e in x[0]),) + x[1:],  # a row of multiples of N
-                x[:-1] + (tuple(a + 3 * b for a, b in zip(x[0], x[-1])),),  # det 1 again
-                x[:-1] + (tuple(a * (N + 1) for a in x[0]),),  # for n > 1 two rows equal mod N
-                (tuple(a * 5 for a in x[0]),) + x[1:],  # det 5
-            ]
-            for rows in cases:
-                d = _det_mod(rows, N)
-                assert d == det_of_rows(rows) % N
+            for rows in cases + _structured_det_cases(n, N):
+                d = ModMatrix(rows, N).det()
+                assert 0 <= d < N and d == det_of_rows(rows) % N
                 if n <= 6:
                     assert d == det_permutation_oracle(rows) % N
-                assert ModMatrix(rows, N).det() == d
+    large = [(n, N, _structured_det_cases(n, N)) for n in (12, 20) for N in (360, 2**61 - 1)]
+    for n, N, cases in large:
+        assert [ModMatrix(rows, N).det() for rows in cases] == [1, 0, 3, 0, 5]
+    sympy = pytest.importorskip("sympy")
+    for n, N, cases in large:
+        for rows in cases:
+            assert ModMatrix(rows, N).det() == sympy.Matrix(rows).det(method="berkowitz") % N
     rows = ((9, -7, 6, -1, -8, -9), (-5, 9, 6, 2, 1, -9), (-1, 6, -3, 4, 8, 8),
             (-6, -3, 9, 8, -1, -7), (4, 1, -7, 2, 4, -1), (5, -6, -3, 0, -6, -8))
     assert det_permutation_oracle(rows) == 317440  # 280 mod 360

@@ -33,7 +33,7 @@ from congruence_lab import modular, primes
 from congruence_lab.modular import _check_enumeration, _completions, _sl_rows
 from congruence_lab.primes import _crt_plan, factorize
 
-from tests.helpers import SL_GROUPS, brute_force_sl, det_permutation_oracle, sl_group, unimodular_matrices
+from tests.helpers import brute_force_sl, det_permutation_oracle, unimodular_matrices
 
 
 @pytest.mark.parametrize(
@@ -198,7 +198,7 @@ def test_completions_match_a_filter_over_every_row(n, N):
 @pytest.mark.parametrize("n,N", [(3, 4), (2, 12), (2, 30)])
 def test_enumerate_sl_shares_rows(n, N):
     # one tuple per distinct row, not one per element: at most N^n row objects
-    els = sl_group(n, N)
+    els = enumerate_sl(n, N)
     assert len({id(r) for y in els for r in y.rows}) <= N**n < len(els) * n
 
 
@@ -206,7 +206,7 @@ def test_enumerate_sl_three_crt_factors():
     # N = 30 = 2*3*5: the last entries run through progressions of all eight
     # steps N/g, g | 30. N^(n^2) tuples is too many to brute-force,
     # so the closed-form count and the shape of the list are the oracle.
-    els = sl_group(2, 30)
+    els = enumerate_sl(2, 30)
     assert len(els) == sl_order_formula(2, 30) == 6 * 24 * 120
     rows = [y.rows for y in els]
     assert all(a < b for a, b in zip(rows, rows[1:]))
@@ -227,15 +227,6 @@ def test_enumerate_sl_bulk_built_elements_are_plain_mod_matrices(n, N):
     for back in (pickle.loads(pickle.dumps(els)), list(map(copy.copy, els))):
         assert [m.rows for m in back] == rows
         assert all(type(m) is ModMatrix and m.modulus == N for m in back)
-
-
-@pytest.mark.parametrize("n,N", SL_GROUPS)
-def test_sl_group_is_one_shared_tuple(n, N):
-    # the tests' shared input: one tuple per (n, N), the same on every call,
-    # equal to a fresh enumeration
-    group = sl_group(n, N)
-    assert type(group) is tuple and sl_group(n, N) is group
-    assert list(group) == enumerate_sl(n, N)
 
 
 def test_enumerate_sl_records_form_no_cycles():

@@ -31,7 +31,7 @@ from congruence_lab import intmat, witnesses, words
 from congruence_lab.primes import _crt_plan
 from congruence_lab.words import _Gen, _local_word_2x2, _word_ops
 
-from tests.helpers import elementary_words, sl_group, unimodular_matrices
+from tests.helpers import elementary_words, unimodular_matrices
 
 
 def test_empty_word_evaluates_to_identity():
@@ -198,7 +198,7 @@ def test_decompose_mod_round_trip(n, N, stop):
     # [0, N) and evaluates back to its element. The registry's
     # decompose-mod-exhaustive (test_full_check) round-trips all of SL_2(Z/4)
     # and SL_2(Z/6); those 20 stay here for their coefficients.
-    for y in sl_group(n, N)[:stop]:
+    for y in enumerate_sl(n, N)[:stop]:
         word = decompose_mod(y)
         assert word.evaluate() == y and all(0 <= a < N for _, _, a in word._ops)
 
@@ -211,7 +211,7 @@ def test_decompose_local_rejects_non_unimodular():
 def _sl3_mod_12_sample():
     # SL_3(Z/12) has 241,532,928 elements: every 29th of SL_3(Z/4), each joined
     # by the CRT (x = 9a + 4b mod 12) with the elements of SL_3(Z/3) in turn
-    mod4, mod3 = sl_group(3, 4)[::29], sl_group(3, 3)
+    mod4, mod3 = enumerate_sl(3, 4)[::29], enumerate_sl(3, 3)
     for t, a in enumerate(mod4):
         b = mod3[t % len(mod3)]
         yield ModMatrix([[9 * u + 4 * v for u, v in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)], 12)
@@ -267,7 +267,7 @@ def test_decompose_mod_agrees_with_local_at_prime_powers():
     # a single CRT factor has idempotent 1: the local operations, 1-based and
     # reduced mod N, are the word; every element of each group
     for N in (2, 3, 4, 5, 8, 9):
-        _sweep_words(N, sl_group(2, N))
+        _sweep_words(N, enumerate_sl(2, N))
 
 
 def test_local_word_2x2_is_the_elimination_of_word_ops():
@@ -296,8 +296,8 @@ def test_decompose_mod_joins_one_lifted_local_word_per_factor():
     # the word at N = 12 and 30, and on a sample of SL_3(Z/12), is the local
     # words of the factors, lifted, in turn; the same sweep checks the local and
     # lifted words of every element of SL_2(Z/12) and every 11th of SL_2(Z/30)
-    _sweep_words(12, sl_group(2, 12), join=True)
-    _sweep_words(30, sl_group(2, 30), stride=11, join=True)
+    _sweep_words(12, enumerate_sl(2, 12), join=True)
+    _sweep_words(30, enumerate_sl(2, 30), stride=11, join=True)
     _sweep_words(12, _sl3_mod_12_sample(), join=True)
 
 
@@ -342,7 +342,7 @@ def test_every_op_handed_to_elementary_product_is_one_based(monkeypatch):
 def test_decompose_mod_and_lift_three_crt_factors():
     # N = 30 and 60 have three prime-power factors, so every word is three
     # lifted local words; the round trip and the lift's det are the oracle
-    for y in sl_group(2, 30)[::97]:
+    for y in enumerate_sl(2, 30)[::97]:
         assert decompose_mod(y).evaluate() == y
         lifted = lift_to_int(y)
         assert lifted.det() == 1 and ModMatrix(lifted.rows, 30) == y
@@ -376,7 +376,7 @@ def test_reduction_covers_whole_group():
     # the reduced lifts hit every element, i.e. reduction is onto; each lift
     # is the word of decompose_mod read over Z, as lift_to_int promises
     for N in (2, 3, 4, 5, 12):
-        els = sl_group(2, N)
+        els = enumerate_sl(2, N)
         lifts = [lift_to_int(y) for y in els]
         for y, lifted in zip(els, lifts):
             assert lifted == ElementaryWord(y.n, decompose_mod(y).gens).evaluate()
@@ -469,7 +469,7 @@ def _finite_quotient_lines():
     # all of SL_2(Z/12), the group the finite-quotients benchmark decomposes
     # and lifts, and every 37th element of SL_3(Z/4), where a row's first
     # entry is often a non-unit and the pivot needs a column swap
-    for y in sl_group(2, 12) + sl_group(3, 4)[::37]:
+    for y in enumerate_sl(2, 12) + enumerate_sl(3, 4)[::37]:
         yield decompose_mod(y).to_text()
         yield lift_to_int(y).to_text()
 
@@ -526,7 +526,7 @@ def _decomposed_words():
             yield decompose_int(x)
             for N in (8, 12, 30):
                 yield decompose_mod(ModMatrix(x.rows, N))
-    for y in sl_group(2, 12) + sl_group(3, 4):
+    for y in enumerate_sl(2, 12) + enumerate_sl(3, 4):
         yield decompose_mod(y)
 
 
