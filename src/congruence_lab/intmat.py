@@ -244,7 +244,7 @@ class SquareMatrix(Frozen):
     [0, N). The public constructor validates and reduces its input; results
     built here are already in that form and go through _wrap unchecked, or
     _wrap_all for a whole list of them. Its record state: (rows, modulus).
-    Slots, not a per-instance dict: the enumerations build millions of these.
+    Slots, not a dict, as in ElementaryWord: enumerations build millions of these.
     """
 
     __slots__ = ("rows", "modulus")

@@ -2,49 +2,38 @@
 
 A word is an ordered product of elementary matrices 1 + a*e_ij, each given
 by its 1-based (i, j, a). A word from outside (the constructor, from_text,
-+) is checked once, by ElementaryWord, at the cost of one comparison chain
-per generator; the words decompose_int and decompose_mod build from their
-own in-range, reduced operations are not checked again. One elimination
-produces every such certificate, over Z or over a local ring Z/q (q a prime
-power): _word_ops, written out at n = 2 over Z/q as _local_word_2x2, with
-_word_ops as its oracle.
-It reduces a determinant-1 matrix to the identity by elementary row and
-column operations and replays their inverses as the word. The two rings
-differ only in how a row finds its pivot:
++) is checked once, by ElementaryWord; the decompositions' own words are
+not checked again. One elimination, _word_ops, produces every certificate,
+over Z or over a local ring Z/q (q a prime power); _word_2x2 writes it out
+at n = 2 for every factor of Z/N in one pass, with _word_ops as its
+oracle. It reduces a determinant-1 matrix to the identity by elementary
+row and column operations and replays their inverses as the word. The two
+rings differ only in how a row finds its pivot:
 
 * decompose_int shrinks the row by euclidean division with remainder until
-  one entry, necessarily +-1, is left;
+  one entry, necessarily +-1, is left: its own inverse, and its row is then
+  clear, so the clearing shared with Z/q adds no operation to the word;
 * decompose_mod splits Z/N into prime-power factors Z/q and pivots on any
-  entry prime to q, which is a unit there. The elimination records each
-  local coefficient already multiplied by the CRT idempotent e of its
-  factor and reduced mod N, so it acts trivially in every other factor and
-  the word of Z/N is the local words joined. One path serves every N; at a
-  prime power e is 1 and N is q, so the local word is the word.
-
-Over Z the euclidean pivot is +-1, its own inverse, and leaves its row
-clear, so the clearing shared with Z/q adds no operation to an integer word.
+  entry prime to q, a unit there. Each local coefficient is recorded
+  already multiplied by the CRT idempotent e of its factor and reduced mod
+  N, so it acts trivially in every other factor and the word of Z/N is the
+  local words joined; at a prime power e is 1 and N is q.
 
 lift_to_int multiplies the operations of that mod-N word out over Z, which
 makes the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable
-sense. Every operation, from the elimination through the word to its
-product, is the word's own 1-based (i, j, a), and over Z/N its a is
-already reduced: evaluating a word, over Z or Z/N, and lifting are both
-intmat.elementary_product on those triples as they are. The factors of N
-and their CRT idempotents come from primes._crt_plan, the one statement of
-the split, cached per modulus; ModMatrix comes from intmat, with IntMatrix.
+sense. Every operation is the word's own 1-based (i, j, a), over Z/N with
+its a already reduced, so evaluating a word, over Z or Z/N, and lifting are
+both intmat.elementary_product on those triples as they are. The factors
+of N and their idempotents come from primes._crt_plan, cached per modulus.
 
-Column swaps needed during reduction are emitted as three elementary
-operations realizing the signed swap (c_k, c_j) -> (c_j, -c_k), so every
-certificate consists of elementary generators only. No attempt is made to
-minimize word length; a decomposition is a certificate, not an optimizer.
-Pivot choices are deterministic (over Z smallest absolute value, then
-smallest index; over Z/q the first unit), so equal inputs always yield
-identical words.
+Column swaps are emitted as three elementary operations realizing the
+signed swap (c_k, c_j) -> (c_j, -c_k). No attempt is made to minimize word
+length; a decomposition is a certificate, not an optimizer. Pivot choices
+are deterministic (over Z smallest absolute value, then smallest index;
+over Z/q the first unit), so equal inputs always yield identical words.
 """
-
 from __future__ import annotations
 
-import functools
 import operator
 import re
 from collections import namedtuple
@@ -77,13 +66,15 @@ class ElementaryWord(Frozen):
     with 1 <= i, j <= n and i != j, checked here (built in range, by _wrap,
     for the decompositions) and stored as plain tuples, the record state
     (n, triples, modulus) that ==, hash and pickle read. gens is a read-only
-    view of them as named tuples with fields i, j and a (equal to the plain
-    triples, so the hash is that of (n, gens, modulus)), built on first read
-    and cached. modulus None means the word lives over Z; otherwise
+    view of them as named tuples with fields i, j and a, equal to the plain
+    triples (so the hash is that of (n, gens, modulus)), built into a slot on
+    first read. Slots, set through their descriptors as in SquareMatrix, and
+    no instance dict. modulus None means the word lives over Z; otherwise
     coefficients are kept reduced into [0, modulus). Evaluation is the
     left-to-right product.
     """
 
+    __slots__ = ("n", "_ops", "modulus", "_gens")
     __match_args__ = ("n", "gens", "modulus")
 
     def __init__(self, n: int, gens: tuple[tuple[int, int, int], ...], modulus: int | None = None):
@@ -107,18 +98,24 @@ class ElementaryWord(Frozen):
             checked.append((i, j, a))
         if n < 1:  # checked last: with n < 1 every generator fails above, with its own message
             raise ValueError("dimension must be >= 1")
-        vars(self).update(n=n, _ops=tuple(checked), modulus=m)
+        _set_n(self, n)
+        _set_ops(self, tuple(checked))
+        _set_modulus(self, m)
 
     @classmethod
     def _wrap(cls, n: int, ops, modulus: int | None = None) -> ElementaryWord:
         """Unchecked: the word of in-range, reduced (i, j, a), as this module and _rebuild give them."""
         w = object.__new__(cls)
-        vars(w).update(n=n, _ops=tuple(ops), modulus=modulus)
+        _set_n(w, n)
+        _set_ops(w, tuple(ops))
+        _set_modulus(w, modulus)
         return w
 
-    @functools.cached_property  # writes the instance dict itself, past Frozen.__setattr__
+    @property
     def gens(self) -> tuple[_Gen, ...]:
-        return tuple(map(tuple.__new__, repeat(_Gen), self._ops))
+        if (gens := getattr(self, "_gens", None)) is None:  # the first read
+            _set_gens(self, gens := tuple(map(tuple.__new__, repeat(_Gen), self._ops)))
+        return gens
 
     def __reduce__(self):
         return _rebuild, (self.__class__, self.n, self._ops, self.modulus)
@@ -171,6 +168,9 @@ class ElementaryWord(Frozen):
             return cls(n, tuple(gens), modulus)
         except ValueError as e:
             raise ParseError(str(e)) from None
+
+
+_set_n, _set_ops, _set_modulus, _set_gens = (vars(ElementaryWord)[f].__set__ for f in ElementaryWord.__slots__)
 
 
 def _word_ops(rows, q: int | None = None, e: int | None = None, N: int | None = None) -> list[tuple[int, int, int]]:
@@ -302,55 +302,54 @@ def _word_ops(rows, q: int | None = None, e: int | None = None, N: int | None = 
     return lefts + rights[::-1]
 
 
-def _local_word_2x2(rows, q: int, e: int, N: int) -> list[tuple[int, int, int]]:
-    """_word_ops(rows, q, e, N) at n = 2 over a local ring Z/q, written out on
-    the four entries (a b; c d): the same steps in the same order, so the
-    same word, and _word_ops stays its oracle. It serves decompose_mod and
-    lift_to_int over SL_2(Z/N), which the finite-quotients benchmark runs on
-    every element of SL_2(Z/12).
-
-    The pivot is the first entry of the top row prime to q, read unreduced;
-    the second is moved to the front by the signed column swap, the column
-    steps c = 1, -1, 1. Then one column clear, one row clear, and the sweep
-    (a 0; 0 d) -> (1 0; 0 ad) of _word_ops. Each step reduces c mod q, skips
-    c = 0 and records -c*e mod N; as q*e is 0 mod N, a step c = -1 or -u
-    records e or u*e. Only the residues of the entries decide a step, so
-    after the swap (b, -a; d, -c) stands for the entries _word_ops holds,
-    which are equal to them mod q.
+def _word_2x2(rows, N: int) -> list[tuple[int, int, int]]:
+    """_word_ops(rows, q, e, N) for each (q, e) of _crt_plan(N) in turn, the
+    word of decompose_mod at n = 2, written out on the entries (a b; c d) and
+    appended in word order (lefts, then rights reversed); _word_ops is its
+    oracle. The pivot is the first entry of the top row prime to q, read
+    unreduced; the second is moved to the front by the signed column swap,
+    the column steps c = 1, -1, 1. Then one column clear r, one row clear t,
+    and the sweep (a 0; 0 d) -> (1 0; 0 ad) of _word_ops. Each step reduces c
+    mod q, skips c = 0 and records -c*e mod N; as q*e is 0 mod N, a step
+    c = -1 or -u records e or u*e. Only residues decide a step, so after the
+    swap (b, -a; d, -c) stands for the entries _word_ops holds.
     """
-    (a, b), (c, d) = rows
-    lefts, rights = [], []
-    if gcd(a, q) != 1:
-        if gcd(b, q) != 1:
-            raise AssertionError("a det-1 row over a local ring must contain a unit")
-        rights += [(2, 1, N - e), (1, 2, e), (2, 1, N - e)]
-        a, b, c, d = b, -a, d, -c
-    ainv = pow(a, -1, q)
-    if t := -b * ainv % q:  # col 2 += t*col 1
-        rights.append((1, 2, -t * e % N))
-        b += t * a
-        d += t * c
-    if t := -c * ainv % q:  # row 2 += t*row 1
-        lefts.append((2, 1, -t * e % N))
-        c += t * a
-        d += t * b
-    if (u := a % q) != 1:
-        # col 2 += col 1; col 1 += (a^-1 - 1)*col 2; row 2 += t*row 1; col 2 += (q - a)*col 1
-        s = ainv - 1
-        rights += [(1, 2, N - e), (2, 1, -s * e % N)]
-        b += a
-        d += c
-        a += s * b
-        c += s * d
-        if t := -s * d % q:
-            lefts.append((2, 1, -t * e % N))
+    (a0, b0), (c0, d0) = rows
+    ops = []
+    for p, _, q, e in _crt_plan(N):
+        a, b, c, d = a0, b0, c0, d0
+        if swap := not a % p:  # as q is a power of p, a is a unit mod q unless p divides it
+            if not b % p:
+                raise AssertionError("a det-1 row over a local ring must contain a unit")
+            a, b, c, d = b, -a, d, -c
+        ainv = pow(a, -1, q)
+        if r := -b * ainv % q:  # col 2 += r*col 1: a right, so its op follows the sweep's
+            b += r * a
+            d += r * c
+        if t := -c * ainv % q:  # row 2 += t*row 1
+            ops.append((2, 1, -t * e % N))
             c += t * a
             d += t * b
-        rights.append((1, 2, u * e % N))
-        b += (q - u) * a
-        d += (q - u) * c
-    assert a % q == 1 and b % q == 0 and c % q == 0 and d % q == 1
-    return lefts + rights[::-1]
+        if (u := a % q) != 1:
+            # col 2 += col 1; col 1 += (a^-1 - 1)*col 2; row 2 += t*row 1; col 2 += (q - a)*col 1
+            s = ainv - 1
+            b += a
+            d += c
+            a += s * b
+            c += s * d
+            if t := -s * d % q:
+                ops.append((2, 1, -t * e % N))
+                c += t * a
+                d += t * b
+            ops += (1, 2, u * e % N), (2, 1, -s * e % N), (1, 2, N - e)  # its rights, reversed
+            b += (q - u) * a
+            d += (q - u) * c
+        if r:
+            ops.append((1, 2, -r * e % N))
+        if swap:
+            ops += (2, 1, N - e), (1, 2, e), (2, 1, N - e)
+        assert a % q == 1 and b % q == 0 and c % q == 0 and d % q == 1
+    return ops
 
 
 def decompose_int(x: IntMatrix) -> ElementaryWord:
@@ -368,22 +367,23 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
 def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
 
-    The factors of N and their idempotents come from the cached _crt_plan,
-    the local words from _local_word_2x2 at n = 2 and from _word_ops above,
-    which record each op already lifted by the idempotent of its factor, so
-    this only joins them. name is the caller's, for the error on a matrix
-    over Z or a TracelessMatrix, which is not in SL_n.
+    A 2x2 ModMatrix has its det-1 test inline and its word from _word_2x2;
+    any other y is checked by require_ring, its class and require_det_one,
+    in that order, and joins the words of _word_ops over the cached
+    _crt_plan. A refusal is require_det_one's either way; name is the
+    caller's, for the error on a matrix over Z or a TracelessMatrix.
     """
+    if y.__class__ is ModMatrix and len(y.rows) == 2:
+        (a, b), (c, d) = rows = y.rows
+        if (a * d - b * c) % y.modulus != 1:
+            require_det_one(y)
+        return _word_2x2(rows, y.modulus)
     require_ring(y, name, modular=True)
     if not isinstance(y, ModMatrix):
         raise TypeError(f"{name} needs a ModMatrix, got {type(y).__name__}")
     require_det_one(y)
     N = y.modulus
-    local = _local_word_2x2 if y.n == 2 else _word_ops
-    ops = []
-    for _, _, q, e in _crt_plan(N):
-        ops += local(y.rows, q, e, N)
-    return ops
+    return [op for _, _, q, e in _crt_plan(N) for op in _word_ops(y.rows, q, e, N)]
 
 
 def decompose_mod(y: ModMatrix) -> ElementaryWord:
@@ -403,9 +403,9 @@ def decompose_mod(y: ModMatrix) -> ElementaryWord:
 def lift_to_int(y: ModMatrix) -> IntMatrix:
     """An integer matrix of determinant 1 that reduces to y mod N.
 
-    Multiplies the operations of decompose_mod(y), with their canonical
-    coefficients in [0, N), out over Z as the elimination records them,
-    without building a word. The result is a product of integer elementary
-    matrices, hence has determinant exactly 1, and its reduction mod N is y.
+    Multiplies the ops _mod_ops gives for decompose_mod(y), each a in
+    [0, N), out over Z, without building a word; y is refused as there. The
+    result is a product of integer elementary matrices, hence has
+    determinant exactly 1, and its reduction mod N is y.
     """
     return IntMatrix._wrap(elementary_product(y.n, _mod_ops(y, "lift_to_int")))

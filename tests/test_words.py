@@ -29,7 +29,7 @@ from congruence_lab import (
 
 from congruence_lab import intmat, witnesses, words
 from congruence_lab.primes import _crt_plan
-from congruence_lab.words import _Gen, _local_word_2x2, _word_ops
+from congruence_lab.words import _Gen, _word_2x2, _word_ops
 
 from tests.helpers import elementary_words, unimodular_matrices
 
@@ -221,10 +221,11 @@ def _sweep_words(N, els, stride=1, e1=True, join=False):
     # One pass over els, elements of SL_n(Z/N). For each element y and prime-power
     # factor q of N, with idempotent e, the e = 1 word of _word_ops, the oracle,
     # is made once; then, on every stride-th element when n = 2,
-    # - _local_word_2x2 gives it (unless e1 is False), on entries in [0, N),
-    #   unreduced mod q when N is composite, and on entries shifted by multiples
-    #   of N in -2N..2N;
-    # - at a composite N both routes give it lifted, each a*e mod N;
+    # - _word_2x2 at the modulus q gives it (unless e1 is False), on entries in
+    #   [0, N), unreduced mod q when N is composite, and on entries shifted by
+    #   multiples of N in -2N..2N;
+    # - at a composite N, _word_ops gives it lifted, each a*e mod N, and
+    #   _word_2x2 at N, on both sets of entries, gives the lifted words joined;
     # - at a prime power N <= 12 it is decompose_mod's word, and _word_ops gives
     #   it on rows shifted entry by entry.
     # With join, on every element, decompose_mod's word has each a in [0, N) and
@@ -238,13 +239,17 @@ def _sweep_words(N, els, stride=1, e1=True, join=False):
         if len(rows) == 2 and t % stride == 0:
             s = N * (t // stride % 5 - 2)
             (a, b), (c, d) = rows
+            unreduced = ((a + s, b - s), (c - s, d + s))
+            joined = []
             for (_, _, q, e), word in zip(plan, words):
                 if e1:
-                    assert _local_word_2x2(rows, q, 1, q) == word
-                    assert _local_word_2x2(((a + s, b - s), (c - s, d + s)), q, 1, q) == word
+                    assert _word_2x2(rows, q) == word
+                    assert _word_2x2(unreduced, q) == word
+                lifted = [(i, j, v * e % N) for i, j, v in word]
                 if q != N:
-                    lifted = [(i, j, v * e % N) for i, j, v in word]
-                    assert _word_ops(rows, q, e, N) == _local_word_2x2(rows, q, e, N) == lifted
+                    assert _word_ops(rows, q, e, N) == lifted
+                joined += lifted
+            assert _word_2x2(rows, N) == _word_2x2(unreduced, N) == joined
             if len(plan) == 1 and N <= 12:
                 assert decompose_mod(y).gens == tuple((i, j, v % N) for i, j, v in words[0])
                 shift = [[(t + 3 * r + k) % 5 - 2 for k in range(2)] for r in range(2)]
@@ -266,7 +271,7 @@ def _sweep_words(N, els, stride=1, e1=True, join=False):
 def test_decompose_mod_agrees_with_local_at_prime_powers():
     # a single CRT factor has idempotent 1: the local operations, 1-based and
     # reduced mod N, are the word; every element of each group
-    for N in (2, 3, 4, 5, 8, 9):
+    for N in (2, 3, 4, 5, 7, 8, 9, 11):
         _sweep_words(N, enumerate_sl(2, N))
 
 
@@ -278,9 +283,11 @@ def test_local_word_2x2_is_the_elimination_of_word_ops():
     # by the two tests beside this one.
     for N in (25, 27, 49):
         _sweep_words(N, enumerate_sl(2, N)[::11])
-    for q in (4, 5):
+    # a top row with no unit mod q: at q = 4 and 5, and at N = 12 in its factor
+    # 3 only, after the factor 4, where the determinant is 9 = 1 mod 4
+    for rows, N in (([[0, 0], [0, 1]], 4), ([[0, 0], [0, 1]], 5), ([[3, 3], [0, 3]], 12)):
         with pytest.raises(AssertionError, match="det-1 row"):
-            _local_word_2x2([[0, 0], [0, 1]], q, 1, q)
+            _word_2x2(rows, N)
 
 
 def test_local_word_2x2_is_word_ops_lifted_by_each_idempotent():
@@ -293,10 +300,12 @@ def test_local_word_2x2_is_word_ops_lifted_by_each_idempotent():
 
 
 def test_decompose_mod_joins_one_lifted_local_word_per_factor():
-    # the word at N = 12 and 30, and on a sample of SL_3(Z/12), is the local
-    # words of the factors, lifted, in turn; the same sweep checks the local and
-    # lifted words of every element of SL_2(Z/12) and every 11th of SL_2(Z/30)
-    _sweep_words(12, enumerate_sl(2, 12), join=True)
+    # the word at N = 6, 10, 12 and 30, and on a sample of SL_3(Z/12), is the
+    # local words of the factors, lifted, in turn; the same sweep checks the
+    # local and lifted words of every element of SL_2(Z/N), N = 6, 10 and 12,
+    # and every 11th of SL_2(Z/30)
+    for N in (6, 10, 12):
+        _sweep_words(N, enumerate_sl(2, N), join=True)
     _sweep_words(30, enumerate_sl(2, 30), stride=11, join=True)
     _sweep_words(12, _sl3_mod_12_sample(), join=True)
 
@@ -419,10 +428,12 @@ def _words_of_every_builder():
     built = ElementaryWord(3, ((1, 2, 5), (3, 1, -4)))
     return [
         built,
+        ElementaryWord._wrap(2, [(1, 2, 3), (2, 1, 4)], 5),
         ElementaryWord.from_text("E(1,2,7);E(2,1,-3) | Z/6"),
         built + decompose_int(x),
         decompose_int(x),
         decompose_mod(ModMatrix(x.rows, 12)),
+        decompose_mod(ModMatrix(((0, 5), (7, 0)), 12)),
     ]
 
 
@@ -445,6 +456,47 @@ def test_gens_is_a_cached_named_tuple_view_of_the_stored_triples():
         with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'gens'"):
             del w.gens
         assert w.gens is gens
+
+
+def test_words_have_slots_and_pickle_as_before():
+    # no instance dict from any builder; every field, stored or the gens view,
+    # refuses assignment and deletion; and the pickle of these words, their
+    # gens read first, has pinned bytes: the gens slot is not part of the state
+    words = _words_of_every_builder()
+    for w in words:
+        assert not hasattr(w, "__dict__") and w.gens is w.gens
+        for name in ("n", "modulus", "_ops", "gens"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(w, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(w, name)
+    digest = hashlib.sha256(pickle.dumps(words, protocol=4)).hexdigest()
+    assert digest == "e6117469b4f9343deaeaaf8255be0007f787796decb5f193815ea9267d21ddb0"
+
+
+_REFUSALS = [
+    (IntMatrix(((2, 1), (1, 1))), TypeError, "{} works over Z/N, not Z"),
+    (TracelessMatrix(((1, 2), (0, 2)), 3), TypeError, "{} needs a ModMatrix, got TracelessMatrix"),
+    (ModMatrix(((2, 0), (0, 1)), 9), NotUnimodular, "determinant is 2 mod 9, expected 1"),
+    (ModMatrix(((1, 3), (2, 1)), 12), NotUnimodular, "determinant is 7 mod 12, expected 1"),
+    (ModMatrix(((0, 1), (1, 0)), 12), NotUnimodular, "determinant is 11 mod 12, expected 1"),
+    (IntMatrix.identity(3), TypeError, "{} works over Z/N, not Z"),
+    (TracelessMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 2)), 4), TypeError, "{} needs a ModMatrix, got TracelessMatrix"),
+    (ModMatrix(((1, 0, 0), (0, 2, 0), (0, 0, 1)), 27), NotUnimodular, "determinant is 2 mod 27, expected 1"),
+    (ModMatrix(((1, 1, 0), (0, 1, 0), (3, 0, 5)), 30), NotUnimodular, "determinant is 5 mod 30, expected 1"),
+]
+_REFUSAL_IDS = ["Z-2", "traceless-2", "det-2-mod-9", "det-7-mod-12", "det-11-mod-12", "Z-3", "traceless-3",
+                "det-2-mod-27-n3", "det-5-mod-30-n3"]
+
+
+@pytest.mark.parametrize("x, error, text", _REFUSALS, ids=_REFUSAL_IDS)
+def test_decompose_mod_and_lift_refuse_as_before(x, error, text):
+    # the type and whole message of require_ring, the class check or
+    # require_det_one, whether the inline det-1 test at n = 2 ran first or not
+    for f in (decompose_mod, lift_to_int):
+        with pytest.raises(error) as raised:
+            f(x)
+        assert type(raised.value) is error and str(raised.value) == text.format(f.__name__)
 
 
 def test_word_coefficients_reduced_mod_n():

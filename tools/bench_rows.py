@@ -65,10 +65,11 @@ def kernel_rows() -> dict[str, float]:
 
     rows = {}
 
-    def row(name, n, ring, call, setup="pass"):
+    def row(name, n, ring, call, setup="pass", per=1):
+        # per: the calls one run of call makes, for a row per call of a sweep
         timer = timeit.Timer(call, setup, globals={"gc": gc})
         number = timer.autorange()[0]
-        rows[f"{name} [n={n}, {ring}]"] = min(timer.repeat(3, number)) / number * 1e6
+        rows[f"{name} [n={n}, {ring}]"] = min(timer.repeat(3, number)) / number / per * 1e6
 
     # The row kernel's multiply, power (e = 1000) and det over Z and mod 12.
     for n in (2, 3, 4, 8):
@@ -89,6 +90,11 @@ def kernel_rows() -> dict[str, float]:
     row("decompose_int(sample_sl(4, 40, 1))", 4, "Z", lambda: decompose_int(x))
     row(f"decompose_mod({y})", 2, "Z/12", lambda: decompose_mod(y))
     row(f"lift_to_int({y})", 2, "Z/12", lambda: lift_to_int(y))
+    # Per element over all of SL_2(Z/12), as finite-quotients calls them: the one
+    # element above takes a single pivot branch, the sweep the swap and sweep too.
+    sl2 = enumerate_sl(2, 12)
+    for f in (decompose_mod, lift_to_int):
+        row(f"{f.__name__}(y) per y in enumerate_sl(2, 12)", 2, "Z/12", lambda: list(map(f, sl2)), per=len(sl2))
     ops = decompose_mod(y)._ops
     row("elementary_product(2, ops)", 2, "Z", lambda: elementary_product(2, ops))
     word = decompose_mod(y)
