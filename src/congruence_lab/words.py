@@ -3,34 +3,41 @@
 A word is an ordered product of elementary matrices 1 + a*e_ij, each given
 by its 1-based (i, j, a). A word from outside (the constructor, from_text,
 +) is checked once, by ElementaryWord; the decompositions' own words are
-not checked again. One elimination, _word_ops, produces every certificate,
-over Z or over a local ring Z/q (q a prime power); _word_2x2 writes it out
-at n = 2 for every factor of Z/N in one pass, with _word_ops as its
-oracle. It reduces a determinant-1 matrix to the identity by elementary
-row and column operations and replays their inverses as the word. The two
-rings differ only in how a row finds its pivot:
+not checked again.
+
+Over Z/N at n = 2 the word is one closed formula (_mod_ops): Z/N is
+semilocal, so it has stable range 1, and y is a product of at most 4
+elementary factors, found without factoring N.
+
+Every other word comes from one elimination, _word_ops, over Z or over a
+local ring Z/q (q a prime power), which also serves the tests as the oracle
+of the 2x2 formula. It reduces a determinant-1 matrix to the identity by
+elementary row and column operations and replays their inverses as the
+word. The two rings differ only in how a row finds its pivot:
 
 * decompose_int shrinks the row by euclidean division with remainder until
   one entry, necessarily +-1, is left: its own inverse, and its row is then
   clear, so the clearing shared with Z/q adds no operation to the word;
-* decompose_mod splits Z/N into prime-power factors Z/q and pivots on any
-  entry prime to q, a unit there. Each local coefficient is recorded
-  already multiplied by the CRT idempotent e of its factor and reduced mod
-  N, so it acts trivially in every other factor and the word of Z/N is the
-  local words joined; at a prime power e is 1 and N is q.
+* decompose_mod at n >= 3 splits Z/N into prime-power factors Z/q and
+  pivots on any entry prime to q, a unit there. Each local coefficient is
+  recorded already multiplied by the CRT idempotent e of its factor and
+  reduced mod N, so it acts trivially in every other factor and the word of
+  Z/N is the local words joined; at a prime power e is 1 and N is q. The
+  factors of N and their idempotents come from primes._crt_plan, cached per
+  modulus.
 
 lift_to_int multiplies the operations of that mod-N word out over Z, which
 makes the reduction map SL_n(Z) -> SL_n(Z/N) surjective in an executable
 sense. Every operation is the word's own 1-based (i, j, a), over Z/N with
 its a already reduced, so evaluating a word, over Z or Z/N, and lifting are
-both intmat.elementary_product on those triples as they are. The factors
-of N and their idempotents come from primes._crt_plan, cached per modulus.
+both intmat.elementary_product on those triples as they are.
 
 Column swaps are emitted as three elementary operations realizing the
-signed swap (c_k, c_j) -> (c_j, -c_k). No attempt is made to minimize word
-length; a decomposition is a certificate, not an optimizer. Pivot choices
-are deterministic (over Z smallest absolute value, then smallest index;
-over Z/q the first unit), so equal inputs always yield identical words.
+signed swap (c_k, c_j) -> (c_j, -c_k). Only the 2x2 words over Z/N have a
+length bound; the elimination is a certificate, not an optimizer. Every
+choice is deterministic (over Z the pivot of smallest absolute value, then
+smallest index; over Z/q the first unit; at n = 2 over Z/N the least t), so
+equal inputs always yield identical words.
 """
 from __future__ import annotations
 
@@ -302,56 +309,6 @@ def _word_ops(rows, q: int | None = None, e: int | None = None, N: int | None = 
     return lefts + rights[::-1]
 
 
-def _word_2x2(rows, N: int) -> list[tuple[int, int, int]]:
-    """_word_ops(rows, q, e, N) for each (q, e) of _crt_plan(N) in turn, the
-    word of decompose_mod at n = 2, written out on the entries (a b; c d) and
-    appended in word order (lefts, then rights reversed); _word_ops is its
-    oracle. The pivot is the first entry of the top row prime to q, read
-    unreduced; the second is moved to the front by the signed column swap,
-    the column steps c = 1, -1, 1. Then one column clear r, one row clear t,
-    and the sweep (a 0; 0 d) -> (1 0; 0 ad) of _word_ops. Each step reduces c
-    mod q, skips c = 0 and records -c*e mod N; as q*e is 0 mod N, a step
-    c = -1 or -u records e or u*e. Only residues decide a step, so after the
-    swap (b, -a; d, -c) stands for the entries _word_ops holds.
-    """
-    (a0, b0), (c0, d0) = rows
-    ops = []
-    for p, _, q, e in _crt_plan(N):
-        a, b, c, d = a0, b0, c0, d0
-        if swap := not a % p:  # as q is a power of p, a is a unit mod q unless p divides it
-            if not b % p:
-                raise AssertionError("a det-1 row over a local ring must contain a unit")
-            a, b, c, d = b, -a, d, -c
-        ainv = pow(a, -1, q)
-        if r := -b * ainv % q:  # col 2 += r*col 1: a right, so its op follows the sweep's
-            b += r * a
-            d += r * c
-        if t := -c * ainv % q:  # row 2 += t*row 1
-            ops.append((2, 1, -t * e % N))
-            c += t * a
-            d += t * b
-        if (u := a % q) != 1:
-            # col 2 += col 1; col 1 += (a^-1 - 1)*col 2; row 2 += t*row 1; col 2 += (q - a)*col 1
-            s = ainv - 1
-            b += a
-            d += c
-            a += s * b
-            c += s * d
-            if t := -s * d % q:
-                ops.append((2, 1, -t * e % N))
-                c += t * a
-                d += t * b
-            ops += (1, 2, u * e % N), (2, 1, -s * e % N), (1, 2, N - e)  # its rights, reversed
-            b += (q - u) * a
-            d += (q - u) * c
-        if r:
-            ops.append((1, 2, -r * e % N))
-        if swap:
-            ops += (2, 1, N - e), (1, 2, e), (2, 1, N - e)
-        assert a % q == 1 and b % q == 0 and c % q == 0 and d % q == 1
-    return ops
-
-
 def decompose_int(x: IntMatrix) -> ElementaryWord:
     """Certificate of elementary generation for x in SL_n(Z).
 
@@ -367,17 +324,42 @@ def decompose_int(x: IntMatrix) -> ElementaryWord:
 def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
     """The word of decompose_mod(y) as its 1-based (i, j, a), each a in [0, N).
 
-    A 2x2 ModMatrix has its det-1 test inline and its word from _word_2x2;
-    any other y is checked by require_ring, its class and require_det_one,
-    in that order, and joins the words of _word_ops over the cached
-    _crt_plan. A refusal is require_det_one's either way; name is the
+    A 2x2 ModMatrix has its det-1 test inline and its word from the stable
+    range of Z/N, without factoring N. For y = (a b; c d):
+
+    * a = 1: y = E21(c) E12(b), as d = 1 + bc;
+    * else the column (a, c) is unimodular, so c + t*a is a unit for some
+      t in [0, N): by the CRT, t only has to avoid one class mod each prime
+      p | N that does not divide a (at p | a, c is a unit mod p). With t the
+      least, c' = c + t*a, d' = d + t*b, u = (a - 1)/c' and w = (d' - 1)/c':
+      E21(t) y = (a b; c' d') = E12(u) E21(c') E12(w), its (1,2) entry by
+      det 1, so y = E21(-t) E12(u) E21(c') E12(w).
+
+    Each a is reduced into [0, N) and a zero one dropped, so the identity has
+    the empty word and no word more than 4 ops. A column with no unit c + t*a
+    cannot occur after the det-1 test; reached anyway, it raises
+    AssertionError. Any other y is checked by require_ring, its class and
+    require_det_one, in that order, and joins the words of _word_ops over the
+    cached _crt_plan. A refusal is require_det_one's either way; name is the
     caller's, for the error on a matrix over Z or a TracelessMatrix.
     """
     if y.__class__ is ModMatrix and len(y.rows) == 2:
-        (a, b), (c, d) = rows = y.rows
-        if (a * d - b * c) % y.modulus != 1:
+        (a, b), (c, d) = y.rows
+        N = y.modulus
+        if (a * d - b * c) % N != 1:
             require_det_one(y)
-        return _word_2x2(rows, y.modulus)
+        if a == 1:  # entries are reduced into [0, N)
+            ops = (2, 1, c), (1, 2, b)
+        else:
+            for t in range(N):
+                if gcd(c + t * a, N) == 1:
+                    break
+            else:
+                raise AssertionError("a det-1 column over Z/N must be unimodular")
+            c = (c + t * a) % N
+            cinv = pow(c, -1, N)
+            ops = (2, 1, -t % N), (1, 2, (a - 1) * cinv % N), (2, 1, c), (1, 2, (d + t * b - 1) * cinv % N)
+        return [op for op in ops if op[2]]
     require_ring(y, name, modular=True)
     if not isinstance(y, ModMatrix):
         raise TypeError(f"{name} needs a ModMatrix, got {type(y).__name__}")
@@ -389,13 +371,14 @@ def _mod_ops(y: ModMatrix, name: str) -> list[tuple[int, int, int]]:
 def decompose_mod(y: ModMatrix) -> ElementaryWord:
     """Certificate of elementary generation for y in SL_n(Z/N), composite N allowed.
 
-    Splits Z/N into prime-power factors q and decomposes the image of y in
-    each factor, recording every local generator E(i,j,a) as E(i,j,a*e mod N),
-    with e the CRT idempotent of q (1 mod q, 0 mod N/q). The lifted
-    generators therefore evaluate to the identity in every foreign factor,
-    and their concatenated product equals y by the CRT. At a prime power
-    e = 1, so the local word is the word. Raises NotUnimodular unless
-    det(y) == 1 in Z/N.
+    At n = 2 the stable-range word of _mod_ops: at most 4 generators, and N
+    is not factored. At n >= 3, splits Z/N into prime-power factors q and
+    decomposes the image of y in each factor, recording every local
+    generator E(i,j,a) as E(i,j,a*e mod N), with e the CRT idempotent of q
+    (1 mod q, 0 mod N/q). The lifted generators therefore evaluate to the
+    identity in every foreign factor, and their concatenated product equals
+    y by the CRT. At a prime power e = 1, so the local word is the word.
+    Raises NotUnimodular unless det(y) == 1 in Z/N.
     """
     return ElementaryWord._wrap(y.n, _mod_ops(y, "decompose_mod"), y.modulus)
 
@@ -407,5 +390,18 @@ def lift_to_int(y: ModMatrix) -> IntMatrix:
     [0, N), out over Z, without building a word; y is refused as there. The
     result is a product of integer elementary matrices, hence has
     determinant exactly 1, and its reduction mod N is y.
+
+    At n = 2 every entry lies in [0, (N-1)^4 + 3(N-1)^2 + 1], below N^4.
+    In the notation of _mod_ops the word is E21(s) E12(u) E21(c') E12(w),
+    s = -t mod N, with each coefficient in [0, N - 1] and some of them 0
+    (at a = 1, s = c, u = b and c' = w = 0). Its product is
+
+        (1 + uc'          u + w + uc'w               )
+        (s + c' + suc'    1 + su + sw + c'w + suc'w  )
+
+    Every term is nonnegative, so no entry exceeds the last one at
+    s = u = c' = w = N - 1, which is the bound. That needs t = 1, c' = -1
+    and a = 1 + uc' = 2, so c = -3, which must not be a unit for t = 0 to
+    fail: the bound is reached exactly when 3 | N, at y = (2 -3; -3 5).
     """
     return IntMatrix._wrap(elementary_product(y.n, _mod_ops(y, "lift_to_int")))

@@ -90,6 +90,25 @@ def _brute_force_orders(n: int, N: int) -> tuple[int, ...]:
     return tuple(orders)
 
 
+def elementary_distances(n: int, N: int) -> dict:
+    """The least number of elementary factors E_ij(a), a in Z/N, whose product
+    is each element of SL_n(Z/N), keyed by its rows: a breadth-first search
+    from the identity, one right factor (col j += a*col i) per step."""
+    start = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    dist, frontier = {start: 0}, [start]
+    steps = [(i, j, a) for i in range(n) for j in range(n) if i != j for a in range(1, N)]
+    while frontier:
+        reached = []
+        for x in frontier:
+            for i, j, a in steps:
+                y = tuple(row[:j] + ((row[j] + a * row[i]) % N,) + row[j + 1 :] for row in x)
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    reached.append(y)
+        frontier = reached
+    return dist
+
+
 def a_lambda(parts, q: int) -> int:
     """a_lambda(q) for the partition lambda of parts, q = p^d: the order of
     the centralizer in GL of the primary part of a class over F_p whose

@@ -16,6 +16,8 @@ pin the range of exact factoring and primality: the index mod the prime
 primes next to 10^12 (past the rho budget) and the prime 2^89 - 1 (past
 psi_13, where 13 Miller-Rabin bases stop proving primality) are BadModulus;
 a witness-p at depth one in Gamma(10^18 + 3) answers without factoring again.
+At those last two moduli the 2x2 decompose and lift answer, as their word
+never factors N.
 enumerate and spectrum at n = 2000 are refused at once, the size named as
 2^4000000 rather than printed in full, and phi at depth k = 10^9 answers at
 once: the identity's image is zero, and any other matrix is refused with the

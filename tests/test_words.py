@@ -29,9 +29,9 @@ from congruence_lab import (
 
 from congruence_lab import intmat, witnesses, words
 from congruence_lab.primes import _crt_plan
-from congruence_lab.words import _Gen, _word_2x2, _word_ops
+from congruence_lab.words import _Gen, _word_ops
 
-from tests.helpers import elementary_words, unimodular_matrices
+from tests.helpers import elementary_distances, elementary_words, unimodular_matrices
 
 
 def test_empty_word_evaluates_to_identity():
@@ -217,97 +217,65 @@ def _sl3_mod_12_sample():
         yield ModMatrix([[9 * u + 4 * v for u, v in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)], 12)
 
 
-def _sweep_words(N, els, stride=1, e1=True, join=False):
-    # One pass over els, elements of SL_n(Z/N). For each element y and prime-power
-    # factor q of N, with idempotent e, the e = 1 word of _word_ops, the oracle,
-    # is made once; then, on every stride-th element when n = 2,
-    # - _word_2x2 at the modulus q gives it (unless e1 is False), on entries in
-    #   [0, N), unreduced mod q when N is composite, and on entries shifted by
-    #   multiples of N in -2N..2N;
-    # - at a composite N, _word_ops gives it lifted, each a*e mod N, and
-    #   _word_2x2 at N, on both sets of entries, gives the lifted words joined;
-    # - at a prime power N <= 12 it is decompose_mod's word, and _word_ops gives
-    #   it on rows shifted entry by entry.
-    # With join, on every element, decompose_mod's word has each a in [0, N) and
-    # is the factors' words in turn, by their lengths: the part of factor q is
-    # 0 mod N/q and, reduced mod q, multiplies out to y mod q by
-    # elementary_product, a route not through _mod_ops.
-    plan = _crt_plan(N)
-    for t, y in enumerate(els):
-        rows = y.rows
-        words = [_word_ops(rows, q, 1, q) for _, _, q, _ in plan]
-        if len(rows) == 2 and t % stride == 0:
-            s = N * (t // stride % 5 - 2)
-            (a, b), (c, d) = rows
-            unreduced = ((a + s, b - s), (c - s, d + s))
-            joined = []
-            for (_, _, q, e), word in zip(plan, words):
-                if e1:
-                    assert _word_2x2(rows, q) == word
-                    assert _word_2x2(unreduced, q) == word
-                lifted = [(i, j, v * e % N) for i, j, v in word]
-                if q != N:
-                    assert _word_ops(rows, q, e, N) == lifted
-                joined += lifted
-            assert _word_2x2(rows, N) == _word_2x2(unreduced, N) == joined
-            if len(plan) == 1 and N <= 12:
-                assert decompose_mod(y).gens == tuple((i, j, v % N) for i, j, v in words[0])
-                shift = [[(t + 3 * r + k) % 5 - 2 for k in range(2)] for r in range(2)]
-                shifted = [[v + N * k for v, k in zip(row, ks)] for row, ks in zip(rows, shift)]
-                assert _word_ops(shifted, N, 1, N) == words[0]
-        if join:
-            ops = decompose_mod(y)._ops
-            assert all(0 <= v < N for _, _, v in ops)
-            start = 0
-            for (_, _, q, _), word in zip(plan, words):
-                part = ops[start : start + len(word)]
-                start += len(part)
-                assert all(v % (N // q) == 0 for _, _, v in part)
-                y_mod_q = tuple(tuple(v % q for v in r) for r in rows)
-                assert intmat.elementary_product(len(rows), [(i, j, v % q) for i, j, v in part], q) == y_mod_q
-            assert start == len(ops)
-
-
-def test_decompose_mod_agrees_with_local_at_prime_powers():
-    # a single CRT factor has idempotent 1: the local operations, 1-based and
-    # reduced mod N, are the word; every element of each group
-    for N in (2, 3, 4, 5, 7, 8, 9, 11):
-        _sweep_words(N, enumerate_sl(2, N))
-
-
-def test_local_word_2x2_is_the_elimination_of_word_ops():
-    # the closed form must take the same steps as _word_ops, which stays the
-    # oracle. At the prime powers N = 25, 27 and 49 (15000 to 115248 elements)
-    # every 11th, a stride prime to each N, so the sample does not keep falling
-    # on the same second rows; the groups up to N = 12 and SL_2(Z/30) are swept
-    # by the two tests beside this one.
-    for N in (25, 27, 49):
-        _sweep_words(N, enumerate_sl(2, N)[::11])
-    # a top row with no unit mod q: at q = 4 and 5, and at N = 12 in its factor
-    # 3 only, after the factor 4, where the determinant is 9 = 1 mod 4
-    for rows, N in (([[0, 0], [0, 1]], 4), ([[0, 0], [0, 1]], 5), ([[3, 3], [0, 3]], 12)):
-        with pytest.raises(AssertionError, match="det-1 row"):
-            _word_2x2(rows, N)
-
-
-def test_local_word_2x2_is_word_ops_lifted_by_each_idempotent():
-    # at a composite N each factor q records its ops already lifted by its
-    # idempotent e: the closed form must still agree with _word_ops, and both
-    # with the e = 1 word lifted afterwards. Every 11th element of SL_2(Z/60)
-    # (60^4 entry tuples pass the default cap); N = 12 and 30 are swept by the
-    # join test.
-    _sweep_words(60, enumerate_sl(2, 60, cap=60**4)[::11], e1=False)
-
-
 def test_decompose_mod_joins_one_lifted_local_word_per_factor():
-    # the word at N = 6, 10, 12 and 30, and on a sample of SL_3(Z/12), is the
-    # local words of the factors, lifted, in turn; the same sweep checks the
-    # local and lifted words of every element of SL_2(Z/N), N = 6, 10 and 12,
-    # and every 11th of SL_2(Z/30)
-    for N in (6, 10, 12):
-        _sweep_words(N, enumerate_sl(2, N), join=True)
-    _sweep_words(30, enumerate_sl(2, 30), stride=11, join=True)
-    _sweep_words(12, _sl3_mod_12_sample(), join=True)
+    # at n >= 3 the word of Z/N is the local words of _word_ops, one per
+    # prime-power factor q and in that order, by their lengths: the part of
+    # factor q has each a in [0, N), is 0 mod N/q and, reduced mod q,
+    # multiplies out to y mod q by elementary_product, a route not through
+    # _mod_ops. On a sample of SL_3(Z/12)
+    plan = _crt_plan(12)
+    for y in _sl3_mod_12_sample():
+        ops, start = decompose_mod(y)._ops, 0
+        assert all(0 <= v < 12 for _, _, v in ops)
+        for _, _, q, _ in plan:
+            part = ops[start : start + len(_word_ops(y.rows, q, 1, q))]
+            start += len(part)
+            assert all(v % (12 // q) == 0 for _, _, v in part)
+            y_mod_q = tuple(tuple(v % q for v in r) for r in y.rows)
+            assert intmat.elementary_product(3, [(i, j, v % q) for i, j, v in part], q) == y_mod_q
+        assert start == len(ops)
+
+
+def _sweep_2x2(N):
+    # One pass over SL_2(Z/N). Each word has at most 4 ops, each a in (0, N),
+    # and evaluates to y; so does the word of _word_ops, the oracle, joined
+    # over the CRT factors. Each lift has det 1, reduces to y and has entries
+    # in [0, bound]. Returns the longest word and the largest lift entry.
+    longest = largest = 0
+    for y in enumerate_sl(2, N, cap=N**4):
+        word = decompose_mod(y)
+        assert len(word) <= 4 and all(0 < v < N for _, _, v in word._ops) and word.evaluate() == y
+        oracle = [op for _, _, q, e in _crt_plan(N) for op in _word_ops(y.rows, q, e, N)]
+        assert intmat.elementary_product(2, oracle, N) == y.rows
+        lifted = lift_to_int(y)
+        assert lifted.det() == 1 and ModMatrix(lifted.rows, N) == y and min(min(r) for r in lifted.rows) >= 0
+        longest, largest = max(longest, len(word)), max(largest, *map(max, lifted.rows))
+    return longest, largest
+
+
+@pytest.mark.parametrize("N", [*range(2, 13), 30])
+def test_2x2_words_have_the_elementary_width_and_lifts_the_stated_bound(N):
+    # the longest word is the width of SL_2(Z/N) in the E_ij(a), by a
+    # breadth-first search (N <= 12), and the largest lift entry is the bound
+    # of lift_to_int, (N-1)^4 + 3(N-1)^2 + 1, reached exactly when 3 | N
+    longest, largest = _sweep_2x2(N)
+    bound = (N - 1) ** 4 + 3 * (N - 1) ** 2 + 1
+    assert largest == bound if N % 3 == 0 else largest < bound
+    if N <= 12:
+        dist = elementary_distances(2, N)
+        assert len(dist) == sl_order_formula(2, N)
+        assert longest == max(dist.values()) == (3 if N == 2 else 4)
+
+
+def test_2x2_route_refuses_a_column_with_no_unit(monkeypatch):
+    # the det-1 test rules such a column out; with it bypassed, the search
+    # for t stops after N tries with AssertionError: at N = 4 and 5 a zero
+    # column, at N = 12 the column (3, 0), which has a unit mod 4 only
+    monkeypatch.setattr(words, "require_det_one", lambda y: None)
+    for rows, N in (([[0, 0], [0, 1]], 4), ([[0, 0], [0, 1]], 5), ([[3, 3], [0, 3]], 12)):
+        for f in (decompose_mod, lift_to_int):
+            with pytest.raises(AssertionError, match="^a det-1 column over Z/N must be unimodular$"):
+                f(ModMatrix(rows, N))
 
 
 def test_word_ops_refuse_a_row_that_vanishes_from_the_diagonal_on():
@@ -349,12 +317,9 @@ def test_every_op_handed_to_elementary_product_is_one_based(monkeypatch):
 
 
 def test_decompose_mod_and_lift_three_crt_factors():
-    # N = 30 and 60 have three prime-power factors, so every word is three
-    # lifted local words; the round trip and the lift's det are the oracle
-    for y in enumerate_sl(2, 30)[::97]:
-        assert decompose_mod(y).evaluate() == y
-        lifted = lift_to_int(y)
-        assert lifted.det() == 1 and ModMatrix(lifted.rows, 30) == y
+    # N = 30 and 60 have three prime-power factors, so at n = 3 every word is
+    # three lifted local words; the round trip and the lift's det are the
+    # oracle. SL_2(Z/30) is swept whole by the width and lift-bound test
     for t in range(40):
         x = sample_sl(3, 4 + t % 12, seed=6000 + t)
         for N in (30, 60):
@@ -471,7 +436,7 @@ def test_words_have_slots_and_pickle_as_before():
             with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
                 delattr(w, name)
     digest = hashlib.sha256(pickle.dumps(words, protocol=4)).hexdigest()
-    assert digest == "e6117469b4f9343deaeaaf8255be0007f787796decb5f193815ea9267d21ddb0"
+    assert digest == "7ab36ac6beb08fd98f146c0b9971889b94f8b4e66d6af496f84f7ab02cc4281b"
 
 
 _REFUSALS = [
@@ -555,8 +520,8 @@ def _large_modulus_lines():
 @pytest.mark.parametrize(
     "lines, digest",
     [
-        (_seeded_sample_lines, "85c0829e7114e6e6fb936dc15e5caba1a06669feb028537017e1c3903b483f8f"),
-        (_finite_quotient_lines, "858dc8d711a19d1d78f42081040101ae95a5bb0fddfdc04c3a0015c275396cea"),
+        (_seeded_sample_lines, "f703490a5aea8dd5f0dc64774063ef914d95a5fe6e16c023b9d23d6df75a47c0"),
+        (_finite_quotient_lines, "d58bd106e1beacfff2ffa8e1bac253ecc77d7538bd3980020f33d9056507729e"),
         (_integer_exact_lines, "86ae0d67074ddfddcfdbabdfef825160f4b11227c8cb2265864ffcc9133d8be3"),
         (_large_modulus_lines, "9dd849a43bb3ebbb1519f4bd05e1561e7f9c0e0d7d922c3f85337c123c661fd4"),
     ],

@@ -91,7 +91,7 @@ def kernel_rows() -> dict[str, float]:
     row(f"decompose_mod({y})", 2, "Z/12", lambda: decompose_mod(y))
     row(f"lift_to_int({y})", 2, "Z/12", lambda: lift_to_int(y))
     # Per element over all of SL_2(Z/12), as finite-quotients calls them: the one
-    # element above takes a single pivot branch, the sweep the swap and sweep too.
+    # element above takes the 4-op branch at t = 1, the sweep a = 1 and every t too.
     sl2 = enumerate_sl(2, 12)
     for f in (decompose_mod, lift_to_int):
         row(f"{f.__name__}(y) per y in enumerate_sl(2, 12)", 2, "Z/12", lambda: list(map(f, sl2)), per=len(sl2))
